@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint sanitize obs-demo bench bench-sim bench-check sweep-smoke serve-smoke faults crashcheck
+.PHONY: test lint sanitize obs-demo bench bench-sim bench-check sweep-smoke serve-smoke faults crashcheck dirtbuster-smoke
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -79,6 +79,17 @@ sweep-smoke:
 # (CI's serve-smoke job).
 serve-smoke:
 	$(PYTHON) -m repro.traffic smoke --ops 800 --keys 512 --value-size 512
+
+# DirtBuster smoke: run the tool end to end on nas-is (a random writer
+# that opens one sequentiality context per write) and clht, and check
+# their Table 2 rows.  CI runs it under a 5-minute timeout, so a lookup
+# that scans every open context again (minutes on nas-is) fails the job.
+dirtbuster-smoke:
+	mkdir -p build
+	$(PYTHON) -m repro.dirtbuster nas-is > build/dirtbuster-nas-is.txt
+	grep -E '^nas-is +yes +- +-$$' build/dirtbuster-nas-is.txt
+	$(PYTHON) -m repro.dirtbuster clht > build/dirtbuster-clht.txt
+	grep -E '^clht +yes +yes +yes$$' build/dirtbuster-clht.txt
 
 # Crash-consistency self-check: seeded crash/fault matrix on machine A
 # and B-slow, asserting protocol durability, baseline vulnerability,

@@ -1,6 +1,6 @@
 """``dirtbuster``: run the analysis tool on a named workload.
 
-Examples::
+Examples (also ``python -m repro.dirtbuster ...``)::
 
     dirtbuster clht --machine a
     dirtbuster nas-mg --machine a --sampling-period 101
@@ -33,6 +33,16 @@ _MACHINES = {
 }
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     known = sorted(WORKLOAD_FACTORIES) + sorted(name for name, _ in PHORONIX_APPS)
     parser = argparse.ArgumentParser(
@@ -42,7 +52,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("workload", nargs="?", help=f"one of: {', '.join(known)}")
     parser.add_argument("--list", action="store_true", help="list known workloads")
     parser.add_argument("--machine", choices=sorted(_MACHINES), default="a")
-    parser.add_argument("--sampling-period", type=int, default=229)
+    parser.add_argument("--sampling-period", type=_positive_int, default=229)
     parser.add_argument("--seed", type=int, default=1234)
     args = parser.parse_args(argv)
 

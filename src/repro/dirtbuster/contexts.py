@@ -11,11 +11,23 @@ The naive same-or-next-line check fails for code that writes temporaries
 between sequential writes or interleaves streams to several objects;
 per-context last-write tracking handles both, and per-(core, function)
 scoping keeps threads from polluting each other's streams.
+
+Lookup is end-indexed.  A write at ``addr`` can only continue a context
+whose ``end`` lies in ``[addr - slack, addr]``, so each stream keeps its
+contexts in a dict keyed by ``end`` and a write probes those
+``slack + 1`` keys instead of scanning every open context.  Contexts
+sharing one ``end`` form a stack, most recently extended on top, and
+every entry carries the tick of its context's last extension; the write
+joins the candidate with the highest tick.  A scan over all contexts,
+most recently extended first, would stop at that same context, so the
+choice is exactly the scan's, at O(slack) per write instead of
+O(open contexts) — and random writers open one context per write.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Dict, List, Tuple
 
 from repro.errors import AnalysisError
@@ -130,34 +142,48 @@ class ContextTracker:
         if slack < 0:
             raise AnalysisError(f"slack must be non-negative, got {slack}")
         self.slack = slack
-        #: (core, function) -> open contexts, most recently extended last.
-        self._streams: Dict[Tuple[int, str], List[SequentialContext]] = {}
+        #: (core, function) -> {end: entry}.  An entry is a
+        #: ``(tick, context, below)`` cell: ``tick`` stamps the context's
+        #: last extension, ``below`` is the entry of the next most recently
+        #: extended context with the same ``end`` (None at the bottom).
+        self._streams: Dict[Tuple[int, str], Dict[int, tuple]] = {}
         #: function -> write count.
         self._write_counts: Dict[str, int] = {}
+        self._tick = 0
 
     def observe_write(self, core_id: int, function: str, addr: int, size: int) -> SequentialContext:
         """Feed one write; returns the context it joined (maybe new)."""
         self._write_counts[function] = self._write_counts.get(function, 0) + 1
-        contexts = self._streams.setdefault((core_id, function), [])
-        # Scan most-recently-used first: sequential streams keep hitting
-        # the same context, so this is O(1) amortised.
-        for i in range(len(contexts) - 1, -1, -1):
-            ctx = contexts[i]
-            if ctx.adjacent(addr, self.slack):
-                ctx.extend(addr, size)
-                if i != len(contexts) - 1:
-                    contexts.append(contexts.pop(i))
-                return ctx
-        ctx = SequentialContext(start=addr, end=addr + size)
-        contexts.append(ctx)
+        key = (core_id, function)
+        by_end = self._streams.get(key)
+        if by_end is None:
+            by_end = self._streams[key] = {}
+        # Every adjacent context ends in [addr - slack, addr]; the top of
+        # each stack is its most recently extended one.
+        best = None
+        for end in range(addr - self.slack, addr + 1):
+            entry = by_end.get(end)
+            if entry is not None and (best is None or entry[0] > best[0]):
+                best = entry
+        self._tick += 1
+        if best is None:
+            ctx = SequentialContext(start=addr, end=addr + size)
+        else:
+            _, ctx, below = best
+            if below is None:
+                del by_end[ctx.end]
+            else:
+                by_end[ctx.end] = below
+            ctx.extend(addr, size)
+        by_end[ctx.end] = (self._tick, ctx, by_end.get(ctx.end))
         return ctx
 
     def summary(self, function: str) -> SequentialitySummary:
         """The sequentiality report for one function (all cores merged)."""
         contexts: List[SequentialContext] = []
-        for (core_id, fn), stream in self._streams.items():
+        for (core_id, fn), by_end in self._streams.items():
             if fn == function:
-                contexts.extend(stream)
+                contexts.extend(_least_recent_first(by_end))
         total = self._write_counts.get(function, 0)
         sequential = sum(c.writes for c in contexts if c.writes >= MIN_SEQUENTIAL_RUN)
         return SequentialitySummary(
@@ -169,3 +195,14 @@ class ContextTracker:
 
     def functions(self) -> List[str]:
         return sorted(self._write_counts)
+
+
+def _least_recent_first(by_end: Dict[int, tuple]) -> List[SequentialContext]:
+    """One stream's contexts, least recently extended first."""
+    entries = []
+    for entry in by_end.values():
+        while entry is not None:
+            entries.append(entry)
+            entry = entry[2]
+    entries.sort(key=itemgetter(0))
+    return [entry[1] for entry in entries]

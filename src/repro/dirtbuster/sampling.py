@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import Dict, List, Sequence, Tuple
 
 from repro.errors import AnalysisError
@@ -80,23 +81,29 @@ class SampleProfile:
 
         self.other_samples = other_samples
         self.total_samples = len(samples) + other_samples
-        self.total_stores = sum(1 for s in samples if s.is_store)
+        self.total_stores = 0
         self._functions: Dict[str, FunctionProfile] = {}
-        for sample in samples:
+        # A multi-hit event is one shared record repeated (SamplingTracer),
+        # so each run of one object becomes a single weighted update.
+        for _, run in groupby(samples, key=id):
+            sample = next(run)
+            weight = 1 + sum(1 for _ in run)
             prof = self._functions.get(sample.function)
             if prof is None:
                 prof = FunctionProfile(
                     function=sample.function, file=sample.site.file, line=sample.site.line
                 )
                 self._functions[sample.function] = prof
+            if sample.is_store:
+                self.total_stores += weight
             if sample.kind is EventKind.ATOMIC:
-                prof.atomics += 1
+                prof.atomics += weight
             elif sample.is_store:
-                prof.stores += 1
+                prof.stores += weight
             else:
-                prof.loads += 1
+                prof.loads += weight
             chain = tuple(site.function for site in sample.callchain)
-            prof.callchains[chain] += 1
+            prof.callchains[chain] += weight
 
     @classmethod
     def from_tracer(cls, tracer: SamplingTracer) -> "SampleProfile":

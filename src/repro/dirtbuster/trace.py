@@ -82,6 +82,11 @@ class SamplingTracer(Tracer):
     instructions" — the paper's Section 7.1 metric.  Samples falling on
     compute are counted (they dilute the store share) but carry no
     address; fences and pre-stores are attributed like compute.
+
+    An event long enough to take several samples appends the same frozen
+    :class:`AccessRecord` once per sample: ``samples`` still has one entry
+    per timer hit, but consecutive entries may be one shared object
+    (:class:`~repro.dirtbuster.sampling.SampleProfile` folds such runs).
     """
 
     def __init__(self, period: int = 229) -> None:
@@ -104,8 +109,7 @@ class SamplingTracer(Tracer):
         if not hits:
             return
         if event.is_memory_access:
-            for _ in range(hits):
-                self.samples.append(_record_of(core_id, event, instr_index))
+            self.samples.extend([_record_of(core_id, event, instr_index)] * hits)
         else:
             self.other_samples += hits
 

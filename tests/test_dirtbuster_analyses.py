@@ -3,8 +3,9 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.dirtbuster.contexts import ContextTracker, MIN_SEQUENTIAL_RUN
+from repro.dirtbuster.contexts import ContextTracker, MIN_SEQUENTIAL_RUN, SequentialContext
 from repro.dirtbuster.distances import DistanceTracker
 from repro.dirtbuster.fences import FenceTracker
 
@@ -76,6 +77,99 @@ class TestContexts:
         assert len(buckets) == 2
         assert buckets[0].size == pytest.approx(16 * 1024, rel=0.1)
         assert buckets[0].share == pytest.approx(256 / 320)
+
+
+class ScanTracker:
+    """Reference model: the linear most-recently-used scan over every open
+    context of the stream, as the paper describes the lookup."""
+
+    def __init__(self, slack):
+        self.slack = slack
+        #: (core, function) -> open contexts, most recently extended last.
+        self.streams = {}
+
+    def observe_write(self, core_id, function, addr, size):
+        contexts = self.streams.setdefault((core_id, function), [])
+        for i in range(len(contexts) - 1, -1, -1):
+            ctx = contexts[i]
+            if ctx.adjacent(addr, self.slack):
+                ctx.extend(addr, size)
+                contexts.append(contexts.pop(i))
+                return ctx
+        ctx = SequentialContext(start=addr, end=addr + size)
+        contexts.append(ctx)
+        return ctx
+
+    def summary(self, function):
+        return [ctx for (_, fn), stream in self.streams.items() if fn == function for ctx in stream]
+
+
+def _fields(ctx):
+    return (ctx.start, ctx.end, ctx.writes)
+
+
+def _assert_matches_scan(slack, writes):
+    """Feed ``writes`` to both trackers; every write must join the
+    corresponding context, and the summaries must list them in the same
+    order."""
+    tracker, oracle = ContextTracker(slack=slack), ScanTracker(slack)
+    twin = {}  # id(oracle context) -> tracker context
+    for core_id, function, addr, size in writes:
+        got = tracker.observe_write(core_id, function, addr, size)
+        want = oracle.observe_write(core_id, function, addr, size)
+        assert twin.setdefault(id(want), got) is got
+        assert _fields(got) == _fields(want)
+    assert len({id(ctx) for ctx in twin.values()}) == len(twin)
+    for function in {w[1] for w in writes}:
+        expected = oracle.summary(function)
+        summary = tracker.summary(function)
+        assert [_fields(c) for c in summary.contexts] == [_fields(c) for c in expected]
+        assert all(got is twin[id(want)] for got, want in zip(summary.contexts, expected))
+        assert summary.total_writes == sum(1 for w in writes if w[1] == function)
+
+
+class TestContextIndexMatchesScan:
+    """The end-indexed tracker picks exactly what the linear scan picks."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        slack=st.sampled_from([0, 1, 8, 64]),
+        writes=st.lists(
+            st.tuples(
+                st.integers(0, 2),
+                st.sampled_from(["f", "g"]),
+                st.integers(0, 160),
+                st.sampled_from([0, 1, 4, 8, 16, 64]),
+            ),
+            max_size=120,
+        ),
+    )
+    def test_random_writes(self, slack, writes):
+        _assert_matches_scan(slack, writes)
+
+    @pytest.mark.parametrize("slack", [0, 8])
+    def test_contexts_sharing_one_end(self, slack):
+        # Rewrites of one line open a context per write, all ending at
+        # 4160; the continuation joins the newest, then the next newest.
+        writes = [(0, "f", 4096, 64)] * 5 + [(0, "f", 4160, 64), (0, "f", 4160, 8)]
+        _assert_matches_scan(slack, writes)
+
+    @pytest.mark.parametrize("slack", [0, 8])
+    def test_zero_size_writes(self, slack):
+        writes = [(0, "f", 100, 0), (0, "f", 100, 0), (0, "f", 100, 8), (0, "f", 108, 0),
+                  (0, "f", 112, 0), (0, "f", 100, 0), (1, "f", 100, 0)]
+        _assert_matches_scan(slack, writes)
+
+    def test_slack_prefers_most_recent_over_nearest(self):
+        tracker = ContextTracker(slack=16)
+        near = tracker.observe_write(0, "f", 0, 100)  # ends exactly at 100
+        recent = tracker.observe_write(0, "f", 88, 8)  # ends at 96
+        assert tracker.observe_write(0, "f", 100, 8) is recent
+        assert near.writes == 1
+
+    def test_cores_and_functions_are_separate_streams(self):
+        writes = [(core, fn, 64 * i, 64) for i in range(8) for core in (0, 1) for fn in ("f", "g")]
+        _assert_matches_scan(0, writes)
 
 
 class TestFences:

@@ -1,5 +1,9 @@
 """End-to-end DirtBuster tests: the full sample->instrument->advise loop."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.core.prestore import PrestoreMode
@@ -76,6 +80,26 @@ class TestCLIs:
 
         assert main(["--list"]) == 0
         assert "nas-mg" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("period", ["0", "-5", "ten"])
+    def test_dirtbuster_cli_rejects_bad_sampling_period(self, capsys, period):
+        from repro.dirtbuster.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["clht", "--sampling-period", period])
+        assert exc.value.code == 2
+        assert "--sampling-period" in capsys.readouterr().err
+
+    def test_dirtbuster_runs_as_module(self):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.dirtbuster", "--list"],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "nas-is" in done.stdout
 
     def test_experiments_cli_list(self, capsys):
         from repro.experiments.cli import main

@@ -1,6 +1,9 @@
 """Unit tests for tracing and the perf-style sampler."""
 
+import dataclasses
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.dirtbuster.sampling import SampleProfile
 from repro.dirtbuster.trace import FullTracer, SamplingTracer
@@ -35,6 +38,11 @@ class TestSamplingTracer:
         tracer = SamplingTracer(period=10)
         tracer.record(0, _write(), 0, cycles=55.0)
         assert len(tracer.samples) == 5
+        # One shared frozen record per event, repeated once per hit.
+        assert all(s is tracer.samples[0] for s in tracer.samples)
+        tracer.record(0, _write(), 1, cycles=10.0)
+        assert len(tracer.samples) == 6
+        assert tracer.samples[5] is not tracer.samples[0]
 
     def test_zero_cycle_events_unsampled(self):
         tracer = SamplingTracer(period=10)
@@ -127,3 +135,72 @@ class TestSampleProfile:
         profile = SampleProfile.from_tracer(tracer)
         chains = profile.function("memcpy").top_callchains()
         assert chains[0][0] == ("put",)
+
+
+_KINDS = [EventKind.WRITE, EventKind.READ, EventKind.ATOMIC, EventKind.COMPUTE, EventKind.FENCE]
+_CHAINS = [(), ("put",), ("put", "main")]
+
+
+def _profile_fields(profile):
+    return (
+        profile.total_samples,
+        profile.total_stores,
+        profile.application_store_fraction,
+        [
+            (p.function, p.stores, p.loads, p.atomics, dict(p.callchains))
+            for p in profile.functions()
+        ],
+    )
+
+
+class TestSharedRecordFolding:
+    """Folding runs of one shared record equals counting per-hit records."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        period=st.integers(1, 12),
+        events=st.lists(
+            st.tuples(
+                st.sampled_from(_KINDS),
+                st.sampled_from(["f", "g", "lock"]),
+                st.sampled_from(_CHAINS),
+                st.floats(0.0, 60.0),
+            ),
+            min_size=1,
+            max_size=60,
+        ),
+    )
+    def test_shared_records_profile_like_distinct_ones(self, period, events):
+        tracer = SamplingTracer(period=period)
+        for i, (kind, function, chain, cycles) in enumerate(events):
+            memory = kind in (EventKind.WRITE, EventKind.READ, EventKind.ATOMIC)
+            event = Event(
+                kind,
+                addr=64 * i if memory else 0,
+                size=8 if memory else 1,
+                site=CodeSite(function=function),
+                callchain=tuple(CodeSite(function=name) for name in chain),
+            )
+            tracer.record(i % 2, event, i, cycles=cycles)
+        if not len(tracer):
+            return
+        distinct = [dataclasses.replace(s) for s in tracer.samples]
+        shared = SampleProfile(tracer.samples, other_samples=tracer.other_samples)
+        per_hit = SampleProfile(distinct, other_samples=tracer.other_samples)
+        assert _profile_fields(shared) == _profile_fields(per_hit)
+
+    def test_atomic_runs_count_as_store_time_only(self):
+        tracer = SamplingTracer(period=10)
+        atomic = Event(EventKind.ATOMIC, addr=0, size=8, site=CodeSite(function="lock"))
+        tracer.record(0, atomic, 0, cycles=40.0)
+        tracer.record(0, _write("writer"), 1, cycles=30.0)
+        tracer.record(0, _read("writer"), 2, cycles=20.0)
+        assert len(tracer.samples) == 9
+        profile = SampleProfile.from_tracer(tracer)
+        assert profile.total_stores == 7
+        assert profile.function("lock").atomics == 4
+        assert profile.function("lock").stores == 0
+        assert profile.function("writer").stores == 3
+        assert profile.function("writer").loads == 2
+        assert profile.function("writer").callchains[()] == 5
+        assert profile.application_store_fraction == pytest.approx(7 / 9)
