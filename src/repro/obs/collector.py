@@ -48,9 +48,11 @@ class ObsCollector:
     where only the timeline matters); ``profile=True`` additionally
     wraps the simulator's hot methods — event dispatch
     (``Machine.step``), cache lookup (``CacheHierarchy.access_line``),
-    store-buffer drain (``StoreBuffer.drain``) and device writeback
-    (``MemoryDevice.write_back``) — in wall-clock span timers on *this
-    machine instance only*.
+    the L1-miss fill every load and store miss takes
+    (``CacheHierarchy.fill``), store-buffer drain (``StoreBuffer.drain``)
+    and device reads and writebacks (``MemoryDevice.read`` /
+    ``write_back``) — in wall-clock span timers on *this machine
+    instance only*.
     """
 
     #: The collector needs per-access records (timeline samples weight
@@ -90,6 +92,7 @@ class ObsCollector:
         assert profiler is not None
         profiler.wrap(machine, "step", "sim.dispatch")
         profiler.wrap(machine.hierarchy, "access_line", "sim.cache_lookup")
+        profiler.wrap(machine.hierarchy, "fill", "sim.cache_fill")
         profiler.wrap(machine.device, "write_back", "sim.device_writeback")
         profiler.wrap(machine.device, "read", "sim.device_read")
         for core in machine.cores:

@@ -274,6 +274,7 @@ def _profile_headline(quick: bool) -> None:
     machine = program.machine
     profiler.wrap(machine, "step", "sim.dispatch")
     profiler.wrap(machine.hierarchy, "access_line", "sim.cache_lookup")
+    profiler.wrap(machine.hierarchy, "fill", "sim.cache_fill")
     profiler.wrap(machine.device, "write_back", "sim.device_writeback")
     profiler.wrap(machine.device, "read", "sim.device_read")
     with profiler.span("sim.run"):

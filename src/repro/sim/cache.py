@@ -7,12 +7,14 @@ granularity larger than the CPU line suffers write amplification.
 
 Model choices (documented in DESIGN.md):
 
-* Caches are **inclusive**: a line present in L1 is present in every level
-  below it.  Evicting a line from the last level back-invalidates the
-  upper levels, collecting dirtiness on the way (the victim's most recent
-  data must reach memory).
+* The last level is **inclusive**: a line present in an inner level is
+  present in the last level.  Evicting a line from the last level
+  back-invalidates the upper levels, collecting dirtiness on the way (the
+  victim's most recent data must reach memory).  Middle levels are not:
+  L2 may evict a line L1 still holds.
 * Dirtiness lives at the *innermost* level holding the line; when an inner
-  level evicts a dirty line, the dirt moves one level out.
+  level evicts a dirty line, the dirt moves one level out, or to memory
+  when that level no longer holds the line.
 * The hierarchy is shared by all simulated cores.  Private L1s would only
   change constants; the eviction-order scrambling the paper measures comes
   from the shared last level, which this models directly.
@@ -316,17 +318,21 @@ class CacheLevel:
         )
 
 
-def _build_fill_all(levels: Sequence["CacheLevel"]):
-    """Generate the fused miss-everywhere fill walk (DESIGN.md §15).
+def _build_fill_all(levels: Sequence["CacheLevel"], start: int):
+    """Generate the fused fill walk for lines missing at ``levels[:start + 1]``
+    (DESIGN.md §15).
 
-    Emits one specialised ``fill_all(line, wb) -> int`` that installs
-    ``line`` into every level, outermost first — first-empty-way scan,
-    else the policy's fused ``evict_insert`` — propagating evictions the
-    way the generic walk does: an inner victim pushes its dirt one level
-    out (inclusion keeps it resident below), the last-level victim
-    back-invalidates the inner columns, and dirt that reaches memory is
-    appended to ``wb``.  Returns the innermost (L1) slot the line landed
-    in.
+    Emits one specialised ``fill_<start>(line, wb) -> int`` that installs
+    ``line`` into levels ``start`` down to 0, outermost first —
+    first-empty-way scan, else the policy's fused ``evict_insert`` —
+    propagating evictions the way the object walk does: an inner victim
+    pushes its dirt one level out when that level holds it (and goes to
+    memory when it does not), the last-level victim back-invalidates the
+    inner columns, and dirt that reaches memory is appended to ``wb``.
+    Returns the innermost (L1) slot the line landed in.  The kernel for
+    ``start = len(levels) - 1`` is the miss-everywhere fill; a kernel with
+    a smaller ``start`` serves a line that hit at ``levels[start + 1]``,
+    so it also binds that level's columns for the dirt push.
 
     The source is generated per hierarchy and ``exec``-compiled once
     (the ``collections.namedtuple`` technique), so every per-level
@@ -338,14 +344,16 @@ def _build_fill_all(levels: Sequence["CacheLevel"]):
     table lookups ``evict_insert``/``on_access`` would perform —
     identical RNG draws, identical state transitions — while any other
     policy keeps its bound method calls, so seeded runs are
-    bit-identical to the generic walk either way.
+    bit-identical to the object walk either way.
     """
     last = len(levels) - 1
     ns: dict = {"SimulationError": SimulationError}
-    src = ["def fill_all(line, wb):"]
-    for i in range(last, -1, -1):
+    intel = [
+        type(lvl.policy) is IntelLikePolicy and lvl._ways <= _PLRU_LUT_MAX_WAYS
+        for lvl in levels
+    ]
+    for i in range(min(start + 1, last) + 1):
         lvl = levels[i]
-        ways = lvl._ways
         ns[f"t{i}"] = lvl._tags
         ns[f"d{i}"] = lvl._dirty
         ns[f"x{i}"] = lvl._index
@@ -353,14 +361,17 @@ def _build_fill_all(levels: Sequence["CacheLevel"]):
         ns[f"fl{i}"] = lvl._set_fill
         ns[f"st{i}"] = lvl.stats
         policy = lvl.policy
-        intel = type(policy) is IntelLikePolicy and ways <= _PLRU_LUT_MAX_WAYS
-        if intel:
-            ns[f"a{i}"], ns[f"o{i}"], ns[f"v{i}"] = _plru_lut(ways)
+        if intel[i]:
+            ns[f"a{i}"], ns[f"o{i}"], ns[f"v{i}"] = _plru_lut(lvl._ways)
             ns[f"r{i}"] = policy._rand
         else:
             ns[f"oi{i}"] = policy.on_insert
             ns[f"ei{i}"] = policy.evict_insert
             ns[f"oa{i}"] = policy.on_access
+    src = [f"def fill_{start}(line, wb):"]
+    for i in range(start, -1, -1):
+        lvl = levels[i]
+        ways = lvl._ways
         src.append(f"    # -- {lvl.spec.name} --")
         if lvl.hashed_index:
             src.append(f"    set_i = ((line * 0x9E3779B97F4A7C15) >> 17) % {lvl.num_sets}")
@@ -375,7 +386,7 @@ def _build_fill_all(levels: Sequence["CacheLevel"]):
         src.append(f"        d{i}[slot] = 0")
         src.append(f"        x{i}[line] = slot")
         src.append(f"        fl{i}[set_i] += 1")
-        if intel:
+        if intel[i]:
             src.append( "        w = slot - base")
             src.append(f"        s = p{i}[set_i]")
             src.append(f"        s[0] = (s[0] & a{i}[w]) | o{i}[w]")
@@ -387,10 +398,10 @@ def _build_fill_all(levels: Sequence["CacheLevel"]):
         else:
             src.append("    else:")
             E = "        "
-        if intel:
+        if intel[i]:
             src.append(E + f"s = p{i}[set_i]")
             src.append(E + "si = s[0]")
-            src.append(E + f"if r{i}() < {policy.random_prob!r}:")
+            src.append(E + f"if r{i}() < {lvl.policy.random_prob!r}:")
             src.append(E + f"    w = int(r{i}() * {ways})")
             src.append(E + "else:")
             src.append(E + f"    w = v{i}[si]")
@@ -427,25 +438,24 @@ def _build_fill_all(levels: Sequence["CacheLevel"]):
             src.append(E + "    wb.append(victim)")
         else:
             b = i + 1
-            b_lvl = levels[b]
-            b_intel = type(b_lvl.policy) is IntelLikePolicy and b_lvl._ways <= _PLRU_LUT_MAX_WAYS
+            b_ways = levels[b]._ways
             src.append(E + f"bslot = x{b}.get(victim)")
             src.append(E + "if bslot is None:")
             src.append(E + "    if vd:")
             src.append(E + "        wb.append(victim)")
             src.append(E + "elif vd:")
-            src.append(E + f"    bset = bslot // {b_lvl._ways}")
-            if b_intel:
-                src.append(E + f"    bw = bslot - bset * {b_lvl._ways}")
+            src.append(E + f"    bset = bslot // {b_ways}")
+            if intel[b]:
+                src.append(E + f"    bw = bslot - bset * {b_ways}")
                 src.append(E + f"    bs = p{b}[bset]")
                 src.append(E + f"    bs[0] = (bs[0] & a{b}[bw]) | o{b}[bw]")
             else:
-                src.append(E + f"    oa{b}(p{b}[bset], bslot - bset * {b_lvl._ways})")
+                src.append(E + f"    oa{b}(p{b}[bset], bslot - bset * {b_ways})")
             src.append(E + f"    d{b}[bslot] = 1")
         if i == 0:
             src.append(E + "return vslot")
     exec(compile("\n".join(src), "<fused-fill>", "exec"), ns)
-    return ns["fill_all"]
+    return ns[f"fill_{start}"]
 
 
 @dataclass
@@ -494,14 +504,31 @@ class CacheHierarchy:
         l1 = self.levels[0]
         self._l1_index = l1._index
         self._l1_hit = HierarchyAccessResult(l1.spec.name, l1.spec.hit_latency, (), False)  # type: ignore[arg-type]
-        # Fused miss walk (DESIGN.md §15): one generated function for the
-        # whole hierarchy, specialised to its level geometry and
-        # policies.  All referenced containers are mutated in place and
-        # never reassigned, so the generated code stays valid for the
-        # hierarchy's life.
+        # Fused miss walk (DESIGN.md §15): one generated kernel per start
+        # level, specialised to the hierarchy's geometry and policies.
+        # ``_fill_kernels[k]`` installs a line into levels k..0; the last
+        # one is the miss-everywhere fill.  All referenced containers are
+        # mutated in place and never reassigned, so the generated code
+        # stays valid for the hierarchy's life.
         self._level_stats = [lvl.stats for lvl in self.levels]
-        self._fill_all = _build_fill_all(self.levels)
-        self._l1_mark = (l1._index, l1._dirty, l1._policy_state, l1.policy.on_access, l1._ways)
+        self._fill_kernels = [_build_fill_all(self.levels, k) for k in range(len(self.levels))]
+        self._fill_all = self._fill_kernels[-1]
+        #: Probe columns of the levels outside L1, innermost first.
+        self._outer = [
+            (lvl._index, lvl.stats, lvl._dirty, lvl._policy_state, lvl.policy.on_access, lvl._ways)
+            for lvl in self.levels[1:]
+        ]
+        self._l1_mark = (l1.stats, l1._dirty, l1._policy_state, l1.policy.on_access, l1._ways)
+        #: Load-to-use latency of an access served by level ``i`` (the
+        #: hit latencies of every level probed on the way); index
+        #: ``len(levels)`` is memory, which pays every level's probe.
+        latency = 0
+        self.fill_latency: List[int] = []
+        for lvl in self.levels:
+            latency += lvl.spec.hit_latency
+            self.fill_latency.append(latency)
+        self.fill_latency.append(latency)
+        self._level_names = [lvl.spec.name for lvl in self.levels] + ["memory"]
 
     @property
     def last_level(self) -> CacheLevel:
@@ -521,11 +548,10 @@ class CacheHierarchy:
         slot = self._l1_index.get(line)
         if slot is not None:
             # Innermost hit: bump stats/recency/dirtiness in place and
-            # return the shared result — no Eviction, list, or result
-            # allocation.  Equivalent to the generic path below: that
-            # path nets hits+1 (access +1, bookkeeping re-access +1,
-            # explicit -1) and touches the policy twice with the same
-            # way, which idempotent policies collapse to one touch.
+            # return the shared result — no list or result allocation.
+            # A write touches the policy twice (the access, then the
+            # dirty-marking re-access), which idempotent policies
+            # collapse to one touch.
             l1 = self.levels[0]
             ways = l1._ways
             set_i = slot // ways
@@ -537,93 +563,49 @@ class CacheHierarchy:
                 if not l1._idempotent_policy:
                     l1.policy.on_access(l1._policy_state[set_i], way_i)
             return self._l1_hit
-        return self._access_line_slow(line, is_write)
-
-    def _access_line_slow(self, line: int, is_write: bool) -> HierarchyAccessResult:
-        """The generic walk: inner miss, fills, evictions, writebacks."""
-        latency = 0
-        hit_at: Optional[int] = None
-        for i, lvl in enumerate(self.levels):
-            latency += lvl.spec.hit_latency
-            if lvl.access(line, is_write):
-                hit_at = i
-                break
         writebacks: List[int] = []
-        if hit_at is None:
-            # Miss everywhere: fill every level, outermost first so that
-            # inclusion holds even if an inner install evicts.
-            for idx in range(len(self.levels) - 1, -1, -1):
-                evicted = self.levels[idx].install(line, dirty=False)
-                if evicted is not None:
-                    writebacks.extend(self._handle_eviction(idx, evicted))
-            if is_write:
-                self._mark_dirty_innermost(line)
-            return HierarchyAccessResult("memory", latency, writebacks, memory_access=True)
-        # Fill the levels above the hit (inclusive fills).
-        for idx in range(hit_at - 1, -1, -1):
-            evicted = self.levels[idx].install(line, dirty=False)
-            if evicted is not None:
-                writebacks.extend(self._handle_eviction(idx, evicted))
-        if is_write:
-            self._mark_dirty_innermost(line)
-        return HierarchyAccessResult(self.levels[hit_at].spec.name, latency, writebacks)
+        level = self.fill(line, is_write, writebacks)
+        return HierarchyAccessResult(
+            self._level_names[level],
+            self.fill_latency[level],
+            writebacks,
+            memory_access=level == len(self.levels),
+        )
 
-    def fill_write_miss(self, line: int, writebacks: List[int]) -> None:
-        """Fused write-allocate walk for a line resident *nowhere*.
+    def fill(self, line: int, is_write: bool, wb: List[int]) -> int:
+        """Serve an access that missed L1; returns the level that hit.
 
-        Semantically identical to ``access_line(line, is_write=True)``
-        when every level misses — probe misses, outermost-first fills,
-        eviction propagation, innermost dirty marking — but operating
-        directly on the flat tag/dirty arrays: no Eviction, result, or
-        per-level list is allocated, and dirty lines that reach memory
-        are appended to the caller's ``writebacks`` scratch list.  The
-        policy call sequence (victim / on_insert / on_access) is the same
-        as the generic walk's, so seeded policies draw identical
-        randomness.  Callers must have established that no level contains
-        ``line``; the fused store loop in :mod:`repro.sim.cpu` is the
-        intended user.
+        The return value indexes :attr:`levels`, with ``len(levels)``
+        meaning memory; :attr:`fill_latency` maps it to the load-to-use
+        latency.  The outer levels are probed innermost first — misses
+        counted, the hit counted, touched and (on a write) dirtied —
+        then the generated kernel for that depth installs the line in
+        every level inside the hit, outermost first, appending the dirty
+        lines that reach memory to ``wb``.  A write finally touches and
+        dirties the new L1 copy: dirtiness lives at the innermost level.
+
+        Callers must have established that L1 does not hold ``line``.
         """
-        for stats in self._level_stats:
+        l1_stats, l1_dirty, l1_pstates, l1_on_access, l1_ways = self._l1_mark
+        l1_stats.misses += 1
+        level = 1
+        for index, stats, dirty, pstates, on_access, ways in self._outer:
+            slot = index.get(line)
+            if slot is not None:
+                stats.hits += 1
+                set_i = slot // ways
+                on_access(pstates[set_i], slot - set_i * ways)
+                if is_write:
+                    dirty[slot] = 1
+                break
             stats.misses += 1
-        slot = self._fill_all(line, writebacks)
-        # _mark_dirty_innermost, fused: the line was just installed in L1
-        # at ``slot``.
-        _, l1_dirty, l1_pstates, l1_on_access, l1_ways = self._l1_mark
-        set_i = slot // l1_ways
-        l1_on_access(l1_pstates[set_i], slot - set_i * l1_ways)
-        l1_dirty[slot] = 1
-
-    def _mark_dirty_innermost(self, line: int) -> None:
-        for lvl in self.levels:
-            if lvl.contains(line):
-                lvl.access(line, is_write=True)
-                # Undo double-counted hit statistics: access() above was
-                # bookkeeping, not a program access.
-                lvl.stats.hits -= 1
-                return
-        raise SimulationError(f"line {line:#x} vanished during fill")  # pragma: no cover
-
-    def _handle_eviction(self, idx: int, evicted: Eviction) -> List[int]:
-        """Propagate an eviction from ``levels[idx]``; returns dirty
-        lines that reach memory."""
-        if idx == len(self.levels) - 1:
-            # LLC eviction: back-invalidate inner levels (inclusion) and
-            # collect their dirtiness.
-            dirty = evicted.dirty
-            for inner in self.levels[:idx]:
-                __, inner_dirty = inner.invalidate(evicted.line)
-                dirty = dirty or inner_dirty
-            return [evicted.line] if dirty else []
-        # Inner eviction: the line is still resident below (inclusion);
-        # push the dirt one level out.
-        below = self.levels[idx + 1]
-        if not below.contains(evicted.line):
-            # Inclusion was broken by a racing outer eviction during a
-            # multi-level fill; treat as memory-bound writeback.
-            return [evicted.line] if evicted.dirty else []
-        if evicted.dirty:
-            below.install(evicted.line, dirty=True)
-        return []
+            level += 1
+        slot = self._fill_kernels[level - 1](line, wb)
+        if is_write:
+            set_i = slot // l1_ways
+            l1_on_access(l1_pstates[set_i], slot - set_i * l1_ways)
+            l1_dirty[slot] = 1
+        return level
 
     # -- pre-store support -------------------------------------------------
 
@@ -669,9 +651,13 @@ class CacheHierarchy:
         elif present:
             evicted = last.install(line, dirty=dirty)
             if evicted is not None:
-                owed = self._handle_eviction(len(self.levels) - 1, evicted)
-                if writebacks is not None:
-                    writebacks.extend(owed)
+                # Back-invalidate the inner levels (inclusion), collecting
+                # their dirt: the victim's newest data must reach memory.
+                owed = evicted.dirty
+                for inner in self.levels[:-1]:
+                    owed = inner.invalidate(evicted.line)[1] or owed
+                if owed and writebacks is not None:
+                    writebacks.append(evicted.line)
         return present
 
     def invalidate_line(self, line: int) -> bool:
@@ -692,9 +678,11 @@ class CacheHierarchy:
         """Flush: clean every level, returning dirty lines owed to memory.
 
         Used at end of run so devices see all outstanding writebacks (like
-        powering down a machine with ``wbinvd``).  Lines come out in the
-        last level's physical walk order — see
+        powering down a machine with ``wbinvd``).  Lines come out level
+        by level, outermost first, each in physical walk order — see
         :meth:`CacheLevel.walk_lines` for why sorted order would cheat.
+        The walk covers every dirty slot of every level, so a dirty line
+        an inner level holds without its outer copies is owed too.
 
         The walk is columnwise over the flat dirty arrays: with numpy the
         dirty slots of a level are found in one ``nonzero`` over the
@@ -718,15 +706,6 @@ class CacheHierarchy:
                 lvl._dirty[slot] = 0
                 stats.cleans += 1
                 if line not in seen:
-                    seen.add(line)
-                    owed.append(line)
-        # Dirty lines only present in inner levels (not in the walk above
-        # because inclusion was momentarily broken) are covered by the
-        # columnwise walk too; this second pass mirrors the historical
-        # per-level sweep for levels whose insertion order differs.
-        for lvl in self.levels[:-1]:
-            for line in list(lvl.resident_lines()):
-                if lvl.clean(line) and line not in seen:
                     seen.add(line)
                     owed.append(line)
         return owed

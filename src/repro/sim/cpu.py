@@ -250,7 +250,7 @@ class Core:
 
         Replicates ``StoreBuffer._start_visibility`` feeding
         :meth:`_visibility_latency` for a line resident nowhere: the
-        write-allocate miss walk (:meth:`CacheHierarchy.fill_write_miss`),
+        write-allocate miss walk (:meth:`CacheHierarchy.fill`),
         the background read-for-ownership, ownership, and the dirty
         writebacks the fills push out — with device traffic stamped at
         ``now`` (the core clock, which under an overflow stall differs
@@ -261,7 +261,7 @@ class Core:
         machine = self.machine
         wb = self._wb_scratch
         del wb[:]
-        machine.hierarchy.fill_write_miss(line, wb)
+        machine.hierarchy.fill(line, True, wb)
         line_size = machine.line_size
         machine.device.read(line * line_size, line_size, now)
         machine.line_owner[line] = self.core_id
@@ -308,7 +308,7 @@ class Core:
             l1_and = l1_or = None  # type: ignore[assignment]
         other_indexes = self._other_indexes
         hierarchy = machine.hierarchy
-        slow_access = hierarchy._access_line_slow
+        fill = hierarchy.fill
         fill_all = hierarchy._fill_all
         level_stats = hierarchy._level_stats
         wb = self._wb_scratch
@@ -455,9 +455,11 @@ class Core:
                         cached = True
                         break
                 if cached:
-                    # Resident in an outer level: promote and dirty it
-                    # (the walk's result is discarded, as _do_write's is).
-                    slow_access(line, True)
+                    # Resident in an outer level: promote and dirty it.
+                    # Its writebacks are dropped, as _do_write drops
+                    # them (see there).
+                    fill(line, True, wb)
+                    del wb[:]
                     line_owner[line] = cid
             clock += 1.0  # STORE_ISSUE_COST
             now = clock
@@ -701,10 +703,10 @@ class Core:
 
         Warm single-line loads resolve to store-buffer forwarding or an
         L1 hit (plus an owner-transfer charge) without allocations; cold
-        single-line loads run the generic hierarchy walk inline (fills,
-        evictions, the device read and the writebacks it pushes out)
-        without the per-event dispatch.  Only line-straddling chunks
-        fall back to the reference per-event path.
+        single-line loads call :meth:`CacheHierarchy.fill` (the generated
+        fill kernels) and issue the device read and the writebacks it
+        pushes out without the per-event dispatch.  Only line-straddling
+        chunks fall back to the reference per-event path.
         """
         machine = self.machine
         line_size = machine.line_size
@@ -715,7 +717,10 @@ class Core:
         on_access = l1.policy.on_access
         l1_latency = self._l1_hit_latency
         dir_latency = self._dir_latency
-        slow_access = machine.hierarchy._access_line_slow
+        fill = machine.hierarchy.fill
+        fill_latency = machine.hierarchy.fill_latency
+        memory = len(fill_latency) - 1
+        wb = self._wb_scratch
         device_read = machine.device.read
         device_write_back = machine.device.write_back
         pending = self.store_buffer._pending
@@ -761,20 +766,22 @@ class Core:
                     clock += l1_latency + transfer
                     offset += length
                     continue
-                # Cold: the generic walk, inline.  Matches _do_read for
-                # a single non-forwarded line: fills and evictions, the
-                # (background) device read, writebacks stamped at the
-                # pre-wait clock, then the latency/occupancy wait.
+                # Cold: matches _do_read for a single non-forwarded
+                # line: the fill, the (background) device read,
+                # writebacks stamped at the pre-wait clock, then the
+                # latency/occupancy wait.
                 n_fast += 1
-                res = slow_access(line, False)
-                hit_lat = float(res.latency) + transfer
-                if res.memory_access:
+                level = fill(line, False, wb)
+                hit_lat = fill_latency[level] + transfer
+                if level == memory:
                     done = device_read(line * line_size, line_size, clock)
                 else:
                     done = clock
-                for w in res.writebacks:
-                    device_write_back(w * line_size, line_size, clock)
-                    pending.pop(w, None)
+                if wb:
+                    for w in wb:
+                        device_write_back(w * line_size, line_size, clock)
+                        pending.pop(w, None)
+                    del wb[:]
                 wait = done - clock
                 if wait > 0.0:
                     stats.memory_read_cycles += wait
@@ -820,30 +827,71 @@ class Core:
         media occupancy but pay the device latency only once, as hardware
         prefetchers and fill buffers achieve on real CPUs.  Single-line
         reads behave identically (one fill, one latency).
+
+        Each line is served in one pass over locals: store-buffer
+        forwarding, the owner-transfer charge, an inline L1 hit, else
+        :meth:`CacheHierarchy.fill` followed by the line's device read
+        and then the writebacks its fill pushed out, all stamped at the
+        pre-load clock.
         """
         machine = self.machine
-        self.stats.reads += 1
+        stats = self.stats
+        stats.reads += 1
+        line_size = machine.line_size
+        pending = self.store_buffer._pending
+        line_owner = machine.line_owner
+        cid = stats.core_id
+        l1 = self._l1
+        l1_index = l1._index
+        fill = machine.hierarchy.fill
+        fill_latency = machine.hierarchy.fill_latency
+        memory = len(fill_latency) - 1
+        device = machine.device
+        wb = self._wb_scratch
+        clock = self.clock
         hit_latency = 0.0
-        mem_done = self.clock
-        for line in event.lines(machine.line_size):
-            if self.store_buffer.contains(line):
-                hit_latency = max(hit_latency, FORWARD_LATENCY)
+        mem_done = clock
+        for line in event.lines(line_size):
+            if line in pending:
+                # Store-to-load forwarding.
+                if hit_latency < FORWARD_LATENCY:
+                    hit_latency = FORWARD_LATENCY
                 continue
-            transfer = self._transfer_cost(line)
+            owner = line_owner.get(line)
+            transfer = 0 if owner is None or owner == cid else self._dir_latency
             if transfer:
                 # Reading another core's private copy: the line becomes
                 # shared once transferred.
-                machine.line_owner.pop(line, None)
-            result = machine.hierarchy.access_line(line, is_write=False)
-            hit_latency = max(hit_latency, float(result.latency) + transfer)
-            if result.memory_access:
-                done = machine.device.read(line * machine.line_size, machine.line_size, self.clock)
-                mem_done = max(mem_done, done)
-            self._emit_writebacks(result.writebacks)
-        wait = max(hit_latency, mem_done - self.clock)
-        if mem_done > self.clock:
-            self.stats.memory_read_cycles += mem_done - self.clock
-        self.clock += wait
+                del line_owner[line]
+            slot = l1_index.get(line)
+            if slot is not None:
+                ways = l1._ways
+                set_i = slot // ways
+                l1.stats.hits += 1
+                l1.policy.on_access(l1._policy_state[set_i], slot - set_i * ways)
+                latency = self._l1_hit_latency + transfer
+                if latency > hit_latency:
+                    hit_latency = latency
+                continue
+            level = fill(line, False, wb)
+            latency = fill_latency[level] + transfer
+            if latency > hit_latency:
+                hit_latency = latency
+            if level == memory:
+                done = device.read(line * line_size, line_size, clock)
+                if done > mem_done:
+                    mem_done = done
+            if wb:
+                for w in wb:
+                    device.write_back(w * line_size, line_size, clock)
+                    pending.pop(w, None)
+                del wb[:]
+        wait = mem_done - clock
+        if wait > 0:
+            stats.memory_read_cycles += wait
+        if hit_latency > wait:
+            wait = hit_latency
+        self.clock = clock + wait
 
     # -- stores ----------------------------------------------------------------
 
@@ -856,6 +904,12 @@ class Core:
                 # The line is already cache-resident: this store dirties it
                 # now (a previous clean pre-store must not hide the new
                 # modification).  Store latency itself is pipelined away.
+                # The promotion's writebacks are dropped.  On a two-level
+                # hierarchy it never has any: every L1 victim is resident
+                # in the LLC, which takes its dirt.  On three levels an L1
+                # victim that L2 no longer holds goes to memory, and that
+                # writeback is lost here: a known model defect, kept so
+                # recorded results stay bit-identical (DESIGN.md §15).
                 machine.hierarchy.access_line(line, is_write=True)
                 machine.line_owner[line] = self.core_id
             stall = self.store_buffer.write(line, self.clock, self._visibility_latency)

@@ -83,7 +83,7 @@ class TestChurn:
             line = rng.choice(pool)
             op = rng.randrange(5)
             if op == 0 and not h.contains(line):
-                h.fill_write_miss(line, wbs)
+                h.fill(line, True, wbs)
             elif op <= 1:
                 h.access_line(line, is_write=bool(rng.getrandbits(1)))
             elif op == 2:
@@ -131,7 +131,7 @@ class TestVictimInvariant:
         fresh = l2.num_sets * l2.spec.ways  # maps to LLC set 0, missing everywhere
         assert not h.contains(fresh)
         with pytest.raises(SimulationError, match="L2: policy chose an empty way"):
-            h.fill_write_miss(fresh, [])
+            h.fill(fresh, True, [])
 
 
 class TestDemotePropagatesEvictions:

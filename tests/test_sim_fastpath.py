@@ -139,6 +139,84 @@ def test_random_streams_match_reference(ops_a, ops_b):
     assert results[True] == results[False]
 
 
+# -- the fill kernels against the object walk, end to end --------------------
+#
+# Both vocabularies above share CacheHierarchy.fill and its generated
+# kernels, so comparing them does not check the hierarchy walk.  These
+# runs do: the same workload on the real kernels and on the object walk
+# of tests/object_walk.py must give the same RunResult bytes.  The
+# presets' last levels are shrunk to their minimum so the runs churn
+# every level: LLC evictions, back-invalidations and writebacks.
+
+
+def _small_llc_a():
+    return machine_a(llc_kb=128)
+
+
+def _small_l2_b():
+    return machine_b_fast(l2_kb=32)
+
+
+def _oracle_ft():
+    from repro.workloads.nas.ft import FTWorkload
+
+    return FTWorkload(grid=32, iterations=1, threads=2), _small_llc_a, "clean"
+
+
+def _oracle_mg():
+    return MGWorkload(grid=24, iterations=1, threads=2), _small_llc_a, "none"
+
+
+def _oracle_clht():
+    spec = YCSBSpec(mix="A", num_keys=2048, operations=600, value_size=1024)
+    return CLHTWorkload(spec, threads=2), _small_llc_a, "clean"
+
+
+def _oracle_listing2():
+    from repro.workloads.microbench import Listing2
+
+    return Listing2(reads_before_fence=5, iterations=1500), _small_l2_b, "demote"
+
+
+def _oracle_x9():
+    # Two atomics per message, on headers spread over a ring larger
+    # than L2.
+    workload = X9Workload(messages=1500, ring_slots=512, consumer_work=40, producer_work=40)
+    return workload, _small_llc_a, "demote"
+
+
+@pytest.fixture
+def object_walk_hierarchy(monkeypatch):
+    from tests.object_walk import use_object_walk
+
+    return lambda: use_object_walk(monkeypatch)
+
+
+@pytest.mark.parametrize("streams", [False, True], ids=["reference", "streams"])
+@pytest.mark.parametrize(
+    "make",
+    [
+        pytest.param(_oracle_ft, id="nas-ft"),
+        pytest.param(_oracle_mg, id="nas-mg"),
+        pytest.param(_oracle_clht, id="clht-ycsb-a"),
+        pytest.param(_oracle_listing2, id="listing2-demote"),
+        pytest.param(_oracle_x9, id="x9-atomics"),
+    ],
+)
+def test_kernels_match_object_walk(make, streams, object_walk_hierarchy):
+    from repro.core.prestore import PrestoreMode
+    from repro.experiments.common import endorsed_patches
+
+    def run():
+        workload, preset, mode = make()
+        patches = endorsed_patches(workload, PrestoreMode(mode))
+        return workload.run(preset(), patches, streams=streams).run.to_json()
+
+    kernels = run()
+    object_walk_hierarchy()
+    assert run() == kernels
+
+
 # -- observer boundary -------------------------------------------------------
 
 
