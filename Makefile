@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint sanitize obs-demo bench bench-sim bench-check sweep-smoke serve-smoke faults crashcheck dirtbuster-smoke
+.PHONY: test lint sanitize obs-demo bench bench-sim bench-check sweep-smoke serve-smoke faults crashcheck dirtbuster-smoke experiments-smoke
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -90,6 +90,13 @@ dirtbuster-smoke:
 	grep -E '^nas-is +yes +- +-$$' build/dirtbuster-nas-is.txt
 	$(PYTHON) -m repro.dirtbuster clht > build/dirtbuster-clht.txt
 	grep -E '^clht +yes +yes +yes$$' build/dirtbuster-clht.txt
+
+# Shape-check gate for the single-event experiments: fig5, x9 and
+# listing3 run in fast mode and the CLI exits 1 when any of them prints
+# SHAPE CHECK FAILED.  It takes seconds; CI runs it under a 5-minute
+# timeout.
+experiments-smoke:
+	$(PYTHON) -m repro.experiments.cli fig5 x9 listing3
 
 # Crash-consistency self-check: seeded crash/fault matrix on machine A
 # and B-slow, asserting protocol durability, baseline vulnerability,

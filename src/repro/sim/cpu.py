@@ -21,11 +21,22 @@ implement the paper's cost model:
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Iterable, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
 from repro.core.prestore import CYCLES_PER_PRESTORE, PrestoreOp
 from repro.errors import SimulationError
-from repro.sim.event import STREAM_KINDS, Event, EventKind
+from repro.sim.event import (
+    ATOMIC,
+    COMPUTE,
+    FENCE,
+    POST,
+    PRESTORE,
+    READ,
+    STREAM_READ,
+    STREAM_WRITE,
+    WRITE,
+    Event,
+)
 from repro.sim.replacement import _PLRU_LUT_MAX_WAYS, IntelLikePolicy, _plru_lut
 from repro.sim.stats import CoreStats
 from repro.sim.store_buffer import StoreBuffer
@@ -60,6 +71,15 @@ class Core:
         l1 = machine.hierarchy.levels[0]
         self._l1 = l1
         self._l1_hit_latency = float(l1.spec.hit_latency)
+        #: Per-access references for :meth:`_do_read` and :meth:`_do_write`
+        #: (none is ever rebound).
+        self._line_size = machine.line_size
+        self._line_owner = machine.line_owner
+        self._pending = self.store_buffer._pending
+        self._l1_index = l1._index
+        self._l1_stats = l1.stats
+        self._l1_pstate = l1._policy_state
+        self._l1_on_access = l1.policy.on_access
         self._dir_latency = machine.device.directory_latency or machine.visibility.sram_directory_latency
         self._vis_cached = machine.visibility.visibility_latency(machine.device, True)
         self._vis_uncached = machine.visibility.visibility_latency(machine.device, False)
@@ -80,16 +100,6 @@ class Core:
         #: repeated same-way policy touches into one; only sound when the
         #: innermost policy declares on_access idempotent.
         self._fast_policy = l1._idempotent_policy
-        #: Kind -> bound handler, replacing the enum if-chain.  COMPUTE,
-        #: WAIT and the stream kinds are handled before/around dispatch.
-        self._handlers = {
-            EventKind.READ: self._do_read,
-            EventKind.WRITE: self._do_any_write,
-            EventKind.FENCE: self._do_fence,
-            EventKind.ATOMIC: self._do_atomic,
-            EventKind.PRESTORE: self._do_prestore,
-            EventKind.POST: self._do_post,
-        }
 
     # -- helpers -------------------------------------------------------------
 
@@ -164,28 +174,42 @@ class Core:
     # -- event execution -------------------------------------------------------
 
     def execute(self, event: Event) -> None:
-        """Run one instruction, advancing the core clock."""
+        """Run one instruction, advancing the core clock.
+
+        Dispatch compares the kind by identity, most frequent first
+        (``EventKind`` hashes through a Python-level ``__hash__``).
+        """
         kind = event.kind
-        if kind is EventKind.COMPUTE:
+        if kind is READ:
+            self.stats.instructions += 1
+            self._do_read(event)
+        elif kind is WRITE:
+            self.stats.instructions += 1
+            if event.nontemporal:
+                self._do_nontemporal_write(event)
+            else:
+                self._do_write(event)
+        elif kind is COMPUTE:
             self.stats.instructions += event.size
             self.clock += event.size * self.machine.spec.cycles_per_compute
-            return
-        handler = self._handlers.get(kind)
-        if handler is None:
-            if kind in STREAM_KINDS:
-                # Direct callers get the whole run; the machine scheduler
-                # expands streams itself so it can honour preemption.
-                self.execute_stream(event)
-                return
-            raise SimulationError(f"unknown event kind {kind!r}")
-        self.stats.instructions += 1
-        handler(event)
-
-    def _do_any_write(self, event: Event) -> None:
-        if event.nontemporal:
-            self._do_nontemporal_write(event)
+        elif kind is FENCE:
+            self.stats.instructions += 1
+            self._do_fence(event)
+        elif kind is PRESTORE:
+            self.stats.instructions += 1
+            self._do_prestore(event)
+        elif kind is ATOMIC:
+            self.stats.instructions += 1
+            self._do_atomic(event)
+        elif kind is POST:
+            self.stats.instructions += 1
+            self._do_post(event)
+        elif kind is STREAM_READ or kind is STREAM_WRITE:
+            # Direct callers get the whole run; the machine scheduler
+            # expands streams itself so it can honour preemption.
+            self.execute_stream(event)
         else:
-            self._do_write(event)
+            raise SimulationError(f"unknown event kind {kind!r}")
 
     def _do_post(self, event: Event) -> None:
         event.mailbox.post(event.sync_key, self.clock)
@@ -213,26 +237,36 @@ class Core:
         """
         kind = event.kind
         if self._fast_policy:
-            if kind is EventKind.STREAM_WRITE and not event.nontemporal:
+            if kind is STREAM_WRITE and not event.nontemporal:
                 return self._stream_write_fast(event, strict_limit, loose_limit)
-            if kind is EventKind.STREAM_READ:
+            if kind is STREAM_READ:
                 return self._stream_read_fast(event, strict_limit, loose_limit)
-        if kind not in STREAM_KINDS:
+        if kind is not STREAM_READ and kind is not STREAM_WRITE:
             raise SimulationError(f"execute_stream() got non-stream event {event!r}")
-        return self._stream_generic(event, strict_limit, loose_limit)
+        # No fusion (NT writes, exotic policies): every access runs
+        # through the reference handlers.
+        return self.unroll_stream(event, self.execute, strict_limit, loose_limit)
 
-    def _stream_generic(
-        self, event: Event, strict_limit: float, loose_limit: float
+    def unroll_stream(
+        self,
+        event: Event,
+        access: Callable[[Event], None],
+        strict_limit: float = math.inf,
+        loose_limit: float = math.inf,
     ) -> Optional[Event]:
-        """Per-access expansion without fusion (NT writes, exotic policies).
+        """Expand a stream into one READ/WRITE per chunk, each run by ``access``.
 
-        Still skips the per-access generator round trip and validation,
-        but runs every access through the reference handlers.
+        The one per-access unroll loop: :meth:`execute_stream` passes
+        :meth:`execute` when no fused loop applies, and the machine
+        passes its ``step`` when observers need per-access records.  It
+        skips the per-access generator round trip and validation, stops
+        under the same scheduler bounds as the fused loops, and returns
+        ``event`` mutated to its unexecuted tail, or ``None`` when done.
         """
-        access_kind = EventKind.READ if event.kind is EventKind.STREAM_READ else EventKind.WRITE
+        access_kind = READ if event.kind is STREAM_READ else WRITE
         addr, size, chunk = event.addr, event.size, event.chunk
         nt, relaxed, site, chain = event.nontemporal, event.relaxed, event.site, event.callchain
-        execute = self.execute
+        fast_access = Event.fast_access
         offset = 0
         while offset < size:
             clock = self.clock
@@ -241,7 +275,7 @@ class Core:
                 event.size = size - offset
                 return event
             length = chunk if size - offset >= chunk else size - offset
-            execute(Event.fast_access(access_kind, addr + offset, length, nt, relaxed, site, chain))
+            access(fast_access(access_kind, addr + offset, length, nt, relaxed, site, chain))
             offset += length
         return None
 
@@ -423,7 +457,7 @@ class Core:
                     device._read_return_next_free = rr_nf
                     self.execute(
                         Event.fast_access(
-                            EventKind.WRITE, a, length, False, relaxed, site, chain
+                            WRITE, a, length, False, relaxed, site, chain
                         )
                     )
                     clock = self.clock
@@ -800,7 +834,7 @@ class Core:
                 l1.stats.hits += n_hits
                 n_hits = 0
             self.execute(
-                Event.fast_access(EventKind.READ, a, length, False, relaxed, site, chain)
+                Event.fast_access(READ, a, length, False, relaxed, site, chain)
             )
             clock = self.clock
             offset += length
@@ -832,60 +866,67 @@ class Core:
         forwarding, the owner-transfer charge, an inline L1 hit, else
         :meth:`CacheHierarchy.fill` followed by the line's device read
         and then the writebacks its fill pushed out, all stamped at the
-        pre-load clock.
+        pre-load clock.  The lines are walked with a counter rather than
+        a ``range`` (most loads touch one line), and the miss path's
+        locals are bound on the first miss, so an L1-hit load never
+        loads them.
         """
-        machine = self.machine
         stats = self.stats
         stats.reads += 1
-        line_size = machine.line_size
-        pending = self.store_buffer._pending
-        line_owner = machine.line_owner
-        cid = stats.core_id
-        l1 = self._l1
-        l1_index = l1._index
-        fill = machine.hierarchy.fill
-        fill_latency = machine.hierarchy.fill_latency
-        memory = len(fill_latency) - 1
-        device = machine.device
-        wb = self._wb_scratch
+        line_size = self._line_size
+        addr = event.addr
+        line = addr // line_size
+        last = (addr + event.size - 1) // line_size
+        pending = self._pending
+        line_owner = self._line_owner
+        l1_index = self._l1_index
         clock = self.clock
         hit_latency = 0.0
         mem_done = clock
-        for line in event.lines(line_size):
+        fill = None
+        while line <= last:
             if line in pending:
                 # Store-to-load forwarding.
                 if hit_latency < FORWARD_LATENCY:
                     hit_latency = FORWARD_LATENCY
-                continue
-            owner = line_owner.get(line)
-            transfer = 0 if owner is None or owner == cid else self._dir_latency
-            if transfer:
-                # Reading another core's private copy: the line becomes
-                # shared once transferred.
-                del line_owner[line]
-            slot = l1_index.get(line)
-            if slot is not None:
-                ways = l1._ways
-                set_i = slot // ways
-                l1.stats.hits += 1
-                l1.policy.on_access(l1._policy_state[set_i], slot - set_i * ways)
-                latency = self._l1_hit_latency + transfer
+            else:
+                owner = line_owner.get(line)
+                if owner is None or owner == stats.core_id:
+                    transfer = 0
+                else:
+                    # Reading another core's private copy: the line
+                    # becomes shared once transferred.
+                    transfer = self._dir_latency
+                    del line_owner[line]
+                slot = l1_index.get(line)
+                if slot is not None:
+                    ways = self._l1._ways
+                    set_i = slot // ways
+                    self._l1_stats.hits += 1
+                    self._l1_on_access(self._l1_pstate[set_i], slot - set_i * ways)
+                    latency = self._l1_hit_latency + transfer
+                else:
+                    if fill is None:
+                        machine = self.machine
+                        fill = machine.hierarchy.fill
+                        fill_latency = machine.hierarchy.fill_latency
+                        memory = len(fill_latency) - 1
+                        device = machine.device
+                        wb = self._wb_scratch
+                    level = fill(line, False, wb)
+                    latency = fill_latency[level] + transfer
+                    if level == memory:
+                        done = device.read(line * line_size, line_size, clock)
+                        if done > mem_done:
+                            mem_done = done
+                    if wb:
+                        for w in wb:
+                            device.write_back(w * line_size, line_size, clock)
+                            pending.pop(w, None)
+                        del wb[:]
                 if latency > hit_latency:
                     hit_latency = latency
-                continue
-            level = fill(line, False, wb)
-            latency = fill_latency[level] + transfer
-            if latency > hit_latency:
-                hit_latency = latency
-            if level == memory:
-                done = device.read(line * line_size, line_size, clock)
-                if done > mem_done:
-                    mem_done = done
-            if wb:
-                for w in wb:
-                    device.write_back(w * line_size, line_size, clock)
-                    pending.pop(w, None)
-                del wb[:]
+            line += 1
         wait = mem_done - clock
         if wait > 0:
             stats.memory_read_cycles += wait
@@ -899,8 +940,11 @@ class Core:
         machine = self.machine
         self.stats.writes += 1
         self.clock += STORE_ISSUE_COST
-        for line in event.lines(machine.line_size):
-            if machine.hierarchy.contains(line):
+        line_size = self._line_size
+        addr = event.addr
+        l1_index = self._l1_index
+        for line in range(addr // line_size, (addr + event.size - 1) // line_size + 1):
+            if line in l1_index or any(line in idx for idx in self._other_indexes):
                 # The line is already cache-resident: this store dirties it
                 # now (a previous clean pre-store must not hide the new
                 # modification).  Store latency itself is pipelined away.

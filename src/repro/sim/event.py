@@ -80,10 +80,20 @@ _STREAM_ACCESS_KIND = {
     EventKind.STREAM_WRITE: EventKind.WRITE,
 }
 
-_MEMORY_KINDS = frozenset((EventKind.READ, EventKind.WRITE, EventKind.ATOMIC))
-_SIZED_KINDS = frozenset(
-    (EventKind.READ, EventKind.WRITE, EventKind.PRESTORE, EventKind.ATOMIC)
-)
+# Module-level aliases for identity dispatch.  ``EventKind.__hash__`` is
+# a Python-level function, so enum-keyed dict and frozenset lookups cost
+# one interpreted call each; the hot paths compare kinds with ``is``
+# instead (DESIGN.md §11, "Single events").
+READ = EventKind.READ
+WRITE = EventKind.WRITE
+COMPUTE = EventKind.COMPUTE
+FENCE = EventKind.FENCE
+ATOMIC = EventKind.ATOMIC
+PRESTORE = EventKind.PRESTORE
+POST = EventKind.POST
+WAIT = EventKind.WAIT
+STREAM_READ = EventKind.STREAM_READ
+STREAM_WRITE = EventKind.STREAM_WRITE
 
 
 class Mailbox:
@@ -199,7 +209,7 @@ class Event:
 
     def _validate(self) -> None:
         kind = self.kind
-        if kind in _SIZED_KINDS:
+        if kind is READ or kind is WRITE or kind is PRESTORE or kind is ATOMIC:
             if self.size <= 0:
                 raise SimulationError(f"{kind.value} event requires size > 0, got {self.size}")
             if self.addr < 0:
@@ -389,7 +399,8 @@ class Event:
     @property
     def is_memory_access(self) -> bool:
         """True for events that read or write program data."""
-        return self.kind in _MEMORY_KINDS
+        kind = self.kind
+        return kind is READ or kind is WRITE or kind is ATOMIC
 
     @property
     def is_store(self) -> bool:
@@ -410,15 +421,18 @@ class Event:
 
     def lines(self, line_size: int) -> range:
         """The cache-line numbers this event's byte range covers."""
-        if not (
-            self.is_memory_access
-            or self.kind is EventKind.PRESTORE
-            or self.kind in STREAM_KINDS
+        kind = self.kind
+        if (
+            kind is READ
+            or kind is WRITE
+            or kind is ATOMIC
+            or kind is PRESTORE
+            or kind is STREAM_READ
+            or kind is STREAM_WRITE
         ):
-            return range(0)
-        first = self.addr // line_size
-        last = (self.addr + self.size - 1) // line_size
-        return range(first, last + 1)
+            addr = self.addr
+            return range(addr // line_size, (addr + self.size - 1) // line_size + 1)
+        return range(0)
 
     def __str__(self) -> str:  # pragma: no cover - debugging aid
         if self.kind is EventKind.COMPUTE:

@@ -24,13 +24,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.sim.cache import CacheHierarchy, CacheLevel, CacheLevelSpec
 from repro.sim.coherence import VisibilityModel
 from repro.sim.cpu import Core
-from repro.sim.event import STREAM_KINDS, Event, EventKind
+from repro.sim.event import COMPUTE, STREAM_READ, STREAM_WRITE, WAIT, Event
 from repro.sim.memory import (
     DeviceSpec,
     MemoryDevice,
@@ -55,6 +56,32 @@ __all__ = [
 
 #: A thread body: an iterator of events (usually a generator).
 ThreadBody = Iterator[Event]
+
+
+def _pick(live: List[List]) -> Tuple[List, float, float]:
+    """The next thread to run and the clock bounds it may run ahead to.
+
+    Returns the first live entry with the smallest core clock — the pick
+    ``min()`` makes — with ``strict``, the smallest clock among entries
+    listed before it, and ``loose``, the smallest among those after it.
+    While the picked core's clock stays below ``strict`` and at or below
+    ``loose``, the pick would be the same; no other clock moves while it
+    runs, so the bounds hold for the whole burst.
+    """
+    entry = live[0]
+    best = entry[0].clock
+    strict = loose = math.inf
+    for i in range(1, len(live)):
+        e = live[i]
+        c = e[0].clock
+        if c < best:
+            strict = best
+            loose = math.inf
+            best = c
+            entry = e
+        elif c < loose:
+            loose = c
+    return entry, strict, loose
 
 
 class Tracer:
@@ -132,7 +159,6 @@ class Machine:
         ]
         self.hierarchy = CacheHierarchy(levels, spec.line_size)
         self.visibility = VisibilityModel()
-        self.cores = [Core(i, self) for i in range(spec.num_cores)]
         #: line -> core id of the last writer whose copy is still private
         #: (M/E state).  Accessing such a line from another core pays a
         #: directory round trip — on Machine B the directory lives on the
@@ -140,6 +166,7 @@ class Machine:
         #: round trip (Section 4.2).  ``None`` = shared / at the point of
         #: unification (where demote pre-stores push data).
         self.line_owner: Dict[int, int] = {}
+        self.cores = [Core(i, self) for i in range(spec.num_cores)]
         self._instr_index = 0
         self._finished = False
         #: Every subscribed observer (DirtBuster tracers, sanitizers, obs
@@ -217,7 +244,15 @@ class Machine:
 
         Threads are assigned to cores round-robin (at most one thread per
         core) and interleaved by simulated time: at each step the thread
-        whose core clock is smallest executes its next event.
+        whose core clock is smallest executes its next event, the first
+        listed winning ties.
+
+        The scheduler runs ahead (DESIGN.md §11, "Single events"): once
+        a core is picked, it keeps executing that core's events while the
+        core's clock stays inside the bounds of :func:`_pick` — exactly
+        the condition under which the per-event pick would choose it
+        again, so the execution order and the order generator bodies
+        resume in are those of one pick per event.
         """
         if self._finished:
             raise SimulationError("Machine instances are single-use; build a new one per run")
@@ -228,83 +263,88 @@ class Machine:
                 f"{len(bodies)} threads exceed the machine's {len(self.cores)} cores"
             )
         live: List[List] = [[self.cores[i], iter(body), None] for i, body in enumerate(bodies)]
+        # Bound once: span profilers and the fault injector replace
+        # ``step`` on the instance before the run starts, and every
+        # single event goes through it.
+        step = self.step
+        run_stream = self._run_stream
         while live:
-            entry = min(live, key=lambda e: e[0].clock)
-            core, body, pending = entry
-            event = pending if pending is not None else next(body, None)
+            entry, strict, loose = _pick(live)
+            core, body, event = entry
             entry[2] = None
-            if event is None:
-                live.remove(entry)
-                continue
-            if event.kind is EventKind.WAIT:
-                posted = event.mailbox.get(event.sync_key)
-                if posted is None:
-                    # Spin: advance past the next other-thread activity so
-                    # the poster gets to run; re-check the same event.
-                    others = [e[0].clock for e in live if e[0] is not core]
-                    if not others:
-                        raise SimulationError(
-                            f"deadlock: waiting on {event.sync_key!r} with no "
-                            "other runnable thread"
-                        )
-                    core.clock = max(core.clock, min(others)) + 1.0
-                    entry[2] = event
-                    continue
-                core.clock = max(core.clock, posted)
-                index = core.stats.instructions
-                self._instr_index += 1
-                core.stats.instructions += 1
-                # Satisfied WAITs are observable: the sanitizer's
-                # happens-before pass needs the post->wait edge (a plain
-                # tracer sees them too, weighted at zero cycles).
-                observers = self._dispatch
-                if observers:
-                    for observer in observers:
-                        observer.record(core.stats.core_id, event, index, 0.0)
-                continue
-            if event.kind in STREAM_KINDS:
-                # Expand the run here, in a tight loop, instead of paying
-                # one generator round trip per access.  The core keeps
-                # executing accesses only while its clock would still win
-                # the min() pick above: strictly below every live thread
-                # listed before it, at-or-below every one after (min()
-                # returns the first minimal element).  Other cores' clocks
-                # cannot change while this core runs, so the bounds stay
-                # valid for the whole burst.
-                strict = loose = math.inf
-                seen = False
-                for e in live:
-                    if e is entry:
-                        seen = True
-                        continue
-                    c = e[0].clock
-                    if seen:
-                        if c < loose:
-                            loose = c
-                    elif c < strict:
-                        strict = c
-                leftover = self._run_stream(core, event, strict, loose)
-                if leftover is not None:
-                    entry[2] = leftover
-                continue
-            self.step(core, event)
+            while True:
+                if event is None:
+                    event = next(body, None)
+                    if event is None:
+                        live.remove(entry)
+                        break
+                kind = event.kind
+                if kind is WAIT:
+                    if not self._wait(core, event, live):
+                        entry[2] = event
+                        break
+                elif kind is STREAM_READ or kind is STREAM_WRITE:
+                    # Expanded here, in a tight loop, under the same
+                    # bounds; the unexecuted tail waits in the pending
+                    # slot for this core's next pick.
+                    event = run_stream(core, event, strict, loose)
+                    if event is not None:
+                        entry[2] = event
+                        break
+                else:
+                    step(core, event)
+                clock = core.clock
+                if not (clock < strict and clock <= loose):
+                    break
+                event = None
         return self.finish()
 
-    def step(self, core: Core, event: Event) -> None:
-        """Execute one event on one core (tracing included)."""
-        if event.kind in STREAM_KINDS:
-            # Direct callers (tests, tools) get the whole run at once.
-            self._run_stream(core, event)
-            return
-        weight = event.size if event.kind is EventKind.COMPUTE else 1
-        self._instr_index += weight
-        index = core.stats.instructions  # per-core, pre-retirement
-        before = core.clock
-        core.execute(event)
+    def _wait(self, core: Core, event: Event, live: List[List]) -> bool:
+        """Satisfy a WAIT, or advance a spinning core; False when spinning."""
+        posted = event.mailbox.get(event.sync_key)
+        if posted is None:
+            # Spin: advance past the next other-thread activity so the
+            # poster gets to run; the caller re-queues the same event.
+            others = [e[0].clock for e in live if e[0] is not core]
+            if not others:
+                raise SimulationError(
+                    f"deadlock: waiting on {event.sync_key!r} with no other runnable thread"
+                )
+            core.clock = max(core.clock, min(others)) + 1.0
+            return False
+        core.clock = max(core.clock, posted)
+        index = core.stats.instructions
+        self._instr_index += 1
+        core.stats.instructions += 1
+        # Satisfied WAITs are observable: the sanitizer's happens-before
+        # pass needs the post->wait edge (a plain tracer sees them too,
+        # weighted at zero cycles).
         observers = self._dispatch
         if observers:
             for observer in observers:
-                observer.record(core.stats.core_id, event, index, core.clock - before)
+                observer.record(core.stats.core_id, event, index, 0.0)
+        return True
+
+    def step(self, core: Core, event: Event) -> None:
+        """Execute one event on one core (tracing included)."""
+        kind = event.kind
+        if kind is COMPUTE:
+            self._instr_index += event.size
+        elif kind is STREAM_READ or kind is STREAM_WRITE:
+            # Direct callers (tests, tools) get the whole run at once.
+            self._run_stream(core, event)
+            return
+        else:
+            self._instr_index += 1
+        observers = self._dispatch
+        if not observers:
+            core.execute(event)
+            return
+        index = core.stats.instructions  # per-core, pre-retirement
+        before = core.clock
+        core.execute(event)
+        for observer in observers:
+            observer.record(core.stats.core_id, event, index, core.clock - before)
 
     def _run_stream(
         self,
@@ -331,7 +371,11 @@ class Machine:
         if observers and not all(
             getattr(o, "accepts_streams", False) for o in observers
         ):
-            return self._unroll_stream(core, event, strict_limit, loose_limit)
+            # Every access is a real ``step`` call, so span profilers
+            # that wrap ``step`` see it too.
+            return core.unroll_stream(
+                event, partial(self.step, core), strict_limit, loose_limit
+            )
         start_addr, start_size = event.addr, event.size
         index = core.stats.instructions
         before = core.clock
@@ -358,37 +402,6 @@ class Machine:
                         core.stats.core_id, record_event, index, core.clock - before
                     )
         return leftover
-
-    def _unroll_stream(
-        self, core: Core, event: Event, strict_limit: float, loose_limit: float
-    ) -> Optional[Event]:
-        """Expand a stream through :meth:`step`, one access per chunk.
-
-        This is the observer-fidelity path: every access becomes a real
-        READ/WRITE record (and a real ``step`` call, so span profilers
-        that wrap ``step`` see it too).  Events share the stream's
-        interned site, so provenance grouping is unchanged.
-        """
-        access_kind = (
-            EventKind.READ if event.kind is EventKind.STREAM_READ else EventKind.WRITE
-        )
-        addr, size, chunk = event.addr, event.size, event.chunk
-        nt, relaxed = event.nontemporal, event.relaxed
-        site, chain = event.site, event.callchain
-        offset = 0
-        while offset < size:
-            clock = core.clock
-            if not (clock < strict_limit and clock <= loose_limit):
-                event.addr = addr + offset
-                event.size = size - offset
-                return event
-            length = chunk if size - offset >= chunk else size - offset
-            self.step(
-                core,
-                Event.fast_access(access_kind, addr + offset, length, nt, relaxed, site, chain),
-            )
-            offset += length
-        return None
 
     def finish(self) -> RunResult:
         """Drain caches and devices, then snapshot statistics."""

@@ -25,8 +25,8 @@ from contextlib import contextmanager
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.core.prestore import PrestoreOp
-from repro.errors import AllocationError, ConfigurationError, WorkloadError
-from repro.sim.event import CodeSite, Event, EventKind, Mailbox, UNKNOWN_SITE
+from repro.errors import AllocationError, ConfigurationError, SimulationError, WorkloadError
+from repro.sim.event import READ, UNKNOWN_SITE, WRITE, CodeSite, Event, EventKind, Mailbox
 from repro.sim.machine import Machine, MachineSpec, Tracer
 from repro.sim.stats import RunResult
 
@@ -34,6 +34,8 @@ __all__ = ["Allocator", "Mailbox", "Region", "ThreadCtx", "Program", "ThreadBody
 
 #: A workload thread: generator function taking its ThreadCtx.
 ThreadBodyFn = Callable[["ThreadCtx"], Iterator[Event]]
+
+_fast_access = Event.fast_access
 
 #: Simulated address space: allocations start above the null page.
 _BASE_ADDRESS = 1 << 20
@@ -139,6 +141,10 @@ class ThreadCtx:
         self.emit_streams = emit_streams
         self._site_stack: List[CodeSite] = []
         self._site_cache: Dict[Tuple[str, str, int], CodeSite] = {}
+        #: ``(site, callchain)`` of the innermost open :meth:`function`
+        #: block, rebuilt on every push and pop so the event helpers read
+        #: one attribute instead of copying the stack per event.
+        self._prov: Tuple[CodeSite, Tuple[CodeSite, ...]] = (UNKNOWN_SITE, ())
 
     # -- provenance ------------------------------------------------------------
 
@@ -154,20 +160,21 @@ class ThreadCtx:
         if site is None:
             site = CodeSite(function=name, file=file, line=line)
             self._site_cache[key] = site
-        self._site_stack.append(site)
+        stack = self._site_stack
+        self._prov = (site, tuple(stack))
+        stack.append(site)
         try:
             yield
         finally:
-            self._site_stack.pop()
+            stack.pop()
+            # Rebuilt from the stack rather than restored from a saved
+            # pair, so it matches the stack even when generators holding
+            # open blocks finish out of order.
+            self._prov = (stack[-1], tuple(stack[:-1])) if stack else (UNKNOWN_SITE, ())
 
     @property
     def current_site(self) -> CodeSite:
-        return self._site_stack[-1] if self._site_stack else UNKNOWN_SITE
-
-    def _provenance(self) -> Tuple[CodeSite, Tuple[CodeSite, ...]]:
-        if not self._site_stack:
-            return UNKNOWN_SITE, ()
-        return self._site_stack[-1], tuple(self._site_stack[:-1])
+        return self._prov[0]
 
     # -- simulated time -----------------------------------------------------------
 
@@ -189,55 +196,81 @@ class ThreadCtx:
         return self.allocator.alloc(size, label=label, align=align)
 
     # -- single events ---------------------------------------------------------------
+    #
+    # Each helper runs only the checks Event._validate applies to its kind,
+    # with the same messages, then builds through the non-validating
+    # factories (DESIGN.md §11, "Single events").
 
     def read(self, addr: int, size: int = 8, relaxed: bool = False) -> Event:
         """A load; ``relaxed`` marks intentionally unsynchronised reads
         (optimistic / version-validated protocols) for the sanitizer."""
-        site, chain = self._provenance()
-        return Event(
-            EventKind.READ, addr=addr, size=size, relaxed=relaxed, site=site, callchain=chain
-        )
+        if size <= 0:
+            raise SimulationError(f"read event requires size > 0, got {size}")
+        if addr < 0:
+            raise SimulationError(f"read event requires addr >= 0, got {addr}")
+        site, chain = self._prov
+        return _fast_access(READ, addr, size, False, relaxed, site, chain)
 
     def write(
         self, addr: int, size: int = 8, nontemporal: bool = False, relaxed: bool = False
     ) -> Event:
-        site, chain = self._provenance()
-        return Event(
-            EventKind.WRITE,
-            addr=addr,
-            size=size,
-            nontemporal=nontemporal,
-            relaxed=relaxed,
-            site=site,
-            callchain=chain,
-        )
+        if size <= 0:
+            raise SimulationError(f"write event requires size > 0, got {size}")
+        if addr < 0:
+            raise SimulationError(f"write event requires addr >= 0, got {addr}")
+        site, chain = self._prov
+        return _fast_access(WRITE, addr, size, nontemporal, relaxed, site, chain)
 
     def compute(self, instructions: int = 1) -> Event:
-        site, chain = self._provenance()
-        return Event(EventKind.COMPUTE, size=instructions, site=site, callchain=chain)
+        if instructions <= 0:
+            raise SimulationError(
+                f"compute event requires a positive instruction count, got {instructions}"
+            )
+        site, chain = self._prov
+        return Event.fast(EventKind.COMPUTE, size=instructions, site=site, callchain=chain)
 
     def fence(self, scope: str = "full") -> Event:
         """A memory fence; ``scope="load"`` is an acquire/read fence."""
-        site, chain = self._provenance()
-        return Event(EventKind.FENCE, fence_scope=scope, site=site, callchain=chain)
+        site, chain = self._prov
+        return Event.fast(EventKind.FENCE, fence_scope=scope, site=site, callchain=chain)
 
     def atomic(self, addr: int, size: int = 8) -> Event:
-        site, chain = self._provenance()
-        return Event(EventKind.ATOMIC, addr=addr, size=size, site=site, callchain=chain)
+        if size <= 0:
+            raise SimulationError(f"atomic event requires size > 0, got {size}")
+        if addr < 0:
+            raise SimulationError(f"atomic event requires addr >= 0, got {addr}")
+        site, chain = self._prov
+        return Event.fast(EventKind.ATOMIC, addr=addr, size=size, site=site, callchain=chain)
 
     def prestore(self, addr: int, size: int, op: PrestoreOp) -> Event:
-        site, chain = self._provenance()
-        return Event(EventKind.PRESTORE, addr=addr, size=size, op=op, site=site, callchain=chain)
+        if size <= 0:
+            raise SimulationError(f"prestore event requires size > 0, got {size}")
+        if addr < 0:
+            raise SimulationError(f"prestore event requires addr >= 0, got {addr}")
+        if op is None:
+            raise SimulationError("prestore event requires an op (DEMOTE or CLEAN)")
+        site, chain = self._prov
+        return Event.fast(
+            EventKind.PRESTORE, addr=addr, size=size, op=op, site=site, callchain=chain
+        )
 
     def post(self, mailbox: Mailbox, key: object) -> Event:
         """Publish a synchronisation timestamp (a partner's WAIT unblocks)."""
-        site, chain = self._provenance()
-        return Event(EventKind.POST, mailbox=mailbox, sync_key=key, site=site, callchain=chain)
+        if mailbox is None:
+            raise SimulationError("post event requires a mailbox")
+        site, chain = self._prov
+        return Event.fast(
+            EventKind.POST, mailbox=mailbox, sync_key=key, site=site, callchain=chain
+        )
 
     def wait(self, mailbox: Mailbox, key: object) -> Event:
         """Spin until ``key`` is posted; the clock advances to the post time."""
-        site, chain = self._provenance()
-        return Event(EventKind.WAIT, mailbox=mailbox, sync_key=key, site=site, callchain=chain)
+        if mailbox is None:
+            raise SimulationError("wait event requires a mailbox")
+        site, chain = self._prov
+        return Event.fast(
+            EventKind.WAIT, mailbox=mailbox, sync_key=key, site=site, callchain=chain
+        )
 
     # -- compound access helpers ---------------------------------------------------
 
@@ -253,7 +286,7 @@ class ThreadCtx:
         """
         step = chunk or self.line_size
         if self.emit_streams and size > step:
-            site, chain = self._provenance()
+            site, chain = self._prov
             yield Event.stream(
                 EventKind.WRITE,
                 addr=addr,
@@ -276,7 +309,7 @@ class ThreadCtx:
         """Sequential loads covering ``[addr, addr + size)``."""
         step = chunk or self.line_size
         if self.emit_streams and size > step:
-            site, chain = self._provenance()
+            site, chain = self._prov
             yield Event.stream(
                 EventKind.READ,
                 addr=addr,
