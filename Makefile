@@ -81,15 +81,19 @@ serve-smoke:
 	$(PYTHON) -m repro.traffic smoke --ops 800 --keys 512 --value-size 512
 
 # DirtBuster smoke: run the tool end to end on nas-is (a random writer
-# that opens one sequentiality context per write) and clht, and check
-# their Table 2 rows.  CI runs it under a 5-minute timeout, so a lookup
-# that scans every open context again (minutes on nas-is) fails the job.
+# that opens one sequentiality context per write), clht and nas-mg (the
+# most stream-heavy traced runs, which take the fused stream path), and
+# check their Table 2 rows.  CI runs it under a 5-minute timeout, so a
+# lookup that scans every open context again (minutes on nas-is) fails
+# the job.
 dirtbuster-smoke:
 	mkdir -p build
 	$(PYTHON) -m repro.dirtbuster nas-is > build/dirtbuster-nas-is.txt
 	grep -E '^nas-is +yes +- +-$$' build/dirtbuster-nas-is.txt
 	$(PYTHON) -m repro.dirtbuster clht > build/dirtbuster-clht.txt
 	grep -E '^clht +yes +yes +yes$$' build/dirtbuster-clht.txt
+	$(PYTHON) -m repro.dirtbuster nas-mg > build/dirtbuster-nas-mg.txt
+	grep -E '^nas-mg +yes +yes +-$$' build/dirtbuster-nas-mg.txt
 
 # Shape-check gate for the single-event experiments: fig5, x9 and
 # listing3 run in fast mode and the CLI exits 1 when any of them prints

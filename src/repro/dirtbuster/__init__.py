@@ -6,7 +6,6 @@ fence proximity, and re-read/re-write distances decide between *demote*,
 *clean*, *skip*, or leaving the code alone.
 """
 
-from repro.dirtbuster.btree import BTree
 from repro.dirtbuster.contexts import ContextTracker, SequentialitySummary
 from repro.dirtbuster.distances import DistanceStats, DistanceTracker
 from repro.dirtbuster.export import dump_records, load_records
@@ -25,7 +24,6 @@ from repro.dirtbuster.trace import AccessRecord, FullTracer, SamplingTracer
 
 __all__ = [
     "AccessRecord",
-    "BTree",
     "Classification",
     "ContextTracker",
     "DirtBuster",

@@ -1,11 +1,12 @@
-"""Step 3: re-read and re-write distances, stored in a B-tree.
+"""Step 3: re-read and re-write distances, kept in a per-line map.
 
 Section 6.2.3: "DirtBuster computes the re-read and re-write distance of
 every cache line accessed by the write-intensive functions.  [...]  For
 every monitored sequential context and for every cache line written
 before a fence, DirtBuster stores the value of the counter at the latest
 recorded read and at the latest recorded write.  The information is
-currently stored in a B-Tree."
+currently stored in a B-Tree."  The B-tree is the C++ tool's storage
+choice; the analysis only ever looks a line up, so a dict serves.
 
 Definitions (paper):
 
@@ -25,13 +26,11 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from repro.dirtbuster.btree import BTree
-
 __all__ = ["DistanceStats", "DistanceTracker"]
 
 
 class _LineInfo:
-    """Per-cache-line record kept in the B-tree."""
+    """Per-cache-line record kept in the line map."""
 
     __slots__ = ("last_write", "function", "context", "await_first_read")
 
@@ -76,7 +75,7 @@ class DistanceTracker:
     def __init__(self, line_size: int, slack: Optional[int] = None) -> None:
         self.line_size = line_size
         self.slack = line_size if slack is None else slack
-        self._lines: BTree = BTree(t=32)
+        self._lines: Dict[int, _LineInfo] = {}
         self._functions: Dict[str, DistanceStats] = {}
         #: id(context) -> DistanceStats for the per-size-bucket report.
         self._contexts: Dict[int, DistanceStats] = {}

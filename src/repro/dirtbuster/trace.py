@@ -13,7 +13,9 @@ DirtBuster uses two observation mechanisms (paper Figure 6):
   instructions, preserving per-core program order.  This is the input to
   steps 2 and 3.
 
-Both implement :class:`repro.sim.machine.Tracer` and attach to a machine.
+Both implement :class:`repro.sim.machine.Tracer` and attach to a machine,
+and both take fused stream runs in bulk through ``record_stream``, so a
+traced run keeps the simulator's fast path (DESIGN.md §18).
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 from typing import Iterable, List, Optional, Set, Tuple
 
 from repro.errors import TraceError
-from repro.sim.event import CodeSite, Event, EventKind
+from repro.sim.event import PRESTORE, READ, WRITE, CodeSite, Event, EventKind
 from repro.sim.machine import Tracer
 
 __all__ = ["AccessRecord", "SamplingTracer", "FullTracer"]
@@ -101,17 +103,61 @@ class SamplingTracer(Tracer):
 
     def record(self, core_id: int, event: Event, instr_index: int, cycles: float) -> None:
         remaining = self._countdown.get(core_id, float(self.period)) - cycles
+        if remaining > 0:
+            self._countdown[core_id] = remaining
+            return
         hits = 0
         while remaining <= 0:
             hits += 1
             remaining += self.period
         self._countdown[core_id] = remaining
-        if not hits:
-            return
         if event.is_memory_access:
             self.samples.extend([_record_of(core_id, event, instr_index)] * hits)
         else:
             self.other_samples += hits
+
+    def record_stream(
+        self,
+        core_id: int,
+        kind: EventKind,
+        addr: int,
+        size: int,
+        chunk: int,
+        index: int,
+        clocks: List[float],
+        site: CodeSite,
+        callchain: Tuple[CodeSite, ...],
+    ) -> None:
+        """A fused run's accesses, counted down one access at a time.
+
+        Subtracting each access's ``clocks`` delta in turn keeps the
+        countdown's float rounding — and so every sample — identical to
+        the unrolled path's; subtracting the run's total would not.
+        """
+        period = self.period
+        remaining = self._countdown.get(core_id, float(period))
+        before = clocks[0]
+        for k in range(1, len(clocks)):
+            after = clocks[k]
+            remaining -= after - before
+            before = after
+            if remaining <= 0:
+                hits = 0
+                while remaining <= 0:
+                    hits += 1
+                    remaining += period
+                offset = (k - 1) * chunk
+                sample = AccessRecord(
+                    instr_index=index + k - 1,
+                    core_id=core_id,
+                    kind=kind,
+                    addr=addr + offset,
+                    size=min(chunk, size - offset),
+                    site=site,
+                    callchain=callchain,
+                )
+                self.samples.extend([sample] * hits)
+        self._countdown[core_id] = remaining
 
     def __len__(self) -> int:
         return len(self.samples) + self.other_samples
@@ -133,20 +179,49 @@ class FullTracer(Tracer):
         self.functions: Optional[Set[str]] = set(functions) if functions is not None else None
         self.records: List[AccessRecord] = []
 
-    def _selected(self, event: Event) -> bool:
-        if self.functions is None:
+    def _selected(self, site: CodeSite, callchain: Tuple[CodeSite, ...]) -> bool:
+        functions = self.functions
+        if functions is None or site.function in functions:
             return True
-        if event.site.function in self.functions:
-            return True
-        return any(site.function in self.functions for site in event.callchain)
+        return any(caller.function in functions for caller in callchain)
 
     def record(self, core_id: int, event: Event, instr_index: int, cycles: float = 0.0) -> None:
-        if event.kind is EventKind.COMPUTE:
+        kind = event.kind
+        if kind is READ or kind is WRITE:
+            if self._selected(event.site, event.callchain):
+                self.records.append(_record_of(core_id, event, instr_index))
+        elif event.has_fence_semantics or (
+            kind is PRESTORE and self._selected(event.site, event.callchain)
+        ):
+            self.records.append(_record_of(core_id, event, instr_index))
+
+    def record_stream(
+        self,
+        core_id: int,
+        kind: EventKind,
+        addr: int,
+        size: int,
+        chunk: int,
+        index: int,
+        clocks: List[float],
+        site: CodeSite,
+        callchain: Tuple[CodeSite, ...],
+    ) -> None:
+        """A fused run's accesses: one filter test, one record per access."""
+        if not self._selected(site, callchain):
             return
-        if event.has_fence_semantics or (event.is_memory_access and self._selected(event)):
-            self.records.append(_record_of(core_id, event, instr_index))
-        elif event.kind is EventKind.PRESTORE and self._selected(event):
-            self.records.append(_record_of(core_id, event, instr_index))
+        self.records.extend(
+            AccessRecord(
+                instr_index=index + k,
+                core_id=core_id,
+                kind=kind,
+                addr=addr + offset,
+                size=min(chunk, size - offset),
+                site=site,
+                callchain=callchain,
+            )
+            for k, offset in enumerate(range(0, (len(clocks) - 1) * chunk, chunk))
+        )
 
     def per_core(self) -> dict:
         """Records grouped by core, preserving program order."""

@@ -3,7 +3,7 @@
 Two cooperating pieces realise a :class:`~repro.faults.plan.FaultPlan`:
 
 * :class:`FaultInjector` wraps ``machine.step`` with a pre-event hook.
-  Registering as an observer (with ``accepts_streams = False``) forces
+  Registering as an observer without a ``record_stream`` method forces
   the machine to unroll batched STREAM events through ``step``, so the
   hook sees every individual access exactly as the reference vocabulary
   would — crash points land at true event boundaries on both the fast
@@ -167,9 +167,6 @@ class FaultInjector:
     crash points are per-access); the actual work happens in the wrapped
     ``machine.step``, which runs *before* each event executes.
     """
-
-    #: Per-access records required — the machine must unroll streams.
-    accepts_streams = False
 
     def __init__(self, plan: FaultPlan, device: FaultDevice) -> None:
         self.plan = plan

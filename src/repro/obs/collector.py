@@ -53,12 +53,12 @@ class ObsCollector:
     and device reads and writebacks (``MemoryDevice.read`` /
     ``write_back``) — in wall-clock span timers on *this machine
     instance only*.
-    """
 
-    #: The collector needs per-access records (timeline samples weight
-    #: individual events); the machine therefore unrolls batched stream
-    #: events before fan-out whenever one is attached.
-    accepts_streams = False
+    The collector has no ``record_stream``: timeline samples and trace
+    slices weight individual events, so the machine unrolls batched
+    streams through ``step`` whenever one is attached, and the
+    ``sim.accesses.*`` metrics report how many it unrolled.
+    """
 
     def __init__(
         self,
@@ -129,6 +129,10 @@ class ObsCollector:
         reg.gauge("run.cycles").set(result.cycles)
         reg.gauge("run.cycles_with_drain").set(result.cycles_with_drain)
         reg.counter("run.instructions").value = float(result.instructions)
+        for path, count in machine.path_counts().items():
+            reg.counter(
+                f"sim.accesses.{path}", help="memory accesses executed on this simulator path"
+            ).value = float(count)
         reg.gauge("device.write_amplification").set(result.write_amplification)
         reg.counter("device.bytes_received").value = float(result.device_bytes_received)
         reg.counter("device.media_bytes_written").value = float(result.device_media_bytes_written)

@@ -81,13 +81,13 @@ class _SiteTally:
 
 
 class PrestoreLint:
-    """Replays the event stream and flags pre-store misuse."""
+    """Replays the event stream and flags pre-store misuse.
 
-    #: Distance tracking and the clean/nt recency maps are per-access;
-    #: the machine unrolls batched streams for us, and :meth:`record`
-    #: expands any stream that still arrives (defense in depth for
-    #: batch-aware fan-out wrappers).
-    accepts_streams = False
+    Distance tracking and the clean/nt recency maps are per-access.
+    Having no ``record_stream``, the lint gets streams unrolled by the
+    machine; :meth:`record` expands any stream event a direct caller
+    still hands it.
+    """
 
     def __init__(
         self,

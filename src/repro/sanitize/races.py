@@ -104,13 +104,13 @@ class _Finding:
 
 
 class RaceDetector:
-    """Vector-clock happens-before + store-visibility checker."""
+    """Vector-clock happens-before + store-visibility checker.
 
-    #: Per-access state (epochs, locksets, parked-store sites) needs every
-    #: individual access; the machine unrolls batched streams for us, and
-    #: :meth:`record` expands any stream that still arrives (defense in
-    #: depth for batch-aware fan-out wrappers).
-    accepts_streams = False
+    Per-access state (epochs, locksets, parked-store sites) needs every
+    individual access.  Having no ``record_stream``, the detector gets
+    streams unrolled by the machine; :meth:`record` expands any stream
+    event a direct caller still hands it.
+    """
 
     def __init__(self) -> None:
         self._machine: Optional["Machine"] = None

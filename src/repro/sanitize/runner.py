@@ -47,13 +47,11 @@ class Sanitizer:
     """Fan-out Tracer running every enabled dynamic pass on one stream.
 
     One instance observes one run (passes accumulate per-run state);
-    build a fresh Sanitizer per run, exactly like a Machine.
+    build a fresh Sanitizer per run, exactly like a Machine.  Race
+    detection and lint need every individual access and its instruction
+    index, so it has no ``record_stream``: the machine unrolls batched
+    streams before fan-out whenever a sanitizer is attached.
     """
-
-    #: Race detection and lint need every individual access (and its
-    #: per-access instruction index), so the machine unrolls batched
-    #: stream events before fan-out whenever a sanitizer is attached.
-    accepts_streams = False
 
     def __init__(
         self,

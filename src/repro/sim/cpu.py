@@ -21,7 +21,7 @@ implement the paper's cost model:
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Callable, Iterable, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, List, Optional
 
 from repro.core.prestore import CYCLES_PER_PRESTORE, PrestoreOp
 from repro.errors import SimulationError
@@ -222,6 +222,7 @@ class Core:
         event: Event,
         strict_limit: float = math.inf,
         loose_limit: float = math.inf,
+        clocks: Optional[List[float]] = None,
     ) -> Optional[Event]:
         """Execute a batched access run in a fused per-line loop.
 
@@ -234,15 +235,21 @@ class Core:
         ``min()``'s first-minimal tie-breaking — and then returns
         ``event`` mutated to the remaining ``[addr, addr+size)`` range;
         ``None`` once the run is complete.
+
+        ``clocks``, when given, gets the core clock at the start of each
+        executed access (observers replay per-access cycles from it);
+        only the fused loops fill it.
         """
         kind = event.kind
         if self._fast_policy:
             if kind is STREAM_WRITE and not event.nontemporal:
-                return self._stream_write_fast(event, strict_limit, loose_limit)
+                return self._stream_write_fast(event, strict_limit, loose_limit, clocks)
             if kind is STREAM_READ:
-                return self._stream_read_fast(event, strict_limit, loose_limit)
+                return self._stream_read_fast(event, strict_limit, loose_limit, clocks)
         if kind is not STREAM_READ and kind is not STREAM_WRITE:
             raise SimulationError(f"execute_stream() got non-stream event {event!r}")
+        if clocks is not None:
+            raise SimulationError("per-access clocks need a fused stream loop")
         # No fusion (NT writes, exotic policies): every access runs
         # through the reference handlers.
         return self.unroll_stream(event, self.execute, strict_limit, loose_limit)
@@ -313,7 +320,11 @@ class Core:
         return vt
 
     def _stream_write_fast(
-        self, event: Event, strict_limit: float, loose_limit: float
+        self,
+        event: Event,
+        strict_limit: float,
+        loose_limit: float,
+        clocks: Optional[List[float]] = None,
     ) -> Optional[Event]:
         """Fused store loop, warm and cold.
 
@@ -391,6 +402,7 @@ class Core:
         cid = self.stats.core_id
         stats = self.stats
         visibility = self._visibility_latency
+        note_clock = clocks.append if clocks is not None else None
 
         addr, size, chunk = event.addr, event.size, event.chunk
         relaxed, site, chain = event.relaxed, event.site, event.callchain
@@ -407,6 +419,8 @@ class Core:
         while offset < size:
             if not (clock < strict_limit and clock <= loose_limit):
                 break
+            if note_clock is not None:
+                note_clock(clock)
             if seq:
                 # Aligned line-granular stream (the common case): chunks
                 # never straddle and the target line just increments.
@@ -731,7 +745,11 @@ class Core:
         return None
 
     def _stream_read_fast(
-        self, event: Event, strict_limit: float, loose_limit: float
+        self,
+        event: Event,
+        strict_limit: float,
+        loose_limit: float,
+        clocks: Optional[List[float]] = None,
     ) -> Optional[Event]:
         """Fused load loop, warm and cold.
 
@@ -761,6 +779,7 @@ class Core:
         line_owner = machine.line_owner
         cid = self.stats.core_id
         stats = self.stats
+        note_clock = clocks.append if clocks is not None else None
 
         addr, size, chunk = event.addr, event.size, event.chunk
         relaxed, site, chain = event.relaxed, event.site, event.callchain
@@ -772,6 +791,8 @@ class Core:
         while offset < size:
             if not (clock < strict_limit and clock <= loose_limit):
                 break
+            if note_clock is not None:
+                note_clock(clock)
             length = chunk if size - offset >= chunk else size - offset
             a = addr + offset
             line = a // line_size

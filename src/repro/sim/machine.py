@@ -31,7 +31,7 @@ from repro.errors import ConfigurationError, SimulationError
 from repro.sim.cache import CacheHierarchy, CacheLevel, CacheLevelSpec
 from repro.sim.coherence import VisibilityModel
 from repro.sim.cpu import Core
-from repro.sim.event import COMPUTE, STREAM_READ, STREAM_WRITE, WAIT, Event
+from repro.sim.event import COMPUTE, READ, STREAM_READ, STREAM_WRITE, WAIT, WRITE, Event
 from repro.sim.memory import (
     DeviceSpec,
     MemoryDevice,
@@ -92,6 +92,16 @@ class Tracer:
     DirtBuster distances are measured in (Section 6.2.3; PIN counts
     instructions per thread) — and the cycles the event consumed, which
     timer-based samplers (perf) weight their samples by.
+
+    An observer that also defines ``record_stream(core_id, kind, addr,
+    size, chunk, index, clocks, site, callchain)`` takes fused stream
+    runs in bulk (DESIGN.md §18, "Observed streams"): when every
+    attached observer does, the machine runs a stream's fused loop and
+    hands over the executed part once.  Access *k* of it is a ``kind``
+    (READ or WRITE) at ``addr + k*chunk`` of ``min(chunk, size -
+    k*chunk)`` bytes, instruction index ``index + k``, taking
+    ``clocks[k+1] - clocks[k]`` cycles — exactly the record the unrolled
+    path would pass to :meth:`record`.
     """
 
     def record(
@@ -174,6 +184,13 @@ class Machine:
         #: tuple mirror: an empty run costs one falsy check per event.
         self._observers: List[Tracer] = []
         self._dispatch: Tuple[Tracer, ...] = ()
+        #: Every observer's ``record_stream``, or empty when any observer
+        #: lacks one (streams then unroll through :meth:`step`).
+        self._stream_recorders: Tuple = ()
+        #: Stream accesses run by fused loops and one at a time (see
+        #: :meth:`path_counts`).
+        self._fused = 0
+        self._unrolled = 0
         self._tracer: Optional[Tracer] = None
         self._sanitizer: Optional[Tracer] = None
         if tracer is not None:
@@ -200,13 +217,18 @@ class Machine:
         if attach is not None:
             attach(self)
         self._observers.append(observer)
-        self._dispatch = tuple(self._observers)
+        self._update_dispatch()
 
     def detach_observer(self, observer: Tracer) -> None:
         """Unsubscribe a previously attached observer (no-op if absent)."""
         if observer in self._observers:
             self._observers.remove(observer)
-            self._dispatch = tuple(self._observers)
+            self._update_dispatch()
+
+    def _update_dispatch(self) -> None:
+        self._dispatch = tuple(self._observers)
+        recorders = tuple(getattr(o, "record_stream", None) for o in self._observers)
+        self._stream_recorders = () if None in recorders else recorders
 
     @property
     def observers(self) -> Tuple[Tracer, ...]:
@@ -358,50 +380,67 @@ class Machine:
         Returns ``None`` when the run completed, or the event mutated to
         its unexecuted tail when the scheduler bounds preempted it.
 
-        Observer fan-out preserves per-access granularity: unless *every*
-        attached observer declares ``accepts_streams = True``, the stream
-        is unrolled through :meth:`step` one access at a time, so
-        DirtBuster tracers, the sanitizer, and obs samplers see exactly
-        the records the reference vocabulary produces.  With no
-        observers (or only batch-aware ones) the fused core fast path
-        runs; batch-aware observers then receive one record covering the
-        executed portion of the run.
+        With observers attached, the fused loop runs only when the core
+        fuses this stream and every observer defines ``record_stream``
+        (see :class:`Tracer`), which then gets the executed part once.
+        Otherwise the stream unrolls through :meth:`step` one access at
+        a time, so every observer sees exactly the records the reference
+        vocabulary produces.
         """
-        observers = self._dispatch
-        if observers and not all(
-            getattr(o, "accepts_streams", False) for o in observers
-        ):
-            # Every access is a real ``step`` call, so span profilers
-            # that wrap ``step`` see it too.
-            return core.unroll_stream(
-                event, partial(self.step, core), strict_limit, loose_limit
-            )
-        start_addr, start_size = event.addr, event.size
         index = core.stats.instructions
-        before = core.clock
-        leftover = core.execute_stream(event, strict_limit, loose_limit)
-        self._instr_index += core.stats.instructions - index
-        if observers:
-            executed = start_size - (leftover.size if leftover is not None else 0)
-            if executed:
-                if leftover is None:
-                    record_event = event
-                else:
-                    record_event = Event.fast(
-                        kind=event.kind,
-                        addr=start_addr,
-                        size=executed,
-                        nontemporal=event.nontemporal,
-                        relaxed=event.relaxed,
-                        site=event.site,
-                        callchain=event.callchain,
-                        chunk=event.chunk,
-                    )
-                for observer in observers:
-                    observer.record(
-                        core.stats.core_id, record_event, index, core.clock - before
-                    )
+        fused = core._fast_policy and not event.nontemporal
+        clocks: Optional[List[float]] = None
+        if self._dispatch:
+            recorders = self._stream_recorders
+            if not (fused and recorders):
+                # Every access is a real ``step`` call, so span profilers
+                # and the fault injector that wrap ``step`` see it too.
+                leftover = core.unroll_stream(
+                    event, partial(self.step, core), strict_limit, loose_limit
+                )
+                self._unrolled += core.stats.instructions - index
+                return leftover
+            # The event mutates to its tail: keep the run's head.
+            kind = READ if event.kind is STREAM_READ else WRITE
+            addr, size = event.addr, event.size
+            clocks = []
+        leftover = core.execute_stream(event, strict_limit, loose_limit, clocks)
+        executed = core.stats.instructions - index
+        self._instr_index += executed
+        if fused:
+            self._fused += executed
+        else:
+            self._unrolled += executed
+        if clocks is not None:
+            clocks.append(core.clock)
+            if leftover is not None:
+                size -= leftover.size
+            cid = core.stats.core_id
+            for record_stream in recorders:
+                record_stream(
+                    cid, kind, addr, size, event.chunk, index, clocks,
+                    event.site, event.callchain,
+                )
         return leftover
+
+    def path_counts(self) -> Dict[str, int]:
+        """Memory accesses by the path that executed them.
+
+        ``fused`` ran in a fused stream loop; ``unrolled`` were stream
+        accesses run one at a time, through :meth:`step` because an
+        observer needed per-access records or through the core's
+        generic loop where no fused loop applies (NT writes,
+        non-idempotent policies); ``single`` came as single READ/WRITE
+        events (derived, so the unobserved path pays nothing).  Not part
+        of the :class:`RunResult`: the two vocabularies run the same
+        accesses down different paths.
+        """
+        accesses = sum(c.stats.reads + c.stats.writes for c in self.cores)
+        return {
+            "fused": self._fused,
+            "unrolled": self._unrolled,
+            "single": accesses - self._fused - self._unrolled,
+        }
 
     def finish(self) -> RunResult:
         """Drain caches and devices, then snapshot statistics."""

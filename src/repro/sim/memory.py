@@ -291,8 +291,8 @@ class MemoryDevice:
         path inlines exactly this identity arithmetic); the
         fault-tracking device multiplies it inside degraded-bandwidth
         phases, which is safe because installing a fault device always
-        forces streams to unroll onto the out-of-line methods
-        (``FaultInjector.accepts_streams``)."""
+        forces streams to unroll onto the out-of-line methods (the
+        ``FaultInjector`` observer has no ``record_stream``)."""
         return nbytes
 
     # -- CPU-visible operations ---------------------------------------------

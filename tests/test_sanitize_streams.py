@@ -13,6 +13,7 @@ from typing import List, Tuple
 from repro.errors import Diagnostic
 from repro.sanitize.prestore_lint import PrestoreLint
 from repro.sanitize.races import RaceDetector
+from repro.sanitize.runner import Sanitizer
 from repro.sim.event import CodeSite, Event, EventKind
 
 WRITER = CodeSite(function="writer", file="stream.c", line=3)
@@ -42,11 +43,11 @@ def _feed(detector, schedule: List[Tuple[int, Event, int]], expand: bool) -> Lis
     return detector.diagnostics()
 
 
-def test_passes_declare_stream_blindness() -> None:
-    """The machine unrolls streams unless *every* observer opts in; the
-    passes must never opt in."""
-    assert RaceDetector.accepts_streams is False
-    assert PrestoreLint.accepts_streams is False
+def test_passes_take_per_access_records() -> None:
+    """The machine unrolls streams unless *every* observer has
+    ``record_stream``; the passes must never take runs in bulk."""
+    for observer in (RaceDetector, PrestoreLint, Sanitizer):
+        assert not hasattr(observer, "record_stream")
 
 
 def test_race_detector_streams_equal_unrolled() -> None:

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import SimulationError
 from repro.sim.cache import CacheLevel, CacheLevelSpec
-from repro.sim.event import Event, EventKind, STREAM_KINDS, UNKNOWN_SITE
+from repro.sim.event import Event, EventKind, UNKNOWN_SITE
 from repro.sim.machine import (
     Machine,
     Tracer,
@@ -228,8 +228,21 @@ class _Recorder(Tracer):
         self.records.append((core_id, event.kind, event.addr, event.size, instr_index, cycles))
 
 
-class _BatchRecorder(_Recorder):
-    accepts_streams = True
+class _StreamRecorder(_Recorder):
+    """Takes fused runs in bulk and expands them into per-access records."""
+
+    def __init__(self):
+        super().__init__()
+        self.runs = 0
+
+    def record_stream(self, core_id, kind, addr, size, chunk, index, clocks, site, callchain):
+        self.runs += 1
+        for k in range(len(clocks) - 1):
+            offset = k * chunk
+            self.records.append(
+                (core_id, kind, addr + offset, min(chunk, size - offset), index + k,
+                 clocks[k + 1] - clocks[k])
+            )
 
 
 def test_observers_see_per_access_records():
@@ -245,21 +258,32 @@ def test_observers_see_per_access_records():
     assert kinds <= {EventKind.READ, EventKind.WRITE}  # streams were unrolled
 
 
-def test_batch_observer_gets_stream_records():
-    """An accepts_streams observer sees batch records, results unchanged."""
-    rec = _BatchRecorder()
-    program = Program(machine_a(), tracer=rec, streams=True)
+def test_stream_observer_gets_fused_runs():
+    """A record_stream observer keeps the fused path, records unchanged."""
+    captured = {}
+    for make in (_Recorder, _StreamRecorder):
+        rec = make()
+        program = Program(machine_a(), tracer=rec, streams=True)
+        program.spawn(_bodies, [(True, 0, 8), (False, 2, 6), (True, 3, 12)], True)
+        captured[make] = (program.run().to_json(), rec.records, program.machine.path_counts())
+    assert captured[_StreamRecorder][:2] == captured[_Recorder][:2]
+    assert captured[_StreamRecorder][2]["unrolled"] == 0
+    assert captured[_Recorder][2]["fused"] == 0
+    assert captured[_StreamRecorder][2]["fused"] == captured[_Recorder][2]["unrolled"] == 26
+    assert rec.runs > 0
+
+
+def test_one_per_access_observer_unrolls_for_all():
+    """Streams unroll unless every attached observer has record_stream."""
+    bulk, per_access = _StreamRecorder(), _Recorder()
+    program = Program(machine_a(), streams=True)
+    program.machine.attach_observer(bulk)
+    program.machine.attach_observer(per_access)
     program.spawn(_bodies, [(True, 0, 8), (False, 2, 6)], True)
-    with_obs = program.run().to_json()
-
-    program2 = Program(machine_a(), streams=False)
-    program2.spawn(_bodies, [(True, 0, 8), (False, 2, 6)], False)
-    assert with_obs == program2.run().to_json()
-
-    stream_records = [r for r in rec.records if r[1] in STREAM_KINDS]
-    assert stream_records, "batch-aware observer should receive stream records"
-    # One record per run, covering the whole byte range.
-    assert stream_records[0][3] == 8 * 64
+    program.run()
+    assert bulk.runs == 0
+    assert bulk.records == per_access.records
+    assert program.machine.path_counts()["unrolled"] == 14
 
 
 # -- fault plans x fast path --------------------------------------------------
@@ -268,8 +292,8 @@ def test_batch_observer_gets_stream_records():
 class TestFaultPlansOnFastPath:
     """Fault injection and the batched vocabulary must compose safely.
 
-    The injector registers with ``accepts_streams = False``, so any
-    non-empty plan forces per-access unrolling: the fused store loops
+    The injector registers as an observer without ``record_stream``, so
+    any non-empty plan forces per-access unrolling: the fused store loops
     never run under faults, and crash points land on the same
     instruction whichever vocabulary the caller requested.
     """

@@ -72,16 +72,27 @@ def _small_b() -> MachineSpec:
 
 
 class _Recorder:
-    """Snapshots every record (stream events mutate after recording)."""
+    """Snapshots every per-access record."""
 
-    def __init__(self, accepts_streams: bool) -> None:
-        self.accepts_streams = accepts_streams
+    def __init__(self) -> None:
         self.records = []
 
     def record(self, core_id, event, instr_index, cycles):
         self.records.append(
             (core_id, event.kind.value, event.addr, event.size, instr_index, cycles)
         )
+
+
+class _StreamRecorder(_Recorder):
+    """Also takes fused runs in bulk, expanded into the same records."""
+
+    def record_stream(self, core_id, kind, addr, size, chunk, index, clocks, site, callchain):
+        for k in range(len(clocks) - 1):
+            offset = k * chunk
+            self.records.append(
+                (core_id, kind.value, addr + offset, min(chunk, size - offset), index + k,
+                 clocks[k + 1] - clocks[k])
+            )
 
 
 _OPS = st.one_of(
@@ -160,9 +171,9 @@ def _run_program(make_spec, programs, oracle, per_access, streams=True):
     shared = program.allocator.alloc(72 * program.machine.line_size, label="shared")
     mailbox = Mailbox()
     log = []
-    recorders = [_Recorder(accepts_streams=True)]
+    recorders = [_StreamRecorder()]
     if per_access:
-        recorders.append(_Recorder(accepts_streams=False))
+        recorders.append(_Recorder())
     for recorder in recorders:
         program.machine.attach_observer(recorder)
     for ops in programs:
@@ -377,8 +388,6 @@ def test_out_of_order_block_exit_follows_the_stack():
 
 class _Counter:
     """Per-access observer counting the records ``step`` produces."""
-
-    accepts_streams = False
 
     def __init__(self) -> None:
         self.stepped = 0
