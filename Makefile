@@ -97,10 +97,16 @@ dirtbuster-smoke:
 
 # Shape-check gate for the single-event experiments: fig5, x9 and
 # listing3 run in fast mode and the CLI exits 1 when any of them prints
-# SHAPE CHECK FAILED.  It takes seconds; CI runs it under a 5-minute
-# timeout.
+# SHAPE CHECK FAILED.  fig5 runs again in the per-access reference
+# vocabulary (REPRO_SIM_REFERENCE=1), and its rows must match the
+# batched run's byte for byte.  It takes seconds; CI runs it under a
+# 5-minute timeout.
 experiments-smoke:
-	$(PYTHON) -m repro.experiments.cli fig5 x9 listing3
+	@mkdir -p build
+	$(PYTHON) -m repro.experiments.cli fig5 --markdown build/fig5-streams.md
+	$(PYTHON) -m repro.experiments.cli x9 listing3
+	REPRO_SIM_REFERENCE=1 $(PYTHON) -m repro.experiments.cli fig5 --markdown build/fig5-reference.md
+	diff build/fig5-streams.md build/fig5-reference.md
 
 # Crash-consistency self-check: seeded crash/fault matrix on machine A
 # and B-slow, asserting protocol durability, baseline vulnerability,

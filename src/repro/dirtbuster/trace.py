@@ -123,6 +123,7 @@ class SamplingTracer(Tracer):
         addr: int,
         size: int,
         chunk: int,
+        stride: int,
         index: int,
         clocks: List[float],
         site: CodeSite,
@@ -146,7 +147,7 @@ class SamplingTracer(Tracer):
                 while remaining <= 0:
                     hits += 1
                     remaining += period
-                offset = (k - 1) * chunk
+                offset = (k - 1) * stride
                 sample = AccessRecord(
                     instr_index=index + k - 1,
                     core_id=core_id,
@@ -202,6 +203,7 @@ class FullTracer(Tracer):
         addr: int,
         size: int,
         chunk: int,
+        stride: int,
         index: int,
         clocks: List[float],
         site: CodeSite,
@@ -220,7 +222,7 @@ class FullTracer(Tracer):
                 site=site,
                 callchain=callchain,
             )
-            for k, offset in enumerate(range(0, (len(clocks) - 1) * chunk, chunk))
+            for k, offset in enumerate(range(0, (len(clocks) - 1) * stride, stride))
         )
 
     def per_core(self) -> dict:

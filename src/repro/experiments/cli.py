@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 from typing import List, Optional
 
 from repro.experiments import all_ids, get
@@ -73,14 +74,21 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     results: List[ExperimentResult] = []
     failed = False
+    total = 0.0
     with runner_session(workers=args.workers, cache_dir=args.cache_dir):
         for eid in ids:
+            started = time.perf_counter()
             result = get(eid).run_checked(fast=not args.full, seed=args.seed)
+            elapsed = time.perf_counter() - started
+            total += elapsed
             results.append(result)
             print(result.render())
+            # Wall seconds go to stdout only: the markdown stays deterministic.
+            print(f"{eid}: {elapsed:.2f} s")
             print()
             if any(n.startswith("SHAPE CHECK FAILED") for n in result.notes):
                 failed = True
+    print(f"total: {total:.2f} s")
 
     if args.markdown:
         with open(args.markdown, "w") as fh:

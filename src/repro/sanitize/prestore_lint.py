@@ -34,7 +34,7 @@ from repro.core.prestore import PrestoreOp
 from repro.dirtbuster.distances import DistanceTracker
 from repro.dirtbuster.recommend import Thresholds
 from repro.errors import Diagnostic
-from repro.sim.event import STREAM_KINDS, CodeSite, Event, EventKind
+from repro.sim.event import CodeSite, Event, EventKind
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.machine import Machine
@@ -85,8 +85,7 @@ class PrestoreLint:
 
     Distance tracking and the clean/nt recency maps are per-access.
     Having no ``record_stream``, the lint gets streams unrolled by the
-    machine; :meth:`record` expands any stream event a direct caller
-    still hands it.
+    machine, one READ/WRITE record per access.
     """
 
     def __init__(
@@ -137,13 +136,6 @@ class PrestoreLint:
 
     def record(self, core_id: int, event: Event, instr_index: int, cycles: float) -> None:
         kind = event.kind
-        if kind in STREAM_KINDS:
-            # The batched fast path must not bypass the lint: expand to
-            # the per-access sequence the scheduler would have unrolled,
-            # one retired instruction per access.
-            for offset, access in enumerate(event.accesses()):
-                self.record(core_id, access, instr_index + offset, cycles)
-            return
         if kind is EventKind.WRITE:
             self._on_write(core_id, event, instr_index)
         elif kind is EventKind.READ:

@@ -41,7 +41,7 @@ from dataclasses import replace
 from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.errors import Diagnostic
-from repro.sim.event import STREAM_KINDS, CodeSite, Event, EventKind
+from repro.sim.event import CodeSite, Event, EventKind
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.machine import Machine
@@ -108,8 +108,7 @@ class RaceDetector:
 
     Per-access state (epochs, locksets, parked-store sites) needs every
     individual access.  Having no ``record_stream``, the detector gets
-    streams unrolled by the machine; :meth:`record` expands any stream
-    event a direct caller still hands it.
+    streams unrolled by the machine, one READ/WRITE record per access.
     """
 
     def __init__(self) -> None:
@@ -191,13 +190,6 @@ class RaceDetector:
     # -- the tracer entry point ------------------------------------------------
 
     def record(self, core_id: int, event: Event, instr_index: int, cycles: float) -> None:
-        if event.kind in STREAM_KINDS:
-            # The batched fast path must not bypass race detection: expand
-            # to the per-access sequence the scheduler would have unrolled,
-            # one retired instruction per access.
-            for offset, access in enumerate(event.accesses()):
-                self.record(core_id, access, instr_index + offset, cycles)
-            return
         vc = self._clock_of(core_id)
         vc[core_id] = vc.get(core_id, 0) + 1
         kind = event.kind

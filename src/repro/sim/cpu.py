@@ -226,12 +226,13 @@ class Core:
     ) -> Optional[Event]:
         """Execute a batched access run in a fused per-line loop.
 
-        Semantics are bit-identical to executing one READ/WRITE event per
-        ``chunk`` bytes through :meth:`execute` (DESIGN.md §11 lists the
-        audited equivalences).  The loop yields back to the scheduler as
-        soon as this core's clock would no longer win the time-ordered
-        pick — it must stay strictly below every earlier-listed live
-        thread and at-or-below every later-listed one, replicating
+        Semantics are bit-identical to executing one ``chunk``-byte
+        READ/WRITE event every ``stride`` bytes through :meth:`execute`
+        (DESIGN.md §11 lists the audited equivalences).  The loop yields
+        back to the scheduler as soon as this core's clock would no
+        longer win the time-ordered pick — it must stay strictly below
+        every earlier-listed live thread and at-or-below every
+        later-listed one, replicating
         ``min()``'s first-minimal tie-breaking — and then returns
         ``event`` mutated to the remaining ``[addr, addr+size)`` range;
         ``None`` once the run is complete.
@@ -261,7 +262,7 @@ class Core:
         strict_limit: float = math.inf,
         loose_limit: float = math.inf,
     ) -> Optional[Event]:
-        """Expand a stream into one READ/WRITE per chunk, each run by ``access``.
+        """Expand a stream into one READ/WRITE per stride, each run by ``access``.
 
         The one per-access unroll loop: :meth:`execute_stream` passes
         :meth:`execute` when no fused loop applies, and the machine
@@ -271,7 +272,7 @@ class Core:
         ``event`` mutated to its unexecuted tail, or ``None`` when done.
         """
         access_kind = READ if event.kind is STREAM_READ else WRITE
-        addr, size, chunk = event.addr, event.size, event.chunk
+        addr, size, chunk, stride = event.addr, event.size, event.chunk, event.stride
         nt, relaxed, site, chain = event.nontemporal, event.relaxed, event.site, event.callchain
         fast_access = Event.fast_access
         offset = 0
@@ -283,7 +284,7 @@ class Core:
                 return event
             length = chunk if size - offset >= chunk else size - offset
             access(fast_access(access_kind, addr + offset, length, nt, relaxed, site, chain))
-            offset += length
+            offset += stride
         return None
 
     def _fused_store_miss_vis(self, line: int, base: float, now: float, tail: float) -> float:
@@ -336,7 +337,9 @@ class Core:
         :meth:`_fused_store_miss_vis`), and ``_apply_backpressure`` —
         without allocating an event, a range, a result, or a writeback
         list.  Only line-straddling chunks fall back to the reference
-        per-event path mid-stream.
+        per-event path mid-stream.  Accesses advance by ``stride``; the
+        line-increment branch needs an aligned ``stride == chunk ==
+        line_size`` run.
         """
         machine = self.machine
         line_size = machine.line_size
@@ -404,7 +407,7 @@ class Core:
         visibility = self._visibility_latency
         note_clock = clocks.append if clocks is not None else None
 
-        addr, size, chunk = event.addr, event.size, event.chunk
+        addr, size, chunk, stride = event.addr, event.size, event.chunk, event.stride
         relaxed, site, chain = event.relaxed, event.site, event.callchain
         offset = 0
         clock = self.clock
@@ -414,7 +417,7 @@ class Core:
         n_hits = 0  # L1 hit delta since the last flush
         n_miss = 0  # fused miss-everywhere fills since the last flush
 
-        seq = chunk == line_size and addr % line_size == 0
+        seq = chunk == line_size and stride == chunk and addr % line_size == 0
         line = addr // line_size - 1
         while offset < size:
             if not (clock < strict_limit and clock <= loose_limit):
@@ -425,8 +428,6 @@ class Core:
                 # Aligned line-granular stream (the common case): chunks
                 # never straddle and the target line just increments.
                 line += 1
-                rem = size - offset
-                length = line_size if rem >= line_size else rem
             else:
                 length = chunk if size - offset >= chunk else size - offset
                 a = addr + offset
@@ -479,7 +480,7 @@ class Core:
                     bus_nf = device._bus_next_free
                     media_nf = device._media_next_free
                     rr_nf = device._read_return_next_free
-                    offset += length
+                    offset += stride
                     continue
             n_fast += 1
             loc = l1_index.get(line)
@@ -708,7 +709,7 @@ class Core:
                 if excess > 0:
                     clock += excess
                     stats.backpressure_stall_cycles += excess
-            offset += length
+            offset += stride
 
         self.clock = clock
         sb._pipeline_tail = tail
@@ -758,7 +759,8 @@ class Core:
         single-line loads call :meth:`CacheHierarchy.fill` (the generated
         fill kernels) and issue the device read and the writebacks it
         pushes out without the per-event dispatch.  Only line-straddling
-        chunks fall back to the reference per-event path.
+        chunks fall back to the reference per-event path.  Accesses
+        advance by ``stride``.
         """
         machine = self.machine
         line_size = machine.line_size
@@ -767,6 +769,11 @@ class Core:
         l1_ways = l1._ways
         l1_pstate = l1._policy_state
         on_access = l1.policy.on_access
+        l1_touch = self._l1_touch
+        if l1_touch is not None:
+            l1_and, l1_or = l1_touch
+        else:
+            l1_and = l1_or = None  # type: ignore[assignment]
         l1_latency = self._l1_hit_latency
         dir_latency = self._dir_latency
         fill = machine.hierarchy.fill
@@ -781,12 +788,18 @@ class Core:
         stats = self.stats
         note_clock = clocks.append if clocks is not None else None
 
-        addr, size, chunk = event.addr, event.size, event.chunk
+        addr, size, chunk, stride = event.addr, event.size, event.chunk, event.stride
         relaxed, site, chain = event.relaxed, event.site, event.callchain
         offset = 0
         clock = self.clock
         n_fast = 0
         n_hits = 0
+        # The line the loop's last access hit in L1 (-1: none since the
+        # last fill or fallback).  Only loads run in between, so another
+        # load of it is an L1 hit again: not buffered, its owner
+        # transfer already paid, and its policy touch a repeat, which
+        # the idempotent policies fused loops require make a no-op.
+        hit_line = -1
 
         while offset < size:
             if not (clock < strict_limit and clock <= loose_limit):
@@ -797,12 +810,18 @@ class Core:
             a = addr + offset
             line = a // line_size
             if (a + length - 1) // line_size == line:
+                if line == hit_line:
+                    n_fast += 1
+                    n_hits += 1
+                    clock += l1_latency
+                    offset += stride
+                    continue
                 if line in pending:
                     # Store-to-load forwarding: FORWARD_LATENCY, no
                     # cache or device traffic.
                     n_fast += 1
                     clock += 1
-                    offset += length
+                    offset += stride
                     continue
                 owner = line_owner.get(line)
                 if owner is None or owner == cid:
@@ -817,15 +836,22 @@ class Core:
                     n_fast += 1
                     set_i = loc // l1_ways
                     n_hits += 1
-                    on_access(l1_pstate[set_i], loc - set_i * l1_ways)
+                    way = loc - set_i * l1_ways
+                    if l1_touch is not None:
+                        st = l1_pstate[set_i]
+                        st[0] = (st[0] & l1_and[way]) | l1_or[way]
+                    else:
+                        on_access(l1_pstate[set_i], way)
+                    hit_line = line
                     clock += l1_latency + transfer
-                    offset += length
+                    offset += stride
                     continue
                 # Cold: matches _do_read for a single non-forwarded
                 # line: the fill, the (background) device read,
                 # writebacks stamped at the pre-wait clock, then the
                 # latency/occupancy wait.
                 n_fast += 1
+                hit_line = -1
                 level = fill(line, False, wb)
                 hit_lat = fill_latency[level] + transfer
                 if level == memory:
@@ -843,9 +869,10 @@ class Core:
                 if hit_lat > wait:
                     wait = hit_lat
                 clock += wait
-                offset += length
+                offset += stride
                 continue
             # Line-straddling chunk: reference path.
+            hit_line = -1
             self.clock = clock
             if n_fast:
                 stats.instructions += n_fast
@@ -858,7 +885,7 @@ class Core:
                 Event.fast_access(READ, a, length, False, relaxed, site, chain)
             )
             clock = self.clock
-            offset += length
+            offset += stride
 
         self.clock = clock
         if n_fast:

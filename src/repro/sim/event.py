@@ -17,9 +17,10 @@ Two event representations exist for sequential access runs:
   individually by the workload generator; and
 * the **batched** vocabulary — a single ``STREAM_READ``/``STREAM_WRITE``
   event (built with :meth:`Event.stream`) describing a whole run of
-  back-to-back same-site accesses.  The machine expands a stream inside
-  its scheduler loop, one access per ``chunk`` bytes, with semantics
-  bit-identical to the per-event form (DESIGN.md §11).
+  same-site accesses, back to back or at a fixed stride.  The machine
+  expands a stream inside its scheduler loop, one ``chunk``-byte access
+  every ``stride`` bytes, with semantics bit-identical to the per-event
+  form (DESIGN.md §11).
 
 ``Event`` is a ``__slots__`` class with a validating constructor and
 non-validating :meth:`Event.fast` / :meth:`Event.fast_access` factories
@@ -64,10 +65,11 @@ class EventKind(enum.Enum):
     POST = "post"
     #: Spin until a POSTed key is available (models a spin-wait loop).
     WAIT = "wait"
-    #: A batched run of sequential loads: one READ per ``chunk`` bytes,
-    #: expanded by the machine scheduler (DESIGN.md §11).
+    #: A batched run of loads: one READ of ``chunk`` bytes every
+    #: ``stride`` bytes, expanded by the machine scheduler (DESIGN.md §11).
     STREAM_READ = "stream_read"
-    #: A batched run of sequential stores: one WRITE per ``chunk`` bytes.
+    #: A batched run of stores: one WRITE of ``chunk`` bytes every
+    #: ``stride`` bytes.
     STREAM_WRITE = "stream_write"
 
 
@@ -158,6 +160,7 @@ _EVENT_FIELDS = (
     "site",
     "callchain",
     "chunk",
+    "stride",
 )
 
 
@@ -167,8 +170,10 @@ class Event:
     ``addr``/``size`` describe the touched byte range for memory events.
     ``site`` and ``callchain`` carry the provenance DirtBuster needs;
     ``callchain`` is the tuple of caller sites, innermost last, exactly
-    like a perf callchain.  ``chunk`` is only meaningful for stream
-    events: the per-access byte granularity the run expands at.
+    like a perf callchain.  ``chunk`` and ``stride`` are only meaningful
+    for stream events: access *k* of a stream is at ``addr + k*stride``
+    and covers ``min(chunk, size - k*stride)`` bytes.  ``stride`` defaults
+    to ``chunk`` (a contiguous run) and is 0 on every other event.
 
     The class uses ``__slots__`` and a hand-written constructor instead
     of a dataclass: the simulator allocates millions of these, and the
@@ -192,6 +197,7 @@ class Event:
         site: CodeSite = UNKNOWN_SITE,
         callchain: Tuple[CodeSite, ...] = (),
         chunk: int = 0,
+        stride: Optional[int] = None,
     ) -> None:
         self.kind = kind
         self.addr = addr
@@ -205,6 +211,7 @@ class Event:
         self.site = site
         self.callchain = callchain
         self.chunk = chunk
+        self.stride = chunk if stride is None else stride
         self._validate()
 
     def _validate(self) -> None:
@@ -234,6 +241,11 @@ class Event:
                 raise SimulationError(f"{kind.value} event requires addr >= 0 and size > 0")
             if self.chunk <= 0:
                 raise SimulationError(f"{kind.value} event requires a positive chunk")
+            if self.stride < self.chunk:
+                raise SimulationError(
+                    f"{kind.value} event requires stride >= chunk, got stride "
+                    f"{self.stride} < chunk {self.chunk}"
+                )
 
     # -- fast constructors (simulator-internal hot paths) ------------------
 
@@ -253,7 +265,10 @@ class Event:
         callchain: Tuple[CodeSite, ...] = (),
         chunk: int = 0,
     ) -> "Event":
-        """Build an event without validation (trusted, machine-built input)."""
+        """Build an event without validation (trusted, machine-built input).
+
+        A stream built here is contiguous (``stride == chunk``).
+        """
         ev = object.__new__(cls)
         ev.kind = kind
         ev.addr = addr
@@ -267,6 +282,7 @@ class Event:
         ev.site = site
         ev.callchain = callchain
         ev.chunk = chunk
+        ev.stride = chunk
         return ev
 
     @classmethod
@@ -294,6 +310,7 @@ class Event:
         ev.site = site
         ev.callchain = callchain
         ev.chunk = 0
+        ev.stride = 0
         return ev
 
     @classmethod
@@ -307,15 +324,17 @@ class Event:
         relaxed: bool = False,
         site: CodeSite = UNKNOWN_SITE,
         callchain: Tuple[CodeSite, ...] = (),
+        stride: Optional[int] = None,
     ) -> "Event":
-        """A batched run of sequential accesses over ``[addr, addr+size)``.
+        """A batched run of accesses spanning ``[addr, addr+size)``.
 
         ``kind`` may be the per-access kind (READ/WRITE) or the stream
-        kind directly.  The machine expands the run into one access per
-        ``chunk`` bytes (the last access may be shorter), each counting
-        as one retired instruction — exactly the sequence
-        ``ThreadCtx.write_block``/``read_block`` would have yielded
-        event-by-event.
+        kind directly.  The machine expands the run into one ``chunk``-
+        byte access every ``stride`` bytes (default ``chunk``: back to
+        back; the last access may be shorter), each counting as one
+        retired instruction — exactly the sequence
+        ``ThreadCtx.write_block``/``read_block``/``read_strided`` would
+        have yielded event-by-event.
         """
         if kind is EventKind.READ:
             kind = EventKind.STREAM_READ
@@ -332,6 +351,7 @@ class Event:
             relaxed=relaxed,
             site=site,
             callchain=callchain,
+            stride=stride,
         )
 
     @property
@@ -343,35 +363,33 @@ class Event:
         """Expand a stream into its per-access events (identity otherwise).
 
         Yields exactly the READ/WRITE sequence the machine scheduler
-        executes for this event: one access per ``chunk`` bytes, the last
-        possibly shorter, all carrying the stream's provenance.  Analyses
-        that keep per-access state (the sanitizer passes, the crashcheck
-        extractor) iterate this instead of special-casing stream kinds.
+        executes for this event: one ``chunk``-byte access every
+        ``stride`` bytes, the last possibly shorter, all carrying the
+        stream's provenance.  Analyses that keep per-access state without
+        a machine (the crashcheck extractor) iterate this instead of
+        special-casing stream kinds.
         """
         if self.kind not in STREAM_KINDS:
             yield self
             return
         kind = _STREAM_ACCESS_KIND[self.kind]
-        step = self.chunk
-        offset = 0
-        while offset < self.size:
-            length = min(step, self.size - offset)
+        chunk, stride, size = self.chunk, self.stride, self.size
+        for offset in range(0, size, stride):
             yield Event.fast_access(
                 kind,
                 self.addr + offset,
-                length,
+                min(chunk, size - offset),
                 self.nontemporal,
                 self.relaxed,
                 self.site,
                 self.callchain,
             )
-            offset += length
 
     @property
     def access_count(self) -> int:
-        """Retired instructions this event stands for (streams: one per chunk)."""
+        """Retired instructions this event stands for (streams: one per stride)."""
         if self.kind in STREAM_KINDS:
-            return -(-self.size // self.chunk)
+            return -(-self.size // self.stride)
         if self.kind is EventKind.COMPUTE:
             return self.size
         return 1
@@ -384,7 +402,7 @@ class Event:
         return all(getattr(self, f) == getattr(other, f) for f in _EVENT_FIELDS)
 
     def __hash__(self) -> int:
-        return hash((self.kind, self.addr, self.size, self.fence_scope, self.chunk))
+        return hash((self.kind, self.addr, self.size, self.fence_scope, self.chunk, self.stride))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         parts = [self.kind.name]
@@ -420,7 +438,11 @@ class Event:
         return self.kind is EventKind.FENCE and self.fence_scope == "full"
 
     def lines(self, line_size: int) -> range:
-        """The cache-line numbers this event's byte range covers."""
+        """The cache-line numbers this event's byte range covers.
+
+        For a strided stream this is the whole span, gaps included;
+        :meth:`accesses` gives the lines each access touches.
+        """
         kind = self.kind
         if (
             kind is READ
@@ -445,8 +467,9 @@ class Event:
         nt = ", nt" if self.nontemporal else ""
         rl = ", relaxed" if self.relaxed else ""
         if self.kind in STREAM_KINDS:
+            stride = f", stride={self.stride}" if self.stride != self.chunk else ""
             return (
                 f"{self.kind.value}(addr={self.addr:#x}, size={self.size}, "
-                f"chunk={self.chunk}{nt}{rl})"
+                f"chunk={self.chunk}{stride}{nt}{rl})"
             )
         return f"{self.kind.value}(addr={self.addr:#x}, size={self.size}{extra}{nt}{rl})"

@@ -94,12 +94,12 @@ class Tracer:
     timer-based samplers (perf) weight their samples by.
 
     An observer that also defines ``record_stream(core_id, kind, addr,
-    size, chunk, index, clocks, site, callchain)`` takes fused stream
-    runs in bulk (DESIGN.md §18, "Observed streams"): when every
+    size, chunk, stride, index, clocks, site, callchain)`` takes fused
+    stream runs in bulk (DESIGN.md §18, "Observed streams"): when every
     attached observer does, the machine runs a stream's fused loop and
     hands over the executed part once.  Access *k* of it is a ``kind``
-    (READ or WRITE) at ``addr + k*chunk`` of ``min(chunk, size -
-    k*chunk)`` bytes, instruction index ``index + k``, taking
+    (READ or WRITE) at ``addr + k*stride`` of ``min(chunk, size -
+    k*stride)`` bytes, instruction index ``index + k``, taking
     ``clocks[k+1] - clocks[k]`` cycles — exactly the record the unrolled
     path would pass to :meth:`record`.
     """
@@ -418,7 +418,7 @@ class Machine:
             cid = core.stats.core_id
             for record_stream in recorders:
                 record_stream(
-                    cid, kind, addr, size, event.chunk, index, clocks,
+                    cid, kind, addr, size, event.chunk, event.stride, index, clocks,
                     event.site, event.callchain,
                 )
         return leftover

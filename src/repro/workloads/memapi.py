@@ -326,6 +326,29 @@ class ThreadCtx:
             yield self.read(addr + offset, length, relaxed=relaxed)
             offset += length
 
+    def read_strided(self, addr: int, size: int, stride: int, count: int) -> Iterator[Event]:
+        """``count`` loads of ``size`` bytes at ``addr``, ``addr + stride``, ...
+
+        With :attr:`emit_streams` set, a multi-access run is one strided
+        STREAM_READ; otherwise each load is its own :meth:`read` event.
+        """
+        if stride < size:
+            raise SimulationError(f"strided reads require stride >= size, got {stride} < {size}")
+        if self.emit_streams and count > 1:
+            site, chain = self._prov
+            yield Event.stream(
+                EventKind.READ,
+                addr=addr,
+                size=(count - 1) * stride + size,
+                chunk=size,
+                stride=stride,
+                site=site,
+                callchain=chain,
+            )
+            return
+        for k in range(count):
+            yield self.read(addr + k * stride, size)
+
     def memcpy(self, dst: int, src: int, size: int) -> Iterator[Event]:
         """Load-then-store copy at line granularity."""
         step = self.line_size

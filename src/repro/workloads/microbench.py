@@ -135,6 +135,7 @@ class Listing2(Workload):
     def _body(self, t: ThreadCtx, program: Program, mode: PrestoreMode) -> Iterator[Event]:
         array = t.alloc(self.num_elements * self.element_size, label="array")
         l1_data = t.alloc(8 * 1024, label="L1_data")
+        per_run = l1_data.size // 64
         with t.function("listing2_loop", file="listing2.c", line=2):
             yield from t.read_block(l1_data.base, l1_data.size)  # warm
             for _ in range(self.iterations):
@@ -143,8 +144,11 @@ class Listing2(Workload):
                 yield t.write(addr, self.element_size)
                 if mode.op is not None:
                     yield t.prestore(addr, self.element_size, mode.op)
-                for i in range(self.reads_before_fence):
-                    yield t.read(l1_data.addr((i * 64) % l1_data.size), 8)
+                # Read i is at (i * 64) % size: runs of ``per_run`` reads
+                # from the buffer's start, the last possibly shorter.
+                for start in range(0, self.reads_before_fence, per_run):
+                    count = min(per_run, self.reads_before_fence - start)
+                    yield from t.read_strided(l1_data.base, 8, 64, count)
                 yield t.fence()
                 program.add_work(1)
 

@@ -115,3 +115,22 @@ class TestCLIs:
         md = tmp_path / "out.md"
         assert main(["table1", "--markdown", str(md)]) == 0
         assert "granularity" in md.read_text()
+
+    def test_experiments_cli_prints_wall_seconds(self, capsys, tmp_path):
+        import re
+
+        from repro.experiments.cli import main
+
+        markdowns = []
+        for run in range(2):
+            md = tmp_path / f"out{run}.md"
+            assert main(["table1", "listing3", "--markdown", str(md)]) == 0
+            out = capsys.readouterr().out
+            timings = re.findall(r"^(\w+): (\d+\.\d\d) s$", out, re.MULTILINE)
+            assert [eid for eid, _ in timings] == ["table1", "listing3", "total"]
+            seconds = [float(s) for _, s in timings]
+            assert abs(seconds[2] - seconds[0] - seconds[1]) <= 0.02  # 3 roundings
+            markdowns.append(md.read_text())
+        # Timings stay out of the markdown, which is byte-identical.
+        assert markdowns[0] == markdowns[1]
+        assert not re.search(r"\d s$", markdowns[0], re.MULTILINE)

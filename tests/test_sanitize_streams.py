@@ -1,46 +1,88 @@
 """The batched STREAM vocabulary cannot bypass the sanitizer passes.
 
-Each dynamic pass must produce identical findings whether it is fed the
-per-access sequence (what the machine unrolls for stream-blind
-observers) or the batched STREAM events directly (what a batch-aware
-fan-out wrapper would deliver).
+The passes have no ``record_stream``, so a machine with one attached
+unrolls every stream through ``step`` and each pass sees one READ/WRITE
+record per access.  These tests run real programs both ways — batched
+streams (``streams=True``) and the per-access reference vocabulary
+(``streams=False``) — and require identical findings and RunResults,
+including Listing 2's strided read runs.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+import re
+from typing import List
 
-from repro.errors import Diagnostic
+from repro.core.prestore import PatchConfig, PrestoreMode
+from repro.experiments.common import endorsed_patches
 from repro.sanitize.prestore_lint import PrestoreLint
 from repro.sanitize.races import RaceDetector
 from repro.sanitize.runner import Sanitizer
-from repro.sim.event import CodeSite, Event, EventKind
-
-WRITER = CodeSite(function="writer", file="stream.c", line=3)
-READER = CodeSite(function="reader", file="stream.c", line=9)
+from repro.sim.machine import machine_a, machine_b_fast
+from repro.workloads.memapi import Program
+from repro.workloads.microbench import Listing2
 
 LINE = 64
 
 
-def _write_stream(addr: int, size: int, nontemporal: bool = False) -> Event:
-    return Event.stream(
-        EventKind.WRITE, addr, size, chunk=LINE, nontemporal=nontemporal, site=WRITER
-    )
+def _normal(diagnostics) -> List[dict]:
+    """Diagnostics as plain data, minus the per-run CodeSite ips."""
+    out = []
+    for diag in diagnostics:
+        d = diag.to_dict()
+        d["message"] = re.sub(r"ip=0x[0-9a-f]+", "ip=?", d["message"])
+        for site in [d["site"], *d["related"]]:
+            if site is not None:
+                site.pop("ip")
+        out.append(d)
+    return out
 
 
-def _read_stream(addr: int, size: int) -> Event:
-    return Event.stream(EventKind.READ, addr, size, chunk=LINE, site=READER)
+def _run(make_pass, bodies, streams, spec=machine_a):
+    """Run one thread per body with a fresh pass; (findings, result, paths)."""
+    program = Program(spec(), sanitize=make_pass(), streams=streams)
+    shared = program.allocator.alloc(16 * LINE, label="shared")
+    for body in bodies:
+        program.spawn(body, shared)
+    result = program.run()
+    diagnostics = result.diagnostics
+    result.diagnostics = []
+    return _normal(diagnostics), result.to_json(), program.machine.path_counts()
 
 
-def _feed(detector, schedule: List[Tuple[int, Event, int]], expand: bool) -> List[Diagnostic]:
-    """Run ``schedule`` through ``detector``, batched or pre-unrolled."""
-    for core_id, event, instr in schedule:
-        if expand:
-            for offset, access in enumerate(event.accesses()):
-                detector.record(core_id, access, instr + offset, 0.0)
-        else:
-            detector.record(core_id, event, instr, 0.0)
-    return detector.diagnostics()
+def _both(make_pass, bodies, spec=machine_a):
+    batched = _run(make_pass, bodies, True, spec)
+    unrolled = _run(make_pass, bodies, False, spec)
+    assert batched[:2] == unrolled[:2]
+    # The batched run really had streams, and the machine unrolled them.
+    assert batched[2]["unrolled"] > 0 and batched[2]["fused"] == 0
+    assert unrolled[2]["unrolled"] == 0
+    return batched[0]
+
+
+def _writer(nlines, nontemporal=False, delay=0):
+    def body(t, shared):
+        with t.function("writer", file="stream.c", line=3):
+            if delay:
+                yield t.compute(delay)
+            yield from t.write_block(shared.base, nlines * LINE, nontemporal=nontemporal)
+
+    return body
+
+
+def _reader(nlines, delay=0):
+    def body(t, shared):
+        with t.function("reader", file="stream.c", line=9):
+            if delay:
+                yield t.compute(delay)
+            yield from t.read_block(shared.base, nlines * LINE)
+
+    return body
+
+
+def _finding(diagnostics, rule):
+    (finding,) = [d for d in diagnostics if d["rule"] == rule]
+    return finding
 
 
 def test_passes_take_per_access_records() -> None:
@@ -51,53 +93,79 @@ def test_passes_take_per_access_records() -> None:
 
 
 def test_race_detector_streams_equal_unrolled() -> None:
-    # Core 0 stream-writes four lines; core 1 stream-reads them with no
-    # ordering edge: a write-read race on every line.
-    schedule = [
-        (0, _write_stream(0, 4 * LINE), 0),
-        (1, _read_stream(0, 4 * LINE), 10),
-    ]
-    batched = _feed(RaceDetector(), schedule, expand=False)
-    unrolled = _feed(RaceDetector(), schedule, expand=True)
-    assert batched == unrolled
-    assert any(d.rule == "race.write-read" for d in batched)
-    (finding,) = [d for d in batched if d.rule == "race.write-read"]
-    assert finding.count == 4  # one per expanded access, none skipped
+    # Core 0 stream-writes four lines; core 1, later, stream-reads them
+    # with no ordering edge: a write-read race on every line.
+    found = _both(RaceDetector, [_writer(4), _reader(4, delay=400)])
+    assert _finding(found, "race.write-read")["count"] == 4  # none skipped
 
 
 def test_race_detector_stream_write_write() -> None:
-    schedule = [
-        (0, _write_stream(0, 2 * LINE), 0),
-        (1, _write_stream(0, 2 * LINE), 10),
-    ]
-    batched = _feed(RaceDetector(), schedule, expand=False)
-    unrolled = _feed(RaceDetector(), schedule, expand=True)
-    assert batched == unrolled
-    assert any(d.rule == "race.write-write" for d in batched)
+    found = _both(RaceDetector, [_writer(2), _writer(2, delay=400)])
+    assert any(d["rule"] == "race.write-write" for d in found)
 
 
 def test_prestore_lint_streams_equal_unrolled() -> None:
     # Non-temporal stream write immediately re-read: skip-reread on
     # every line, identical under both vocabularies.
-    schedule = [
-        (0, _write_stream(0, 4 * LINE, nontemporal=True), 0),
-        (0, _read_stream(0, 4 * LINE), 4),
-    ]
-    batched = _feed(PrestoreLint(min_count=1, min_share=0.0), schedule, expand=False)
-    unrolled = _feed(PrestoreLint(min_count=1, min_share=0.0), schedule, expand=True)
-    assert batched == unrolled
-    assert any(d.rule == "prestore.skip-reread" for d in batched)
-    (finding,) = [d for d in batched if d.rule == "prestore.skip-reread"]
-    assert finding.count == 4
+    def body(t, shared):
+        with t.function("writer", file="stream.c", line=3):
+            yield from t.write_block(shared.base, 4 * LINE, nontemporal=True)
+        with t.function("reader", file="stream.c", line=9):
+            yield from t.read_block(shared.base, 4 * LINE)
+
+    found = _both(lambda: PrestoreLint(min_count=1, min_share=0.0), [body])
+    assert _finding(found, "prestore.skip-reread")["count"] == 4
+
+
+def test_prestore_lint_strided_reads_equal_unrolled() -> None:
+    # The same skip-reread, found by 8 B loads at a one-line stride.
+    def body(t, shared):
+        with t.function("writer", file="stream.c", line=3):
+            yield from t.write_block(shared.base, 4 * LINE, nontemporal=True)
+        with t.function("reader", file="stream.c", line=9):
+            yield from t.read_strided(shared.base + 8, 8, LINE, 4)
+
+    found = _both(lambda: PrestoreLint(min_count=1, min_share=0.0), [body])
+    assert _finding(found, "prestore.skip-reread")["count"] == 4
 
 
 def test_stream_instruction_indexing_matches_expansion() -> None:
-    """Indices attributed to expanded accesses advance one per access —
-    the same weighting the machine's unrolled execution gives them."""
-    lint = PrestoreLint(min_count=1, min_share=0.0)
-    lint.record(0, _write_stream(0, 2 * LINE, nontemporal=True), 0, 0.0)
-    # The second access retired at index 1, so a read at index 2 is one
-    # instruction after it, not two after the stream's start.
-    lint.record(0, Event(EventKind.READ, addr=LINE, size=8, site=READER), 2, 0.0)
-    (finding,) = [d for d in lint.diagnostics() if d.rule == "prestore.skip-reread"]
-    assert finding.count == 1
+    """Unrolled accesses retire one instruction each: a read right after
+    a two-access NT stream is at index 2, one after the stream's last
+    access, and is attributed there under both vocabularies."""
+
+    def body(t, shared):
+        with t.function("writer", file="stream.c", line=3):
+            yield from t.write_block(shared.base, 2 * LINE, nontemporal=True)
+        with t.function("reader", file="stream.c", line=9):
+            yield t.read(shared.base + LINE, 8)
+
+    found = _both(lambda: PrestoreLint(min_count=1, min_share=0.0), [body])
+    finding = _finding(found, "prestore.skip-reread")
+    assert finding["count"] == 1
+    assert finding["instr_index"] == 2
+
+
+def test_strided_listing2_sanitized_streams_equal_unrolled() -> None:
+    # Listing 2's interposed reads are strided STREAM_READs (runs of at
+    # most 128 loads, two per 128 B line on Machine B): the sanitized
+    # run must match the per-access one finding for finding.
+    def run(streams):
+        workload = Listing2(reads_before_fence=130, iterations=40)
+        patches = endorsed_patches(workload, PrestoreMode.DEMOTE)
+        program = Program(machine_b_fast(), sanitize=True, streams=streams)
+        workload.spawn(program, patches)
+        result = program.run()
+        diagnostics = _normal(result.diagnostics)
+        result.diagnostics = []
+        return diagnostics, result.to_json(), program.machine.path_counts()
+
+    batched, unrolled = run(True), run(False)
+    assert batched[:2] == unrolled[:2]
+    # The warm-up block (64 lines) and 40 iterations x (128 + 2) strided
+    # reads: all unrolled for the passes, all fused without them.
+    assert batched[2]["unrolled"] == 64 + 40 * 130
+    baseline = Program(machine_b_fast(), streams=True)
+    Listing2(reads_before_fence=130, iterations=40).spawn(baseline, PatchConfig.baseline())
+    baseline.run()
+    assert baseline.machine.path_counts()["fused"] == 64 + 40 * 130

@@ -235,10 +235,12 @@ class _StreamRecorder(_Recorder):
         super().__init__()
         self.runs = 0
 
-    def record_stream(self, core_id, kind, addr, size, chunk, index, clocks, site, callchain):
+    def record_stream(
+        self, core_id, kind, addr, size, chunk, stride, index, clocks, site, callchain
+    ):
         self.runs += 1
         for k in range(len(clocks) - 1):
-            offset = k * chunk
+            offset = k * stride
             self.records.append(
                 (core_id, kind, addr + offset, min(chunk, size - offset), index + k,
                  clocks[k + 1] - clocks[k])

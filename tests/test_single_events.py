@@ -86,9 +86,11 @@ class _Recorder:
 class _StreamRecorder(_Recorder):
     """Also takes fused runs in bulk, expanded into the same records."""
 
-    def record_stream(self, core_id, kind, addr, size, chunk, index, clocks, site, callchain):
+    def record_stream(
+        self, core_id, kind, addr, size, chunk, stride, index, clocks, site, callchain
+    ):
         for k in range(len(clocks) - 1):
-            offset = k * chunk
+            offset = k * stride
             self.records.append(
                 (core_id, kind.value, addr + offset, min(chunk, size - offset), index + k,
                  clocks[k + 1] - clocks[k])
@@ -403,7 +405,7 @@ def _profiled_run(make, profile, spec):
     program.machine.attach_observer(counter)
     make().spawn(program, PatchConfig.baseline())
     result = program.run()
-    return result, counter.stepped, program.obs
+    return result, counter.stepped, program.obs, program.machine.path_counts()
 
 
 @pytest.mark.parametrize(
@@ -414,11 +416,15 @@ def _profiled_run(make, profile, spec):
     ],
 )
 def test_profiler_sees_every_single_event(make):
-    profiled, stepped, collector = _profiled_run(make, True, machine_b_fast())
+    profiled, stepped, collector, paths = _profiled_run(make, True, machine_b_fast())
     dispatch = collector.profiler.stats()["sim.dispatch"]
     assert stepped > 0
     assert dispatch.count == stepped
-    plain, plain_stepped, _ = _profiled_run(make, False, machine_b_fast())
+    # Stream accesses (Listing 2's strided reads among them) reach the
+    # profiler one ``step`` each: the collector has no record_stream.
+    assert paths["fused"] == 0 and paths["unrolled"] > 0
+    assert stepped >= paths["unrolled"] + paths["single"]
+    plain, plain_stepped, _, _ = _profiled_run(make, False, machine_b_fast())
     assert plain_stepped == stepped
     assert profiled.to_json() == plain.to_json()
     # And with no observer at all: same statistics, no timeline.

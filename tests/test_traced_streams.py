@@ -168,7 +168,7 @@ def test_sampling_countdown_replays_each_delta(deltas, period, start):
     for delta in deltas:
         clocks.append(clocks[-1] + delta)
     bulk, unrolled = SamplingTracer(period), SamplingTracer(period)
-    bulk.record_stream(0, WRITE, 4096, 64 * len(deltas) - 8, 64, 10, clocks, _SITE, ())
+    bulk.record_stream(0, WRITE, 4096, 64 * len(deltas) - 8, 64, 64, 10, clocks, _SITE, ())
     for k in range(len(deltas)):
         size = 64 if k + 1 < len(deltas) else 56
         access = Event.fast_access(WRITE, 4096 + 64 * k, size, False, False, _SITE, ())
