@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint sanitize obs-demo bench bench-sim bench-check sweep-smoke serve-smoke faults crashcheck dirtbuster-smoke experiments-smoke
+.PHONY: test lint sanitize obs-demo sweep-smoke serve-smoke faults crashcheck dirtbuster-smoke experiments-smoke
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -14,46 +14,6 @@ lint:
 
 sanitize:
 	$(PYTHON) -m repro.sanitize examples/quickstart.py
-
-# Runner benchmark: serial vs parallel (cold pool / warm pool), cold vs
-# warm cache, on a 64-cell grid, plus a 2/4/8-worker scaling curve —
-# with a byte-identity check between the serial and every pooled run.
-# Writes BENCH_runner.json (uploaded as a CI artifact by the bench-smoke
-# job) plus the SweepMonitor JSONL progress stream, and appends the run
-# to the BENCH_history.jsonl trajectory (DESIGN.md §14).
-bench:
-	mkdir -p build
-	$(PYTHON) -m repro.runner bench --workers 4 --cells 64 --workers-sweep 2,4,8 \
-		--cache-dir build/runner-cache --out BENCH_runner.json \
-		--monitor-jsonl build/sweep-monitor.jsonl
-	$(PYTHON) -m repro.obs.regress append --bench runner BENCH_runner.json
-
-# Simulator benchmark: events/sec for the reference (per-access event)
-# vs. batched stream interpreter on every machine preset — warm/cold
-# sequential plus the page-shuffled rand_write_cold / rand_read_cold /
-# mixed_cold matrix (DESIGN.md §15) — with a bit-identity check between
-# the two paths.  Writes BENCH_sim.json and appends the run to the
-# BENCH_history.jsonl trajectory, where bench-check gates it.
-bench-sim:
-	$(PYTHON) -m repro.sim.bench --out BENCH_sim.json
-	$(PYTHON) -m repro.obs.regress append --bench sim BENCH_sim.json
-
-# Benchmark regression gate: run both harnesses at CI-smoke scale (the
-# runner's reduced sweep; the simulator's two fastest presets), append
-# the results to BENCH_history.jsonl, and compare the newest entries
-# against their predecessors under the noise thresholds in
-# repro.obs.regress — non-zero exit (and a trend report naming the
-# regressed metric and both code fingerprints) on regression.
-bench-check:
-	mkdir -p build
-	$(PYTHON) -m repro.runner bench --workers 4 --cells 64 --workers-sweep 2,4,8 \
-		--cache-dir build/runner-cache --out BENCH_runner.json \
-		--monitor-jsonl build/sweep-monitor.jsonl --no-sim
-	$(PYTHON) -m repro.sim.bench --quick \
-		--preset machine-A --preset machine-A-dram --out BENCH_sim.json
-	$(PYTHON) -m repro.obs.regress append --bench runner BENCH_runner.json
-	$(PYTHON) -m repro.obs.regress append --bench sim BENCH_sim.json
-	$(PYTHON) -m repro.obs.regress check
 
 # Sweep-scale smoke: run a 64-cell grid chunked at workers=2, stop it
 # on purpose after 24 cells (exit 75 = resumable), then resume from the

@@ -4,21 +4,17 @@
   Section 7.1 "time issuing stores" filter;
 * :mod:`repro.analysis.ipmctl` — the ``ipmctl``-style media counters used
   to measure write amplification;
-* :mod:`repro.analysis.sweep` — parameter-sweep helpers;
 * :mod:`repro.analysis.tables` — text-table rendering.
 """
 
 from repro.analysis.ipmctl import MediaCounters, read_media_counters
 from repro.analysis.perf import StoreTimeProfile, profile_store_time
-from repro.analysis.sweep import SweepPoint, sweep
 from repro.analysis.tables import format_table
 
 __all__ = [
     "MediaCounters",
     "StoreTimeProfile",
-    "SweepPoint",
     "format_table",
     "profile_store_time",
     "read_media_counters",
-    "sweep",
 ]

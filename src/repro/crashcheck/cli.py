@@ -27,25 +27,10 @@ from repro.crashcheck.crossval import cross_validate
 from repro.crashcheck.verify import GUARANTEED, POSSIBLY_LOST, check_workload, patches_for
 from repro.faults.workloads import KVPersistWorkload, LogAppendWorkload
 from repro.sanitize.report import render_report
-from repro.sim.machine import (
-    MachineSpec,
-    machine_a,
-    machine_a_cxl,
-    machine_b_fast,
-    machine_b_slow,
-    machine_dram,
-)
+from repro.sim.machine import PRESETS
 from repro.workloads.base import Workload
 
 __all__ = ["main", "run_self_check"]
-
-MACHINES: Dict[str, Callable[[], MachineSpec]] = {
-    "a": machine_a,
-    "a-cxl": machine_a_cxl,
-    "dram": machine_dram,
-    "b-fast": machine_b_fast,
-    "b-slow": machine_b_slow,
-}
 
 WORKLOADS: Dict[str, Callable[[], Workload]] = {
     "kvpersist": KVPersistWorkload,
@@ -69,7 +54,7 @@ def _build_workload(name: str) -> Workload:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     workload = _build_workload(args.workload)
-    spec = MACHINES[args.machine]()
+    spec = PRESETS[args.machine]()
     mode = PrestoreMode(args.mode)
     report = check_workload(
         workload,
@@ -106,7 +91,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_crossval(args: argparse.Namespace) -> int:
-    spec = MACHINES[args.machine]()
+    spec = PRESETS[args.machine]()
     mode = PrestoreMode(args.mode)
     factory = WORKLOADS[args.workload] if args.workload in WORKLOADS else None
     if factory is None:
@@ -182,7 +167,7 @@ def run_self_check(fast: bool = False, seed: int = 1234) -> int:
 
     for machine_key, workload_name, mode, adr in configs:
         factory = _SMALL_WORKLOADS[workload_name]
-        spec = MACHINES[machine_key]()
+        spec = PRESETS[machine_key]()
         domain = "adr" if adr else "media-only"
         print(f"{workload_name} on {machine_key} (mode={mode.value}, {domain}):")
 
@@ -243,7 +228,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     report = sub.add_parser("report", help="static verification report for one config")
     report.add_argument("--workload", default="kvpersist", help=f"one of {sorted(WORKLOADS)}")
-    report.add_argument("--machine", default="a", choices=sorted(MACHINES))
+    report.add_argument("--machine", default="a", choices=sorted(PRESETS))
     report.add_argument("--mode", default="none", choices=[m.value for m in PrestoreMode])
     report.add_argument("--no-adr", action="store_true", help="media-only persistence domain")
     report.add_argument("--seed", type=int, default=1234)
@@ -251,7 +236,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     crossval = sub.add_parser("crossval", help="one static<->dynamic differential, JSON out")
     crossval.add_argument("--workload", default="kvpersist", help=f"one of {sorted(WORKLOADS)}")
-    crossval.add_argument("--machine", default="a", choices=sorted(MACHINES))
+    crossval.add_argument("--machine", default="a", choices=sorted(PRESETS))
     crossval.add_argument("--mode", default="none", choices=[m.value for m in PrestoreMode])
     crossval.add_argument("--no-adr", action="store_true")
     crossval.add_argument("--seed", type=int, default=1234)

@@ -14,23 +14,9 @@ import sys
 from typing import List, Optional
 
 from repro.dirtbuster.runner import DirtBuster, DirtBusterConfig
-from repro.sim.machine import (
-    machine_a,
-    machine_a_cxl,
-    machine_b_fast,
-    machine_b_slow,
-    machine_dram,
-)
+from repro.sim.machine import PRESETS
 from repro.workloads.registry import WORKLOAD_FACTORIES, make_workload
 from repro.workloads.phoronix import PHORONIX_APPS
-
-_MACHINES = {
-    "a": machine_a,
-    "a-dram": machine_dram,
-    "a-cxl": machine_a_cxl,
-    "b-fast": machine_b_fast,
-    "b-slow": machine_b_slow,
-}
 
 
 def _positive_int(text: str) -> int:
@@ -51,7 +37,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument("workload", nargs="?", help=f"one of: {', '.join(known)}")
     parser.add_argument("--list", action="store_true", help="list known workloads")
-    parser.add_argument("--machine", choices=sorted(_MACHINES), default="a")
+    parser.add_argument("--machine", choices=sorted(PRESETS), default="a")
     parser.add_argument("--sampling-period", type=_positive_int, default=229)
     parser.add_argument("--seed", type=int, default=1234)
     args = parser.parse_args(argv)
@@ -63,7 +49,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error("give a workload name or --list")
 
     workload = make_workload(args.workload)
-    spec = _MACHINES[args.machine]()
+    spec = PRESETS[args.machine]()
     config = DirtBusterConfig(sampling_period=args.sampling_period)
     report = DirtBuster(config).analyze(workload, spec, seed=args.seed)
     print(report.render())

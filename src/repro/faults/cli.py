@@ -28,23 +28,8 @@ from repro.faults.harness import run_with_faults
 from repro.faults.plan import CrashPoint, FaultPlan
 from repro.faults.workloads import KVPersistWorkload, LogAppendWorkload
 from repro.obs.log import basic_config
-from repro.sim.machine import (
-    MachineSpec,
-    machine_a,
-    machine_a_cxl,
-    machine_b_fast,
-    machine_b_slow,
-    machine_dram,
-)
+from repro.sim.machine import PRESETS
 from repro.workloads.base import Workload
-
-MACHINES: Dict[str, Callable[[], MachineSpec]] = {
-    "a": machine_a,
-    "a-cxl": machine_a_cxl,
-    "dram": machine_dram,
-    "b-fast": machine_b_fast,
-    "b-slow": machine_b_slow,
-}
 
 WORKLOADS: Dict[str, Callable[[], Workload]] = {
     "kvpersist": KVPersistWorkload,
@@ -96,7 +81,7 @@ def _run_one(
     obs: "bool | object" = False,
 ):
     workload = _build_workload(workload_name)
-    spec = MACHINES[machine_key]()
+    spec = PRESETS[machine_key]()
     crash = None if crash_instruction is None else CrashPoint(at_instruction=crash_instruction)
     plan = FaultPlan(crash=crash, combiner_persistent=adr)
     return run_with_faults(
@@ -105,15 +90,13 @@ def _run_one(
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    if args.machine not in MACHINES:
-        raise SystemExit(f"unknown machine {args.machine!r} (expected one of {sorted(MACHINES)})")
     mode = PrestoreMode(args.mode)
     workload = _build_workload(args.workload)
     if args.crash_at_instr is not None:
         crash_instruction: Optional[int] = args.crash_at_instr
     elif args.crash_frac is not None:
         crash_instruction = _crash_instruction(
-            workload, args.crash_frac, MACHINES[args.machine]().line_size, mode
+            workload, args.crash_frac, PRESETS[args.machine]().line_size, mode
         )
     else:
         crash_instruction = None
@@ -160,7 +143,7 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
     for machine_key in machines:
         for workload_name in sorted(WORKLOADS):
             workload = _build_workload(workload_name)
-            crash_at = _crash_instruction(workload, 0.5, MACHINES[machine_key]().line_size)
+            crash_at = _crash_instruction(workload, 0.5, PRESETS[machine_key]().line_size)
             print(f"{workload_name} on {machine_key} (crash at instr {crash_at}):")
 
             # 1. Protocol on (clean + fence before ack): nothing acked is lost.
@@ -191,7 +174,7 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
             # 4. Empty plan is the identity: harness result == plain run.
             plain_workload = _build_workload(workload_name)
             plain = plain_workload.run(
-                MACHINES[machine_key](),
+                PRESETS[machine_key](),
                 _patches_for(plain_workload, PrestoreMode.CLEAN),
                 seed=args.seed,
             ).run
@@ -215,7 +198,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     run = sub.add_parser("run", help="one faulted run, report as JSON")
     run.add_argument("--workload", default="kvpersist", help=f"one of {sorted(WORKLOADS)}")
-    run.add_argument("--machine", default="a", help=f"one of {sorted(MACHINES)}")
+    run.add_argument("--machine", default="a", choices=sorted(PRESETS))
     run.add_argument("--mode", default="clean", choices=[m.value for m in PrestoreMode])
     run.add_argument("--crash-at-instr", type=int, default=None)
     run.add_argument(

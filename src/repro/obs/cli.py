@@ -31,6 +31,7 @@ from typing import List, Optional, Sequence
 
 from repro.obs.collector import ObsCollector
 from repro.obs.log import basic_config, get_logger, run_context
+from repro.sim.machine import PRESETS
 
 __all__ = ["main", "render_timeline", "self_check"]
 
@@ -38,26 +39,6 @@ _log = get_logger("cli")
 
 #: Pure-ASCII intensity ramp for terminal timelines.
 _RAMP = " .:-=+*#%@"
-
-_MACHINES = {
-    "a": "machine_a",
-    "dram": "machine_dram",
-    "a-cxl": "machine_a_cxl",
-    "b-fast": "machine_b_fast",
-    "b-slow": "machine_b_slow",
-}
-
-
-def _make_spec(name: str, seed: int):
-    import repro.sim.machine as machines
-
-    try:
-        factory = getattr(machines, _MACHINES[name])
-    except KeyError:
-        raise SystemExit(
-            f"unknown machine {name!r}; choose from {sorted(_MACHINES)}"
-        ) from None
-    return factory(seed=seed)
 
 
 def _sparkline(values: Sequence[float], width: int) -> str:
@@ -111,7 +92,7 @@ def _run(args: argparse.Namespace) -> int:
     from repro.workloads.registry import make_workload
 
     workload = make_workload(args.workload)
-    spec = _make_spec(args.machine, args.seed)
+    spec = PRESETS[args.machine](seed=args.seed)
     mode = PrestoreMode(args.mode)
     patches = PatchConfig.baseline()
     if mode is not PrestoreMode.NONE:
@@ -258,7 +239,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     run_p = sub.add_parser("run", help="run one workload with telemetry attached")
     run_p.add_argument("--workload", required=True, help="registry name (e.g. listing1, x9)")
-    run_p.add_argument("--machine", default="a", choices=sorted(_MACHINES))
+    run_p.add_argument("--machine", default="a", choices=sorted(PRESETS))
     run_p.add_argument("--mode", default="none", choices=["none", "clean", "demote", "skip"],
                        help="pre-store mode applied at every patch site")
     run_p.add_argument("--seed", type=int, default=1234)

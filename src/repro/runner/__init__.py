@@ -11,8 +11,9 @@ The runner turns any sweep — a registered experiment, a
 * **a content-addressed cache** — keyed on factory identity, machine
   spec, mode/patches, seed, and a fingerprint of the simulator sources
   (:class:`~repro.runner.cache.ResultCache`); and
-* **a benchmark harness** — ``python -m repro.runner bench`` /
-  ``make bench`` writes ``BENCH_runner.json``.
+* **resumable sweeps** — :func:`~repro.runner.grid.run_grid` journals
+  terminal outcomes and skips completed cells on a re-run
+  (``python -m repro.runner sweep``, ``make sweep-smoke``).
 
 See DESIGN.md ("The runner") for the sharding model and cache-key
 contract.
@@ -29,7 +30,7 @@ from repro.runner.cells import (
     run_cell,
 )
 from repro.runner.grid import Grid, load_journal, run_grid
-from repro.runner.monitor import SweepEvent, SweepMonitor, replay_outcomes
+from repro.runner.monitor import SweepEvent, SweepMonitor
 from repro.runner.pool import (
     CellOutcome,
     RunnerSession,
@@ -56,7 +57,6 @@ __all__ = [
     "describe_factory",
     "execute_cells",
     "load_journal",
-    "replay_outcomes",
     "retry_delay",
     "run_cell",
     "run_grid",

@@ -15,10 +15,6 @@ source of truth: ``load`` addresses them directly, so a lost or stale
 manifest costs bookkeeping accuracy, never correctness (``gc()``
 re-adopts anything untracked).
 
-Two older layouts are read through transparently and migrated on hit:
-the v1 single-level fan-out (``<root>/<key[:2]>/<key>.json``) and the
-original flat layout (``<root>/<key>.json``).
-
 The payload file holds exactly the bytes ``RunResult.to_json()``
 produced, so a cache hit reproduces the serialised result *bit for
 bit* — the determinism contract extends through the cache.  Writes go
@@ -101,11 +97,6 @@ class ResultCache:
 
     def _meta_path(self, key: str) -> Path:
         return self._shard_dir(key) / f"{key}.meta.json"
-
-    def _legacy_paths(self, key: str) -> Iterator[Tuple[Path, Path]]:
-        """(payload, meta) locations of the pre-shard layouts, newest first."""
-        yield self.root / key[:2] / f"{key}.json", self.root / key[:2] / f"{key}.meta.json"
-        yield self.root / f"{key}.json", self.root / f"{key}.meta.json"
 
     @property
     def _manifest_path(self) -> Path:
@@ -213,55 +204,31 @@ class ResultCache:
         )
 
     def _walk_payloads(self) -> Iterator[Path]:
-        """Every payload file on disk, whatever layout it uses (O(n))."""
+        """Every payload file at its sharded path (O(n))."""
         for dirpath, _dirnames, filenames in os.walk(self.root):
             for name in filenames:
                 if name.endswith(".json") and not name.endswith(".meta.json"):
-                    yield Path(dirpath) / name
+                    path = Path(dirpath) / name
+                    if path == self._payload_path(name[: -len(".json")]):
+                        yield path
 
     # -- read/write ---------------------------------------------------------
 
     def load(self, key: str) -> Optional[str]:
         """The stored RunResult JSON, or None on a miss (counts stats).
 
-        O(1): the sharded path is addressed directly, falling back to
-        the two legacy layouts (whose entries are migrated in place on
-        first hit).  A hit bumps the entry's recency for LRU eviction.
+        O(1): the sharded path is addressed directly.  A hit bumps the
+        entry's recency for LRU eviction.
         """
         path = self._payload_path(key)
         try:
             text = path.read_text()
         except OSError:
-            text = self._load_legacy(key)
-            if text is None:
-                self.misses += 1
-                return None
-            path = self._payload_path(key)
+            self.misses += 1
+            return None
         self.hits += 1
         self._touch(key, path)
         return text
-
-    def _load_legacy(self, key: str) -> Optional[str]:
-        """Read-through an old-layout entry, migrating it into the shard."""
-        for payload, meta in self._legacy_paths(key):
-            try:
-                text = payload.read_text()
-            except OSError:
-                continue
-            new_payload = self._payload_path(key)
-            new_payload.parent.mkdir(parents=True, exist_ok=True)
-            try:
-                os.replace(payload, new_payload)
-                if meta.is_file():
-                    os.replace(meta, self._meta_path(key))
-            except OSError:
-                # Lost a migration race; the bytes we read are still good.
-                pass
-            self._append_op(
-                {"op": "add", "key": key, "bytes": len(text.encode()), "mtime": time.time()}
-            )
-            return text
-        return None
 
     def _touch(self, key: str, path: Path) -> None:
         """Bump LRU recency: in-memory always, on disk best-effort."""
@@ -310,10 +277,7 @@ class ResultCache:
 
     def evict(self, key: str) -> None:
         """Remove one entry (payload + meta sidecar), ignoring races."""
-        paths = [self._payload_path(key), self._meta_path(key)]
-        for payload, meta in self._legacy_paths(key):
-            paths += [payload, meta]
-        for path in paths:
+        for path in (self._payload_path(key), self._meta_path(key)):
             try:
                 path.unlink()
             except OSError:
@@ -324,13 +288,10 @@ class ResultCache:
         self.evictions += 1
 
     def load_meta(self, key: str) -> Dict[str, object]:
-        candidates = [self._meta_path(key)] + [meta for _payload, meta in self._legacy_paths(key)]
-        for path in candidates:
-            try:
-                return json.loads(path.read_text())
-            except (OSError, ValueError):
-                continue
-        return {}
+        try:
+            return json.loads(self._meta_path(key).read_text())
+        except (OSError, ValueError):
+            return {}
 
     def store(self, key: str, result_json: str, meta: Optional[Dict[str, object]] = None) -> None:
         """Atomically persist a result (and its provenance sidecar).
@@ -429,14 +390,13 @@ class ResultCache:
           (crash between payload rename and manifest append, or entries
           written by a pre-manifest tree) — adopting, not deleting,
           because payload files are the source of truth,
-        * migrates legacy-layout payloads into their shard,
         * deletes meta sidecars whose payload is gone, and
         * drops index entries whose payload vanished,
 
         then compacts the manifest.  Returns counts per action.
         """
         self._ensure_index()
-        counts = {"tmp_removed": 0, "adopted": 0, "migrated": 0, "meta_removed": 0, "dropped": 0}
+        counts = {"tmp_removed": 0, "adopted": 0, "meta_removed": 0, "dropped": 0}
         if self.root.is_dir():
             for dirpath, _dirnames, filenames in os.walk(self.root):
                 for name in sorted(filenames):
@@ -449,10 +409,7 @@ class ResultCache:
                             pass
                     elif name.endswith(".meta.json"):
                         key = name[: -len(".meta.json")]
-                        if not (
-                            self._payload_path(key).is_file()
-                            or any(p.is_file() for p, _m in self._legacy_paths(key))
-                        ):
+                        if not self._payload_path(key).is_file():
                             try:
                                 path.unlink()
                                 counts["meta_removed"] += 1
@@ -460,23 +417,9 @@ class ResultCache:
                                 pass
                     elif name.endswith(".json"):
                         key = name[: -len(".json")]
-                        canonical = self._payload_path(key)
-                        if path != canonical:
-                            canonical.parent.mkdir(parents=True, exist_ok=True)
+                        if key not in self._index and path == self._payload_path(key):
                             try:
-                                os.replace(path, canonical)
-                                counts["migrated"] += 1
-                            except OSError:
-                                continue
-                            meta = path.with_name(f"{key}.meta.json")
-                            if meta.is_file():
-                                try:
-                                    os.replace(meta, self._meta_path(key))
-                                except OSError:
-                                    pass
-                        if key not in self._index:
-                            try:
-                                stat = canonical.stat()
+                                stat = path.stat()
                             except OSError:
                                 continue
                             self._apply_op(

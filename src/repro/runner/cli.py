@@ -1,21 +1,17 @@
-"""``python -m repro.runner``: bench, sweeps, cache maintenance, monitoring.
+"""``python -m repro.runner``: resumable sweeps, cache maintenance, monitoring.
 
 Examples::
 
-    python -m repro.runner bench --workers 4 --out BENCH_runner.json
-    python -m repro.runner bench --cells 64 --workers-sweep 1,2,4,8
-    python -m repro.runner bench --watch --monitor-jsonl build/sweep.jsonl
     python -m repro.runner sweep --cells 64 --workers 2 --journal build/j.jsonl
     python -m repro.runner sweep --cells 64 --stop-after 20   # exits 75: resume me
+    python -m repro.runner sweep --cells 64 --watch --monitor-jsonl build/sweep.jsonl
     python -m repro.runner cache --dir build/runner-cache
     python -m repro.runner cache --dir build/runner-cache --gc
     python -m repro.runner cache --dir build/runner-cache --clear
 
-``bench`` times the comparison phases and writes ``BENCH_runner.json``
-(``--cells``/``--workers-sweep`` grow the grid and record a scaling
-curve).  ``sweep`` executes a demo grid *resumably*: terminal outcomes
-append to ``--journal`` as they land, a re-run skips completed cells,
-and ``--stop-after N`` stops early on purpose (exit code 75, the
+``sweep`` executes a demo grid of NAS kernels *resumably*: terminal
+outcomes append to ``--journal`` as they land, a re-run skips completed
+cells, and ``--stop-after N`` stops early on purpose (exit code 75, the
 sysexits EX_TEMPFAIL convention: partial progress, run me again) — the
 deterministic stand-in for a killed sweep in the CI smoke job.
 
@@ -25,22 +21,27 @@ cells/s, ETA, per-kind simulator event rates); ``--monitor-jsonl``
 appends the same event stream plus a final metrics summary to a JSONL
 progress file for headless runs.  Parallel experiment sweeps live on
 the experiments CLI (``prestores-experiments fig9 --workers 4 ...``);
-this entry point owns the runner's own artifacts.
+this entry point owns the runner's own artifacts.  Timing lives in the
+end-to-end benchmark (``python3 -m benchmarks.e2e``), not here.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import sys
 import time
 from typing import List, Optional
 
+from repro.core.prestore import PrestoreMode
 from repro.obs.log import basic_config
-from repro.runner.bench import bench_cells, run_bench
 from repro.runner.cache import ResultCache
-from repro.runner.grid import run_grid
+from repro.runner.cells import Cell
+from repro.runner.grid import Grid, run_grid
 from repro.runner.monitor import SweepEvent, SweepMonitor
+from repro.sim.machine import machine_a
 
 #: sysexits.h EX_TEMPFAIL: the sweep stopped with work remaining —
 #: rerun the same command to resume from the journal.
@@ -75,71 +76,37 @@ class _WatchRenderer:
             print(self.monitor.render_dashboard())
 
 
-def _parse_workers_sweep(text: str) -> List[int]:
-    try:
-        values = [int(part) for part in text.split(",") if part.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma-separated int list: {text!r}")
-    if not values or any(v < 1 for v in values):
-        raise argparse.ArgumentTypeError(f"worker counts must be >= 1: {text!r}")
-    return values
+def _demo_cells(count: int, full: bool = False) -> List[Cell]:
+    """The sweep demo: NAS kernels x (baseline, clean) x enough seeds.
+
+    The grid grows seed-wise (8 cells per seed) to at least ``count``
+    cells and is truncated to exactly ``count``; the expansion is
+    row-major, so the same ``count`` always names the same cells.
+    """
+    from repro.workloads.nas import FTWorkload, MGWorkload, SPWorkload, UAWorkload
+
+    kernels = (MGWorkload, FTWorkload, SPWorkload, UAWorkload)
+    grid = 24 if full else 16
+    iterations = 2 if full else 1
+    seeds = max(1, math.ceil(count / (len(kernels) * 2)))
+    cells = Grid(
+        factories=[
+            functools.partial(cls, grid=grid, iterations=iterations, threads=4)
+            for cls in kernels
+        ],
+        machines=[machine_a()],
+        modes=(PrestoreMode.NONE, PrestoreMode.CLEAN),
+        seeds=range(1234, 1234 + seeds),
+    ).cells()
+    return cells[:count]
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.runner",
-        description="Process-pool experiment runner: benchmark, sweeps, cache tools.",
+        description="Process-pool experiment runner: resumable sweeps, cache tools.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    bench = sub.add_parser("bench", help="time serial vs parallel, cold vs warm cache")
-    bench.add_argument("--workers", type=int, default=4)
-    bench.add_argument(
-        "--cells",
-        type=int,
-        default=None,
-        metavar="N",
-        help="grow the grid to N cells (seed axis); default keeps the 8-cell sweep",
-    )
-    bench.add_argument(
-        "--workers-sweep",
-        type=_parse_workers_sweep,
-        default=None,
-        metavar="W1,W2,...",
-        help="also record a cold+warm scaling curve at these worker counts",
-    )
-    bench.add_argument("--chunk-size", type=int, default=None, help="cells per dispatch chunk")
-    bench.add_argument("--cache-dir", default="build/runner-cache")
-    bench.add_argument("--out", default="BENCH_runner.json")
-    bench.add_argument("--full", action="store_true", help="bigger grids (slower)")
-    bench.add_argument("--verbose", action="store_true", help="log per-cell progress")
-    bench.add_argument(
-        "--no-sim",
-        action="store_true",
-        help="skip the event-interpreter throughput summary (repro.sim.bench)",
-    )
-    bench.add_argument(
-        "--no-serving",
-        action="store_true",
-        help="skip the serving throughput cell (repro.traffic)",
-    )
-    bench.add_argument(
-        "--watch",
-        action="store_true",
-        help="live sweep dashboard: utilisation, hit-rate, cells/s, ETA, event rates",
-    )
-    bench.add_argument(
-        "--monitor-jsonl",
-        metavar="PATH",
-        default=None,
-        help="append the SweepMonitor event stream + summary lines here (JSONL)",
-    )
-    bench.add_argument(
-        "--outcomes",
-        metavar="PATH",
-        default=None,
-        help="write the per-cell CellOutcome list for every bench phase here (JSON)",
-    )
 
     sweep = sub.add_parser("sweep", help="run a demo grid resumably (journal + skip)")
     sweep.add_argument("--cells", type=int, default=64, metavar="N", help="grid size")
@@ -180,49 +147,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     cache.add_argument(
         "--gc",
         action="store_true",
-        help="adopt/migrate stray payloads, drop orphaned index entries, compact",
+        help="adopt stray payloads, drop orphaned index entries, compact",
     )
 
     args = parser.parse_args(argv)
 
-    if args.command == "bench":
-        if args.verbose:
-            basic_config()
-        monitor: Optional[SweepMonitor] = None
-        events = None
-        if args.watch or args.monitor_jsonl:
-            monitor = SweepMonitor(progress_path=args.monitor_jsonl)
-            events = _WatchRenderer(monitor) if args.watch else monitor
-        try:
-            doc = run_bench(
-                workers=args.workers,
-                cache_dir=args.cache_dir,
-                out=args.out,
-                full=args.full,
-                cells_count=args.cells,
-                workers_sweep=args.workers_sweep,
-                chunk_size=args.chunk_size,
-                sim=not args.no_sim,
-                serving=not args.no_serving,
-                events=events,
-                outcomes_out=args.outcomes,
-            )
-        finally:
-            if monitor is not None:
-                monitor.close()
-        print(json.dumps(doc, indent=2))
-        ok = doc["deterministic"] and doc["warm_all_cached"]
-        print(f"wrote {args.out}" + ("" if ok else " (FAILED invariants)"))
-        if args.outcomes:
-            print(f"wrote {args.outcomes}")
-        if args.monitor_jsonl:
-            print(f"wrote {args.monitor_jsonl}")
-        return 0 if ok else 1
-
     if args.command == "sweep":
         if args.verbose:
             basic_config()
-        cells = bench_cells(full=args.full, count=args.cells)
+        cells = _demo_cells(args.cells, full=args.full)
         store = ResultCache(args.cache_dir) if args.cache_dir else None
         monitor = None
         events = None

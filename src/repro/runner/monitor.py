@@ -35,9 +35,9 @@ import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Union
+from typing import IO, TYPE_CHECKING, Callable, Dict, List, Optional, Union
 
-from repro.obs.export import export_snapshot, nullsafe_value, render_jsonl
+from repro.obs.export import export_snapshot, render_jsonl
 from repro.obs.log import get_logger
 from repro.obs.metrics import MetricsRegistry
 
@@ -45,7 +45,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runner.cache import ResultCache
     from repro.runner.pool import CellOutcome
 
-__all__ = ["SweepEvent", "SweepMonitor", "replay_outcomes", "EVENT_KINDS"]
+__all__ = ["SweepEvent", "SweepMonitor", "EVENT_KINDS"]
 
 _log = get_logger("monitor")
 
@@ -457,66 +457,3 @@ class SweepMonitor:
     def render_jsonl(self) -> str:
         return render_jsonl(self.registry, extra={"sweep": self.sweep_seq})
 
-
-def replay_outcomes(
-    outcomes: Sequence["CellOutcome"],
-    progress_path: Union[str, Path, None] = None,
-    clock: Callable[[], float] = time.monotonic,
-) -> SweepMonitor:
-    """Rebuild a monitor from a finished sweep's outcome list.
-
-    What makes ``python -m repro.runner bench --outcomes out.json``
-    reproducible: anything derived from per-cell facts (status counts,
-    attempts, worker cells/busy time, latency histogram, cache hit-rate,
-    sim event rates) is recomputed exactly; only the live wall-clock
-    gauges (elapsed, cells/s, ETA) differ, since replay is instant.
-    """
-    monitor = SweepMonitor(progress_path=progress_path, clock=clock)
-    monitor.emit(SweepEvent(kind="sweep_begin", total=len(outcomes)))
-    for i, outcome in enumerate(outcomes):
-        kind = {
-            "ok": "finish", "cached": "cache_hit", "timeout": "timeout", "failed": "failed",
-        }[outcome.status]
-        if kind == "finish":
-            monitor.emit(SweepEvent(kind="submit", index=i, total=len(outcomes),
-                                    run_id=outcome.run_id))
-        monitor.emit(
-            SweepEvent(
-                kind=kind,
-                index=i,
-                total=len(outcomes),
-                run_id=outcome.run_id,
-                worker=outcome.worker,
-                status=outcome.status,
-                wall_s=outcome.wall_s,
-                attempts=outcome.attempts,
-                error=outcome.error,
-                outcome=outcome,
-            )
-        )
-    monitor.emit(SweepEvent(kind="sweep_end"))
-    return monitor
-
-
-def outcome_to_dict(outcome: "CellOutcome") -> Dict[str, object]:
-    """Plain-data view of a :class:`CellOutcome` for ``--outcomes`` files.
-
-    Carries the per-cell facts the monitor aggregates (not the full
-    RunResult JSON — archives stay small); result-derived fields are
-    NaN-safe per the §10 null convention.
-    """
-    doc: Dict[str, object] = {
-        "run_id": outcome.run_id,
-        "status": outcome.status,
-        "cached": outcome.cached,
-        "worker": outcome.worker,
-        "wall_s": round(outcome.wall_s, 6),
-        "attempts": outcome.attempts,
-        "error": outcome.error,
-    }
-    result = outcome.result
-    if result is not None:
-        doc["cycles"] = nullsafe_value(result.cycles)
-        doc["instructions"] = result.instructions
-        doc["write_amplification"] = nullsafe_value(result.write_amplification)
-    return doc

@@ -28,22 +28,9 @@ from typing import Callable, List, Optional, Sequence
 from repro.errors import Diagnostic
 from repro.sanitize.report import render_report
 from repro.sanitize.runner import sanitize
-from repro.sim.machine import (
-    MachineSpec,
-    machine_a,
-    machine_b_fast,
-    machine_b_slow,
-    machine_dram,
-)
+from repro.sim.machine import PRESETS, MachineSpec
 
 __all__ = ["main"]
-
-_MACHINES: "dict[str, Callable[[], MachineSpec]]" = {
-    "a": machine_a,
-    "b-fast": machine_b_fast,
-    "b-slow": machine_b_slow,
-    "dram": machine_dram,
-}
 
 
 def _load_build_program(path: str) -> Optional[Callable[[MachineSpec], object]]:
@@ -99,7 +86,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     parser.add_argument(
         "--machine",
-        choices=sorted(_MACHINES),
+        choices=sorted(PRESETS),
         default="b-fast",
         help="machine preset for the dynamic passes (default: b-fast, the weak model)",
     )
@@ -135,7 +122,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if not targets:
         parser.error("no targets (pass files/directories or --self)")
 
-    spec_factory = _MACHINES[args.machine]
+    spec_factory = PRESETS[args.machine]
     diagnostics: List[Diagnostic] = []
     for target in targets:
         if os.path.isdir(target):

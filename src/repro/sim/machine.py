@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.sim.cache import CacheHierarchy, CacheLevel, CacheLevelSpec
@@ -52,6 +52,7 @@ __all__ = [
     "machine_b_fast",
     "machine_b_slow",
     "machine_dram",
+    "PRESETS",
 ]
 
 #: A thread body: an iterator of events (usually a generator).
@@ -632,3 +633,14 @@ def machine_b_slow(l2_kb: int = 512, num_cores: int = 12, seed: int = 42) -> Mac
     Representative of medium-tier CXL-accessible storage (Section 3).
     """
     return _machine_b("machine-B-slow", 200, 0.75, l2_kb, num_cores, seed)
+
+
+#: The machine presets by their command-line name; every CLI's
+#: ``--machine`` choices are ``sorted(PRESETS)``.
+PRESETS: Dict[str, Callable[..., MachineSpec]] = {
+    "a": machine_a,
+    "dram": machine_dram,
+    "a-cxl": machine_a_cxl,
+    "b-fast": machine_b_fast,
+    "b-slow": machine_b_slow,
+}

@@ -20,7 +20,7 @@ from repro.errors import ReproError
 from repro.experiments.common import endorsed_patches
 from repro.faults.harness import run_with_faults
 from repro.faults.plan import FaultPlan
-from repro.sim.bench import PRESETS
+from repro.sim.machine import PRESETS
 from repro.traffic.arrivals import ArrivalSpec
 from repro.traffic.serving import ServingWorkload
 from repro.workloads.kv.ycsb import YCSBSpec
@@ -173,7 +173,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--mode", choices=[m.value for m in PrestoreMode], default="clean"
     )
-    parser.add_argument("--machine", choices=sorted(PRESETS), default="machine-A")
+    parser.add_argument("--machine", choices=sorted(PRESETS), default="a")
     parser.add_argument("--seed", type=int, default=1234)
     parser.add_argument(
         "--crash-at",

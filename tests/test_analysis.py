@@ -1,4 +1,4 @@
-"""Unit tests for the analysis utilities (ipmctl, perf, sweep, tables)."""
+"""Unit tests for the analysis utilities (ipmctl, perf, tables)."""
 
 import math
 
@@ -6,9 +6,8 @@ import pytest
 
 from repro.analysis.ipmctl import MediaCounters, read_media_counters
 from repro.analysis.perf import profile_store_time
-from repro.analysis.sweep import sweep
 from repro.analysis.tables import format_table
-from repro.core.prestore import PatchConfig, PrestoreMode
+from repro.core.prestore import PatchConfig
 from repro.workloads.microbench import Listing1
 from repro.workloads.phoronix import ReadMostlyWorkload
 
@@ -40,20 +39,6 @@ class TestPerf:
         assert wp.store_share > rp.store_share
         assert "listing1_loop" in dict(wp.top_functions)
         assert "store" in wp.render() or "%" in wp.render()
-
-
-class TestSweep:
-    def test_sweep_covers_grid(self, tiny_machine_a):
-        points = sweep(
-            lambda size: Listing1(element_size=size, num_elements=64, iterations=100),
-            tiny_machine_a,
-            values=(256, 1024),
-            modes=(PrestoreMode.NONE, PrestoreMode.CLEAN),
-        )
-        assert len(points) == 4
-        combos = {(p.parameter, p.mode) for p in points}
-        assert (256, PrestoreMode.CLEAN) in combos
-        assert all(p.cycles > 0 for p in points)
 
 
 class TestTables:

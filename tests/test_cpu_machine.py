@@ -1,11 +1,14 @@
-"""Integration tests: cores, the machine scheduler, and pre-store semantics."""
+"""Integration tests: cores, the machine scheduler, pre-store semantics, presets."""
+
+import argparse
+import importlib
 
 import pytest
 
 from repro.core.prestore import PrestoreOp
 from repro.errors import SimulationError, WorkloadError
 from repro.sim.event import Mailbox
-from repro.sim.machine import Machine
+from repro.sim.machine import PRESETS, Machine
 from repro.workloads.memapi import Program
 
 
@@ -229,3 +232,34 @@ class TestCrossCoreTransfer:
         program.spawn(reader)
         result = program.run()
         assert result.cycles > 0  # executed both sides without error
+
+
+class TestPresets:
+    @pytest.mark.parametrize(
+        "cli",
+        [
+            "repro.crashcheck.cli",
+            "repro.dirtbuster.cli",
+            "repro.faults.cli",
+            "repro.obs.cli",
+            "repro.sanitize.cli",
+            "repro.traffic.cli",
+        ],
+    )
+    def test_cli_machine_choices_are_the_registry(self, cli, monkeypatch, capsys):
+        # One preset table: every CLI's --machine offers exactly the
+        # names of repro.sim.machine.PRESETS.
+        choices = []
+        add_argument = argparse._ActionsContainer.add_argument
+
+        def spy(container, *args, **kwargs):
+            action = add_argument(container, *args, **kwargs)
+            if "--machine" in action.option_strings:
+                choices.append(action.choices)
+            return action
+
+        monkeypatch.setattr(argparse._ActionsContainer, "add_argument", spy)
+        with pytest.raises(SystemExit):
+            importlib.import_module(cli).main(["--help"])
+        assert choices
+        assert all(list(c) == sorted(PRESETS) for c in choices)

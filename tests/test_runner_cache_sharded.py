@@ -1,4 +1,4 @@
-"""Sharded ResultCache: O(1) hot path, migration, concurrency, eviction, GC."""
+"""Sharded ResultCache: O(1) hot path, manifest adoption, concurrency, eviction, GC."""
 
 import json
 import os
@@ -64,27 +64,6 @@ class TestO1HotPath:
 
 
 class TestMigration:
-    def test_flat_layout_reads_through_and_migrates(self, tmp_path):
-        key = _key(1)
-        (tmp_path / f"{key}.json").write_text("flat-payload")
-        cache = ResultCache(tmp_path)
-        assert cache.load(key) == "flat-payload"
-        assert cache._payload_path(key).is_file()
-        assert not (tmp_path / f"{key}.json").exists()
-        assert len(cache) == 1
-        # A fresh instance finds the migrated entry at its sharded path.
-        assert ResultCache(tmp_path).load(key) == "flat-payload"
-
-    def test_v1_single_level_layout_reads_through(self, tmp_path):
-        key = _key(2)
-        (tmp_path / key[:2]).mkdir()
-        (tmp_path / key[:2] / f"{key}.json").write_text("v1-payload")
-        (tmp_path / key[:2] / f"{key}.meta.json").write_text('{"run_id": "old"}')
-        cache = ResultCache(tmp_path)
-        assert cache.load(key) == "v1-payload"
-        assert cache.load_meta(key) == {"run_id": "old"}
-        assert cache._meta_path(key).is_file()
-
     def test_pre_manifest_tree_is_adopted_once(self, tmp_path):
         # A cache written before the manifest existed: first index load
         # walks once, adopts everything, and writes the manifest so the
@@ -178,17 +157,6 @@ class TestGC:
         assert len(fresh) == 3  # 3 stored - 1 vanished + 1 adopted
         assert fresh.load(stray) == "untracked"
         assert fresh.load(keys[0]) is None
-
-    def test_gc_migrates_legacy_payloads(self, tmp_path):
-        key = _key(3)
-        (tmp_path / f"{key}.json").write_text("flat")
-        cache = ResultCache(tmp_path)
-        # Force a manifest so gc (not index adoption) does the work.
-        cache.store(_key(4), "stored")
-        counts = cache.gc()
-        assert counts["migrated"] == 1
-        assert cache._payload_path(key).read_text() == "flat"
-        assert len(cache) == 2
 
 
 class TestMetrics:

@@ -161,16 +161,18 @@ class TestWarmSession:
 
     def test_warm_pool_second_sweep_is_not_slower_than_cold_spawn(self):
         # Not a speedup assertion (1-CPU CI boxes): only that reuse
-        # never pays the spawn cost twice.
+        # never pays the spawn cost twice, and that the warm workers
+        # return the same bytes as freshly spawned ones.
         cells = _grid_cells(seeds=(1,))
         with runner_session(workers=2):
             t0 = time.perf_counter()
-            execute_cells(cells, workers=2)
+            first = execute_cells(cells, workers=2)
             cold = time.perf_counter() - t0
             t0 = time.perf_counter()
-            execute_cells(cells, workers=2, cache=None)
+            second = execute_cells(cells, workers=2, cache=None)
             warm = time.perf_counter() - t0
         assert warm < cold * 3  # loose: warm must not regress wildly
+        assert [o.result_json for o in second] == [o.result_json for o in first]
 
     def test_session_chunk_size_is_ambient(self):
         cells = _grid_cells()

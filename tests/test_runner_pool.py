@@ -1,7 +1,6 @@
 """The process-pool runner: determinism, caching, and integration."""
 
 import functools
-import json
 
 import pytest
 
@@ -17,7 +16,6 @@ from repro.runner import (
     execute_cells,
     runner_session,
 )
-from repro.runner.bench import run_bench
 from repro.sim.machine import machine_a
 from repro.workloads.microbench import Listing1
 
@@ -135,18 +133,3 @@ class TestIntegration:
         assert pooled.adopted == serial.adopted
         assert pooled.baseline.to_json() == serial.baseline.to_json()
         assert pooled.speedup == pytest.approx(serial.speedup)
-
-
-class TestBench:
-    def test_bench_writes_report(self, tmp_path):
-        out = tmp_path / "BENCH_runner.json"
-        cells = _cells(factory=functools.partial(
-            Listing1, element_size=512, num_elements=64, iterations=120
-        ))
-        doc = run_bench(workers=2, cache_dir=tmp_path / "cache", out=out, cells=cells)
-        assert out.exists()
-        on_disk = json.loads(out.read_text())
-        assert on_disk["deterministic"] is True
-        assert on_disk["warm_all_cached"] is True
-        assert on_disk["cells"] == len(cells)
-        assert doc["warm_cache_hits"] == len(cells)

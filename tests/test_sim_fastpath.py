@@ -4,8 +4,9 @@ The fast path's contract is bit-identity: running a workload with the
 batched STREAM vocabulary must produce exactly the ``RunResult`` JSON
 the reference one-event-per-access vocabulary produces, on every
 machine preset (DESIGN.md §11).  These tests pin that contract for a
-representative workload per family, as a hypothesis property over
-random access programs, and at the observer boundary.
+representative workload per family, for six synthetic stream bodies
+(``tests/stream_bodies.py``), as a hypothesis property over random
+access programs, and at the observer boundary.
 """
 
 import pytest
@@ -30,6 +31,7 @@ from repro.workloads.memapi import Program
 from repro.workloads.microbench import Listing1
 from repro.workloads.nas.mg import MGWorkload
 from repro.workloads.x9 import X9Workload
+from tests.stream_bodies import run_body
 
 PRESETS = [machine_a, machine_dram, machine_a_cxl, machine_b_fast, machine_b_slow]
 
@@ -76,14 +78,20 @@ class TestBitIdentity:
         # The fused miss path's own acceptance matrix: cold sequential,
         # page-shuffled random, and alternating read/write streams over a
         # larger-than-cache buffer, on every preset (hashed LLC indexing,
-        # weak ordering, every device flavour).  Small sizes — the full
-        # sizes run in repro.sim.bench, which performs this same check.
-        from repro.sim.bench import BENCHMARKS, _run_once
+        # weak ordering, every device flavour).
+        self._assert_body_identical(preset, bench)
 
-        body = BENCHMARKS[bench][0]
-        sizes = (32 * 1024, 1)
-        reference, _ = _run_once(preset(), body, sizes, streams=False)
-        fast, _ = _run_once(preset(), body, sizes, streams=True)
+    @pytest.mark.parametrize("preset", PRESETS, ids=lambda p: p.__name__)
+    @pytest.mark.parametrize("bench", ["seq_write_warm", "seq_read_warm"])
+    def test_warm_benchmarks_identical(self, preset, bench):
+        # Repeated passes over a cache-resident buffer: the fused hit
+        # loops, with the miss path cold after the first pass.
+        self._assert_body_identical(preset, bench)
+
+    @staticmethod
+    def _assert_body_identical(preset, bench):
+        reference = run_body(preset(), bench, streams=False)
+        fast = run_body(preset(), bench, streams=True)
         assert fast.to_json() == reference.to_json()
 
 

@@ -7,7 +7,6 @@ import pytest
 
 from repro.core.prestore import PrestoreMode
 from repro.runner import Cell, ResultCache, SweepEvent, SweepMonitor, execute_cells
-from repro.runner.monitor import outcome_to_dict, replay_outcomes
 from repro.sim.machine import machine_a
 from repro.workloads.microbench import Listing1
 
@@ -195,22 +194,3 @@ class TestProgressFile:
             execute_cells(_cells(), workers=1, events=monitor)
         sweeps = {json.loads(line)["sweep"] for line in path.read_text().splitlines()}
         assert sweeps == {1, 2}
-
-
-class TestReplay:
-    def test_replay_matches_live_aggregates(self):
-        live = SweepMonitor()
-        outcomes = execute_cells(_cells(), workers=1, events=live)
-        replayed = replay_outcomes(outcomes)
-        assert replayed.counts == live.counts
-        assert replayed.workers == live.workers
-        assert replayed.sim_counts == live.sim_counts
-        assert replayed.attempts == live.attempts
-
-    def test_outcome_to_dict_is_json_safe(self):
-        outcome = execute_cells(_cells(), workers=1)[0]
-        doc = outcome_to_dict(outcome)
-        json.dumps(doc, allow_nan=False)  # must not raise
-        assert doc["status"] == "ok"
-        assert doc["cycles"] > 0
-        assert doc["attempts"] == 1
