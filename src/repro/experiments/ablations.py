@@ -17,11 +17,14 @@ reproduction's claims rest on:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import replace
 from typing import List
 
-from repro.core.prestore import PatchConfig, PrestoreMode
+from repro.core.prestore import PrestoreMode
+from repro.experiments.common import Cells, Results, by_config
 from repro.experiments.registry import Experiment, ExperimentResult, SeriesRow, register
+from repro.runner import Cell
 from repro.sim.cache import CacheLevelSpec
 from repro.sim.machine import machine_a
 from repro.sim.memory import optane_pmem_spec
@@ -34,6 +37,9 @@ __all__ = [
     "AblYCSBMixes",
     "AblGranularity",
 ]
+
+
+_MODES = (PrestoreMode.NONE, PrestoreMode.CLEAN)
 
 
 def _listing1(threads: int = 2) -> Listing1:
@@ -75,14 +81,19 @@ class AblReplacement(Experiment):
 
     POLICIES = ("lru", "tree-plru", "intel-like", "arm-like", "fifo", "random")
 
-    def run(self, fast: bool = True, seed: int = 1234) -> ExperimentResult:
-        rows: List[SeriesRow] = []
+    def cells(self, fast: bool, seed: int) -> Cells:
+        factory = functools.partial(_listing1, threads=1)
+        cells: Cells = {}
         for policy in self.POLICIES:
             spec = _plain_indexed(replace(machine_a(), replacement_policy=policy))
-            run = _listing1(threads=1).run(spec, PatchConfig.baseline(), seed=seed).run
-            rows.append(
-                SeriesRow({"policy": policy}, {"wa_baseline": run.write_amplification})
-            )
+            cells[policy] = Cell(factory, spec, PrestoreMode.NONE, seed)
+        return cells
+
+    def reduce(self, results: Results, fast: bool, seed: int) -> ExperimentResult:
+        rows = [
+            SeriesRow({"policy": policy}, {"wa_baseline": run.write_amplification})
+            for policy, run in results.items()
+        ]
         return self._result(rows)
 
     def check(self, result: ExperimentResult) -> List[str]:
@@ -109,20 +120,23 @@ class AblCombiner(Experiment):
 
     ENTRIES = (4, 16, 64, 256)
 
-    def run(self, fast: bool = True, seed: int = 1234) -> ExperimentResult:
-        rows: List[SeriesRow] = []
+    def cells(self, fast: bool, seed: int) -> Cells:
+        factory = functools.partial(_listing1, threads=2)
+        cells: Cells = {}
         for entries in self.ENTRIES:
-            device = optane_pmem_spec(combiner_entries=entries)
-            spec = replace(machine_a(), device=device)
-            for mode in (PrestoreMode.NONE, PrestoreMode.CLEAN):
-                w = _listing1(threads=2)
-                run = w.run(spec, PatchConfig({w.SITE.name: mode}), seed=seed).run
-                rows.append(
-                    SeriesRow(
-                        {"combiner_entries": entries, "mode": str(mode)},
-                        {"write_amplification": run.write_amplification},
-                    )
-                )
+            spec = replace(machine_a(), device=optane_pmem_spec(combiner_entries=entries))
+            for mode in _MODES:
+                cells[(entries, mode)] = Cell(factory, spec, mode, seed)
+        return cells
+
+    def reduce(self, results: Results, fast: bool, seed: int) -> ExperimentResult:
+        rows = [
+            SeriesRow(
+                {"combiner_entries": entries, "mode": str(mode)},
+                {"write_amplification": run.write_amplification},
+            )
+            for (entries, mode), run in results.items()
+        ]
         return self._result(rows)
 
     def check(self, result: ExperimentResult) -> List[str]:
@@ -152,26 +166,20 @@ class AblYCSBMixes(Experiment):
         "amplified writebacks contend with reads on the PMEM media.)"
     )
 
-    def run(self, fast: bool = True, seed: int = 1234) -> ExperimentResult:
-        rows: List[SeriesRow] = []
+    def cells(self, fast: bool, seed: int) -> Cells:
+        cells: Cells = {}
         for mix in ("A", "B", "C", "D"):
-            runs = {}
-            for mode in (PrestoreMode.NONE, PrestoreMode.CLEAN):
-                w = CLHTWorkload(
-                    spec=YCSBSpec(mix=mix, num_keys=8192, operations=1000, value_size=1024),
-                    threads=4,
-                )
-                runs[mode] = w.run(machine_a(), PatchConfig({w.SITE.name: mode}), seed=seed).run
-            rows.append(
-                SeriesRow(
-                    {"mix": mix},
-                    {
-                        "speedup_clean": runs[PrestoreMode.CLEAN].drained_speedup_over(
-                            runs[PrestoreMode.NONE]
-                        )
-                    },
-                )
-            )
+            spec = YCSBSpec(mix=mix, num_keys=8192, operations=1000, value_size=1024)
+            factory = functools.partial(CLHTWorkload, spec=spec, threads=4)
+            for mode in _MODES:
+                cells[(mix, mode)] = Cell(factory, machine_a(), mode, seed)
+        return cells
+
+    def reduce(self, results: Results, fast: bool, seed: int) -> ExperimentResult:
+        rows: List[SeriesRow] = []
+        for (mix,), runs in by_config(results).items():
+            speedup = runs[PrestoreMode.CLEAN].drained_speedup_over(runs[PrestoreMode.NONE])
+            rows.append(SeriesRow({"mix": mix}, {"speedup_clean": speedup}))
         return self._result(rows)
 
     def check(self, result: ExperimentResult) -> List[str]:
@@ -201,23 +209,26 @@ class AblGranularity(Experiment):
 
     GRANULARITIES = (64, 128, 256, 512)
 
-    def run(self, fast: bool = True, seed: int = 1234) -> ExperimentResult:
-        rows: List[SeriesRow] = []
+    def cells(self, fast: bool, seed: int) -> Cells:
+        factory = functools.partial(_listing1, threads=4)
+        cells: Cells = {}
         for gran in self.GRANULARITIES:
             device = replace(optane_pmem_spec(), internal_granularity=gran, name=f"gran{gran}")
             spec = replace(machine_a(), device=device)
-            runs = {}
-            for mode in (PrestoreMode.NONE, PrestoreMode.CLEAN):
-                w = _listing1(threads=4)
-                runs[mode] = w.run(spec, PatchConfig({w.SITE.name: mode}), seed=seed).run
+            for mode in _MODES:
+                cells[(gran, mode)] = Cell(factory, spec, mode, seed)
+        return cells
+
+    def reduce(self, results: Results, fast: bool, seed: int) -> ExperimentResult:
+        rows: List[SeriesRow] = []
+        for (gran,), runs in by_config(results).items():
+            base, clean = runs[PrestoreMode.NONE], runs[PrestoreMode.CLEAN]
             rows.append(
                 SeriesRow(
                     {"granularity": gran},
                     {
-                        "wa_baseline": runs[PrestoreMode.NONE].write_amplification,
-                        "speedup_clean": runs[PrestoreMode.CLEAN].drained_speedup_over(
-                            runs[PrestoreMode.NONE]
-                        ),
+                        "wa_baseline": base.write_amplification,
+                        "speedup_clean": clean.drained_speedup_over(base),
                     },
                 )
             )

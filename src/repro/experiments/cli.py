@@ -12,13 +12,13 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from typing import List, Optional
+from typing import Iterable, List, Optional
 
-from repro.experiments import all_ids, get
+from repro.experiments import all_ids, get, run_all
 from repro.experiments.registry import ExperimentResult
 
 
-def _markdown(results: List[ExperimentResult]) -> str:
+def _markdown(results: Iterable[ExperimentResult]) -> str:
     lines = ["# Experiment results", ""]
     for result in results:
         lines.append(f"## {result.experiment_id}: {result.title}")
@@ -70,31 +70,24 @@ def main(argv: Optional[List[str]] = None) -> int:
     if not ids:
         parser.error("give experiment ids, --all, or --list")
 
-    from repro.runner import runner_session
-
-    results: List[ExperimentResult] = []
-    failed = False
-    total = 0.0
-    with runner_session(workers=args.workers, cache_dir=args.cache_dir):
-        for eid in ids:
-            started = time.perf_counter()
-            result = get(eid).run_checked(fast=not args.full, seed=args.seed)
-            elapsed = time.perf_counter() - started
-            total += elapsed
-            results.append(result)
-            print(result.render())
-            # Wall seconds go to stdout only: the markdown stays deterministic.
-            print(f"{eid}: {elapsed:.2f} s")
-            print()
-            if any(n.startswith("SHAPE CHECK FAILED") for n in result.notes):
-                failed = True
+    started = time.perf_counter()
+    results = run_all(
+        ids, fast=not args.full, seed=args.seed, workers=args.workers, cache_dir=args.cache_dir
+    )
+    total = time.perf_counter() - started
+    for eid, result in results.items():
+        print(result.render())
+        # Wall seconds go to stdout only: the markdown stays deterministic.
+        print(f"{eid}: {result.wall_s:.2f} s")
+        print()
     print(f"total: {total:.2f} s")
 
     if args.markdown:
         with open(args.markdown, "w") as fh:
-            fh.write(_markdown(results))
+            fh.write(_markdown(results.values()))
         print(f"wrote {args.markdown}")
-    return 1 if failed else 0
+    notes = (note for result in results.values() for note in result.notes)
+    return 1 if any(note.startswith("SHAPE CHECK FAILED") for note in notes) else 0
 
 
 if __name__ == "__main__":  # pragma: no cover

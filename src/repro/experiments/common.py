@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
-from pathlib import Path
-from typing import Callable, Dict, Iterable, Optional, Union
+from typing import Dict, Hashable, Tuple
 
 from repro.core.prestore import PatchConfig, PrestoreMode
-from repro.sim.machine import MachineSpec
+from repro.runner import Cell
+from repro.sim.machine import machine_b_fast, machine_b_slow
 from repro.sim.stats import RunResult
 from repro.workloads.base import Workload
 
 __all__ = [
-    "run_variants",
+    "Cells",
+    "Results",
+    "MACHINES_B",
+    "by_config",
     "patch_all_sites",
     "endorsed_patches",
     "safe_ratio",
@@ -30,6 +33,13 @@ def safe_ratio(numerator: float, denominator: float) -> float:
     if denominator == 0:
         return float("nan")
     return numerator / denominator
+
+#: What ``Experiment.cells`` declares and ``Experiment.reduce`` reads.
+Cells = Dict[Hashable, Cell]
+Results = Dict[Hashable, RunResult]
+
+#: Machine B's two FPGA latencies, under the names the figures use.
+MACHINES_B = (("B-fast", machine_b_fast), ("B-slow", machine_b_slow))
 
 #: Sites DirtBuster declines (Sections 5 and 7.4.2): patched only by the
 #: "incorrect manual use" experiments.
@@ -57,57 +67,12 @@ def endorsed_patches(workload: Workload, mode: PrestoreMode) -> PatchConfig:
     return config
 
 
-def run_variants(
-    make_workload,
-    spec: MachineSpec,
-    modes: Iterable[PrestoreMode],
-    seed: int = 1234,
-    endorsed_only: bool = True,
-    obs: bool = False,
-    progress: Optional[Callable[[str], None]] = None,
-    workers: Optional[int] = None,
-    cache_dir: Optional[Union[str, Path]] = None,
-    chunk_size: Optional[int] = None,
-) -> Dict[PrestoreMode, RunResult]:
-    """Run one workload configuration under several pre-store modes.
+def by_config(results: Results) -> Dict[Tuple, Dict[PrestoreMode, RunResult]]:
+    """Group results keyed ``(*config, mode)`` as ``config -> {mode: result}``.
 
-    ``make_workload`` is a zero-argument factory (a fresh instance per
-    run keeps the runs independent).
-
-    Execution goes through :mod:`repro.runner`: each mode becomes one
-    :class:`~repro.runner.Cell`, sharded across ``workers`` processes
-    (``workers``/``cache_dir`` default to the ambient
-    :func:`~repro.runner.runner_session`, serial and uncached when none
-    is active).  Results are bit-identical whatever the worker count,
-    and cache hits skip simulation entirely.  Progress and the
-    :mod:`repro.obs` structured log get one worker-tagged line per
-    completed variant.  ``obs=True`` additionally attaches a fresh
-    :class:`~repro.obs.ObsCollector` per run, leaving each variant's
-    sampled timeline on its ``RunResult.timeline``.
+    Configurations keep the order the experiment declared their cells in.
     """
-    from repro.runner import Cell, execute_cells
-
-    modes = list(modes)
-    cells = [
-        Cell(
-            make_workload=make_workload,
-            spec=spec,
-            mode=mode,
-            seed=seed,
-            endorsed_only=endorsed_only,
-            obs=obs,
-        )
-        for mode in modes
-    ]
-    # Experiments need every variant's numbers: a failed cell raises
-    # CellExecutionError (with all other outcomes attached) rather than
-    # silently feeding a None result into the figures.
-    outcomes = execute_cells(
-        cells,
-        workers=workers,
-        cache=cache_dir,
-        chunk_size=chunk_size,
-        progress=progress,
-        on_error="raise",
-    )
-    return {mode: outcome.result for mode, outcome in zip(modes, outcomes)}
+    grouped: Dict[Tuple, Dict[PrestoreMode, RunResult]] = {}
+    for (*config, mode), result in results.items():
+        grouped.setdefault(tuple(config), {})[mode] = result
+    return grouped

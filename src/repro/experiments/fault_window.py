@@ -22,12 +22,15 @@ like any other.
 from __future__ import annotations
 
 import functools
-from typing import Dict, List, Tuple
+import itertools
+from typing import Dict, List
 
 from repro.core.prestore import PrestoreMode
+from repro.experiments.common import Cells, Results
 from repro.experiments.registry import Experiment, ExperimentResult, SeriesRow, register
 from repro.faults.plan import CrashPoint, FaultPlan
 from repro.faults.workloads import KVPersistWorkload
+from repro.runner import Cell
 from repro.sim.machine import machine_a
 
 __all__ = ["FaultsWindow"]
@@ -47,42 +50,28 @@ class FaultsWindow(Experiment):
         "cache hierarchy."
     )
 
-    def run(self, fast: bool = True, seed: int = 1234) -> ExperimentResult:
-        from repro.runner import Cell, execute_cells
-
+    def cells(self, fast: bool, seed: int) -> Cells:
         fractions = (0.5,) if fast else (0.25, 0.5, 0.75)
         operations = 160 if fast else 320
         spec = machine_a()
-        cells: List[Cell] = []
-        configs: List[Tuple[float, PrestoreMode]] = []
-        for fraction in fractions:
-            for mode in _MODES:
-                probe = KVPersistWorkload(operations=operations)
-                at = max(
-                    1,
-                    int(
-                        probe.operations
-                        * probe.events_per_op(spec.line_size, mode)
-                        * fraction
-                    ),
-                )
-                cells.append(
-                    Cell(
-                        make_workload=functools.partial(
-                            KVPersistWorkload, operations=operations
-                        ),
-                        spec=spec,
-                        mode=mode,
-                        seed=seed,
-                        experiment=self.id,
-                        fault_plan=FaultPlan(crash=CrashPoint(at_instruction=at)),
-                    )
-                )
-                configs.append((fraction, mode))
-        outcomes = execute_cells(cells, on_error="raise")
+        cells: Cells = {}
+        for fraction, mode in itertools.product(fractions, _MODES):
+            probe = KVPersistWorkload(operations=operations)
+            events = probe.operations * probe.events_per_op(spec.line_size, mode)
+            at = max(1, int(events * fraction))
+            cells[(fraction, mode)] = Cell(
+                functools.partial(KVPersistWorkload, operations=operations),
+                spec,
+                mode,
+                seed,
+                fault_plan=FaultPlan(crash=CrashPoint(at_instruction=at)),
+            )
+        return cells
+
+    def reduce(self, results: Results, fast: bool, seed: int) -> ExperimentResult:
         rows: List[SeriesRow] = []
-        for (fraction, mode), outcome in zip(configs, outcomes):
-            report: Dict[str, object] = outcome.result.extra["fault_report"]  # type: ignore[assignment]
+        for (fraction, mode), run in results.items():
+            report: Dict[str, object] = run.extra["fault_report"]  # type: ignore[assignment]
             recovery: Dict[str, object] = report["recovery"]  # type: ignore[assignment]
             image: Dict[str, object] = report["image_summary"]  # type: ignore[assignment]
             rows.append(

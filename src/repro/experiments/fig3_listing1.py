@@ -7,12 +7,12 @@ amplification with and without cleaning.
 from __future__ import annotations
 
 import functools
-
 from typing import List
 
 from repro.core.prestore import PrestoreMode
-from repro.experiments.common import run_variants
+from repro.experiments.common import Cells, Results, by_config
 from repro.experiments.registry import Experiment, ExperimentResult, SeriesRow, register
+from repro.runner import Cell
 from repro.sim.machine import machine_a
 from repro.workloads.microbench import Listing1
 
@@ -36,7 +36,7 @@ class Fig3Listing1(Experiment):
         "unsaturated thread."
     )
 
-    def run(self, fast: bool = True, seed: int = 1234) -> ExperimentResult:
+    def cells(self, fast: bool, seed: int) -> Cells:
         sizes = (64, 1024, 4096) if fast else (64, 256, 512, 1024, 2048, 4096)
         threads = (1, 2, 5)
         # A smaller LLC keeps the steady state reachable for small
@@ -45,35 +45,37 @@ class Fig3Listing1(Experiment):
         # parks everything in the cache and the comparison degenerates).
         llc_kb = 128
         llc_bytes = llc_kb * 1024
-        rows: List[SeriesRow] = []
+        spec = machine_a(llc_kb=llc_kb)
+        cells: Cells = {}
         for size in sizes:
             iterations = max(1500 if fast else 3000, 3 * llc_bytes // size)
             for nthreads in threads:
-                results = run_variants(
-                    functools.partial(
-                        Listing1,
-                        element_size=size,
-                        num_elements=max(64, 4 * llc_bytes // size),
-                        iterations=iterations,
-                        threads=nthreads,
-                        compute_per_iter=COMPUTE_PER_BYTE * size,
-                    ),
-                    machine_a(llc_kb=llc_kb),
-                    (PrestoreMode.NONE, PrestoreMode.CLEAN),
-                    seed=seed,
+                factory = functools.partial(
+                    Listing1,
+                    element_size=size,
+                    num_elements=max(64, 4 * llc_bytes // size),
+                    iterations=iterations,
+                    threads=nthreads,
+                    compute_per_iter=COMPUTE_PER_BYTE * size,
                 )
-                base = results[PrestoreMode.NONE]
-                clean = results[PrestoreMode.CLEAN]
-                rows.append(
-                    SeriesRow(
-                        {"element_size": size, "threads": nthreads},
-                        {
-                            "speedup_clean": clean.drained_speedup_over(base),
-                            "wa_baseline": base.write_amplification,
-                            "wa_clean": clean.write_amplification,
-                        },
-                    )
+                for mode in (PrestoreMode.NONE, PrestoreMode.CLEAN):
+                    cells[(size, nthreads, mode)] = Cell(factory, spec, mode, seed)
+        return cells
+
+    def reduce(self, results: Results, fast: bool, seed: int) -> ExperimentResult:
+        rows: List[SeriesRow] = []
+        for (size, nthreads), runs in by_config(results).items():
+            base, clean = runs[PrestoreMode.NONE], runs[PrestoreMode.CLEAN]
+            rows.append(
+                SeriesRow(
+                    {"element_size": size, "threads": nthreads},
+                    {
+                        "speedup_clean": clean.drained_speedup_over(base),
+                        "wa_baseline": base.write_amplification,
+                        "wa_clean": clean.write_amplification,
+                    },
                 )
+            )
         return self._result(rows)
 
     def check(self, result: ExperimentResult) -> List[str]:

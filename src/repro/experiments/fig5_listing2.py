@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 import functools
-
 from typing import List
 
 from repro.core.prestore import PrestoreMode
-from repro.experiments.common import run_variants, safe_ratio
+from repro.experiments.common import Cells, MACHINES_B, Results, by_config, safe_ratio
 from repro.experiments.registry import Experiment, ExperimentResult, SeriesRow, register
-from repro.sim.machine import machine_b_fast, machine_b_slow
+from repro.runner import Cell
 from repro.workloads.microbench import Listing2
 
 __all__ = ["Fig5Listing2"]
@@ -29,27 +28,32 @@ class Fig5Listing2(Experiment):
     READ_COUNTS_FAST_MODE = (0, 5, 20, 40, 80, 160)
     READ_COUNTS_FULL = (0, 2, 5, 10, 20, 40, 80, 160, 320)
 
-    def run(self, fast: bool = True, seed: int = 1234) -> ExperimentResult:
+    def cells(self, fast: bool, seed: int) -> Cells:
         counts = self.READ_COUNTS_FAST_MODE if fast else self.READ_COUNTS_FULL
         iterations = 1500 if fast else 3000
+        return {
+            (machine, nreads, mode): Cell(
+                functools.partial(Listing2, reads_before_fence=nreads, iterations=iterations),
+                preset(),
+                mode,
+                seed,
+            )
+            for machine, preset in MACHINES_B
+            for nreads in counts
+            for mode in (PrestoreMode.NONE, PrestoreMode.DEMOTE)
+        }
+
+    def reduce(self, results: Results, fast: bool, seed: int) -> ExperimentResult:
         rows: List[SeriesRow] = []
-        for machine_name, spec in (("B-fast", machine_b_fast()), ("B-slow", machine_b_slow())):
-            for nreads in counts:
-                results = run_variants(
-                    functools.partial(Listing2, reads_before_fence=nreads, iterations=iterations),
-                    spec,
-                    (PrestoreMode.NONE, PrestoreMode.DEMOTE),
-                    seed=seed,
+        for (machine, nreads), runs in by_config(results).items():
+            base, demote = runs[PrestoreMode.NONE], runs[PrestoreMode.DEMOTE]
+            improvement = safe_ratio(base.cycles - demote.cycles, base.cycles)
+            rows.append(
+                SeriesRow(
+                    {"machine": machine, "reads_before_fence": nreads},
+                    {"improvement_pct": 100.0 * improvement},
                 )
-                base = results[PrestoreMode.NONE]
-                demote = results[PrestoreMode.DEMOTE]
-                improvement = safe_ratio(base.cycles - demote.cycles, base.cycles)
-                rows.append(
-                    SeriesRow(
-                        {"machine": machine_name, "reads_before_fence": nreads},
-                        {"improvement_pct": 100.0 * improvement},
-                    )
-                )
+            )
         return self._result(rows)
 
     def check(self, result: ExperimentResult) -> List[str]:

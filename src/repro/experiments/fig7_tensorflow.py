@@ -8,46 +8,40 @@ amplification with and without cleaning.
 from __future__ import annotations
 
 import functools
-
-from typing import Dict, List, Tuple
+from typing import List
 
 from repro.core.prestore import PrestoreMode
-from repro.experiments.common import run_variants
+from repro.experiments.common import Cells, Results, by_config
 from repro.experiments.registry import Experiment, ExperimentResult, SeriesRow, register
+from repro.runner import Cell
 from repro.sim.machine import machine_a
-from repro.sim.stats import RunResult
 from repro.workloads.tensorflow_sim import TensorFlowWorkload
 
-__all__ = ["Fig7TensorFlow", "Fig8TensorFlowWA", "tensorflow_sweep"]
+__all__ = ["Fig7TensorFlow", "Fig8TensorFlowWA", "tensorflow_cells"]
 
 _BATCHES_FAST_MODE = (1, 64, 250)
 _BATCHES_FULL = (1, 16, 32, 64, 128, 250)
-_SWEEP_CACHE: Dict[Tuple[bool, int], Dict[int, Dict[PrestoreMode, RunResult]]] = {}
 
 
-def tensorflow_sweep(fast: bool, seed: int) -> Dict[int, Dict[PrestoreMode, RunResult]]:
-    """Run (and memoise) the TensorFlow batch-size sweep.
+def tensorflow_cells(fast: bool, seed: int) -> Cells:
+    """The TensorFlow batch-size sweep, keyed ``(batch, mode)``.
 
-    Figures 7 and 8 come from the same runs in the paper, so the two
-    experiment objects share them here too.
+    Figures 7 and 8 come from the same runs in the paper; both
+    experiments declare these cells, so they run once.
     """
-    key = (fast, seed)
-    cached = _SWEEP_CACHE.get(key)
-    if cached is not None:
-        return cached
     batches = _BATCHES_FAST_MODE if fast else _BATCHES_FULL
-    sweep: Dict[int, Dict[PrestoreMode, RunResult]] = {}
-    for batch in batches:
-        sweep[batch] = run_variants(
+    return {
+        (batch, mode): Cell(
             functools.partial(
                 TensorFlowWorkload, batch_size=batch, iterations=2, threads=4, large_tensor_kb=96
             ),
             machine_a(),
-            (PrestoreMode.NONE, PrestoreMode.CLEAN, PrestoreMode.SKIP),
-            seed=seed,
+            mode,
+            seed,
         )
-    _SWEEP_CACHE[key] = sweep
-    return sweep
+        for batch in batches
+        for mode in (PrestoreMode.NONE, PrestoreMode.CLEAN, PrestoreMode.SKIP)
+    }
 
 
 @register
@@ -61,18 +55,21 @@ class Fig7TensorFlow(Experiment):
         "predicted."
     )
 
-    def run(self, fast: bool = True, seed: int = 1234) -> ExperimentResult:
+    def cells(self, fast: bool, seed: int) -> Cells:
+        return tensorflow_cells(fast, seed)
+
+    def reduce(self, results: Results, fast: bool, seed: int) -> ExperimentResult:
         rows: List[SeriesRow] = []
-        for batch, results in tensorflow_sweep(fast, seed).items():
-            base = results[PrestoreMode.NONE]
+        for (batch,), runs in by_config(results).items():
+            base = runs[PrestoreMode.NONE]
             rows.append(
                 SeriesRow(
                     {"batch_size": batch},
                     {
                         "improvement_clean_pct": 100.0
-                        * (results[PrestoreMode.CLEAN].drained_speedup_over(base) - 1.0),
+                        * (runs[PrestoreMode.CLEAN].drained_speedup_over(base) - 1.0),
                         "improvement_skip_pct": 100.0
-                        * (results[PrestoreMode.SKIP].drained_speedup_over(base) - 1.0),
+                        * (runs[PrestoreMode.SKIP].drained_speedup_over(base) - 1.0),
                     },
                 )
             )
@@ -111,15 +108,18 @@ class Fig8TensorFlowWA(Experiment):
         "non-sequential, so it does not reach 1x)."
     )
 
-    def run(self, fast: bool = True, seed: int = 1234) -> ExperimentResult:
+    def cells(self, fast: bool, seed: int) -> Cells:
+        return tensorflow_cells(fast, seed)
+
+    def reduce(self, results: Results, fast: bool, seed: int) -> ExperimentResult:
         rows: List[SeriesRow] = []
-        for batch, results in tensorflow_sweep(fast, seed).items():
+        for (batch,), runs in by_config(results).items():
             rows.append(
                 SeriesRow(
                     {"batch_size": batch},
                     {
-                        "wa_baseline": results[PrestoreMode.NONE].write_amplification,
-                        "wa_clean": results[PrestoreMode.CLEAN].write_amplification,
+                        "wa_baseline": runs[PrestoreMode.NONE].write_amplification,
+                        "wa_clean": runs[PrestoreMode.CLEAN].write_amplification,
                     },
                 )
             )

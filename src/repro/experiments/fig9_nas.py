@@ -6,8 +6,9 @@ import functools
 from typing import List
 
 from repro.core.prestore import PrestoreMode
-from repro.experiments.common import run_variants, safe_ratio
+from repro.experiments.common import Cells, Results, by_config, safe_ratio
 from repro.experiments.registry import Experiment, ExperimentResult, SeriesRow, register
+from repro.runner import Cell
 from repro.sim.machine import machine_a
 from repro.workloads.nas import BTWorkload, FTWorkload, MGWorkload, SPWorkload, UAWorkload
 
@@ -26,23 +27,27 @@ class Fig9NAS(Experiment):
 
     KERNELS = (MGWorkload, FTWorkload, SPWorkload, UAWorkload, BTWorkload)
 
-    def run(self, fast: bool = True, seed: int = 1234) -> ExperimentResult:
+    def cells(self, fast: bool, seed: int) -> Cells:
         grid = 32 if fast else 48
-        iterations = 2
-        rows: List[SeriesRow] = []
-        for kernel_cls in self.KERNELS:
-            results = run_variants(
-                functools.partial(kernel_cls, grid=grid, iterations=iterations, threads=4),
+        return {
+            (kernel_cls.name, mode): Cell(
+                functools.partial(kernel_cls, grid=grid, iterations=2, threads=4),
                 machine_a(),
-                (PrestoreMode.NONE, PrestoreMode.CLEAN),
-                seed=seed,
+                mode,
+                seed,
                 endorsed_only=True,  # fftz2 and friends stay unpatched
             )
-            base = results[PrestoreMode.NONE]
-            clean = results[PrestoreMode.CLEAN]
+            for kernel_cls in self.KERNELS
+            for mode in (PrestoreMode.NONE, PrestoreMode.CLEAN)
+        }
+
+    def reduce(self, results: Results, fast: bool, seed: int) -> ExperimentResult:
+        rows: List[SeriesRow] = []
+        for (benchmark,), runs in by_config(results).items():
+            base, clean = runs[PrestoreMode.NONE], runs[PrestoreMode.CLEAN]
             rows.append(
                 SeriesRow(
-                    {"benchmark": kernel_cls.name},
+                    {"benchmark": benchmark},
                     {
                         "normalized_runtime": safe_ratio(
                             clean.cycles_with_drain, base.cycles_with_drain

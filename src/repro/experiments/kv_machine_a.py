@@ -8,47 +8,37 @@ write amplification).
 from __future__ import annotations
 
 import functools
-
-from typing import Dict, List, Tuple
+from typing import List
 
 from repro.core.prestore import PrestoreMode
-from repro.experiments.common import run_variants
+from repro.experiments.common import Cells, Results, by_config
 from repro.experiments.registry import Experiment, ExperimentResult, SeriesRow, register
+from repro.runner import Cell
 from repro.sim.machine import machine_a
-from repro.sim.stats import RunResult
 from repro.workloads.kv import CLHTWorkload, MasstreeWorkload, YCSBSpec
 
-__all__ = ["Fig10CLHT", "Fig11Masstree", "Fig12CLHTWA", "kv_sweep"]
+__all__ = ["Fig10CLHT", "Fig11Masstree", "Fig12CLHTWA", "kv_cells"]
 
 _VALUE_SIZES_FAST_MODE = (256, 1024, 4096)
 _VALUE_SIZES_FULL = (64, 128, 256, 1024, 4096)
 _MODES = (PrestoreMode.NONE, PrestoreMode.CLEAN, PrestoreMode.SKIP)
-_SWEEP_CACHE: Dict[Tuple[str, bool, int], Dict[int, Dict[PrestoreMode, RunResult]]] = {}
 
 
-def kv_sweep(store: str, fast: bool, seed: int) -> Dict[int, Dict[PrestoreMode, RunResult]]:
-    """YCSB-A value-size sweep for one store on Machine A (memoised)."""
-    key = (store, fast, seed)
-    cached = _SWEEP_CACHE.get(key)
-    if cached is not None:
-        return cached
+def kv_cells(store: str, fast: bool, seed: int) -> Cells:
+    """YCSB-A value-size sweep for one store on Machine A, keyed ``(value_size, mode)``.
+
+    Figures 10 and 12 both declare the CLHT sweep, so it runs once.
+    """
     cls = CLHTWorkload if store == "clht" else MasstreeWorkload
     sizes = _VALUE_SIZES_FAST_MODE if fast else _VALUE_SIZES_FULL
     operations = 1200 if fast else 2400
-    sweep: Dict[int, Dict[PrestoreMode, RunResult]] = {}
+    cells: Cells = {}
     for value_size in sizes:
-        sweep[value_size] = run_variants(
-            functools.partial(
-                cls,
-                spec=YCSBSpec(mix="A", num_keys=8192, operations=operations, value_size=value_size),
-                threads=4,
-            ),
-            machine_a(),
-            _MODES,
-            seed=seed,
-        )
-    _SWEEP_CACHE[key] = sweep
-    return sweep
+        spec = YCSBSpec(mix="A", num_keys=8192, operations=operations, value_size=value_size)
+        factory = functools.partial(cls, spec=spec, threads=4)
+        for mode in _MODES:
+            cells[(value_size, mode)] = Cell(factory, machine_a(), mode, seed)
+    return cells
 
 
 class _KVThroughput(Experiment):
@@ -56,19 +46,22 @@ class _KVThroughput(Experiment):
 
     store = "clht"
 
-    def run(self, fast: bool = True, seed: int = 1234) -> ExperimentResult:
+    def cells(self, fast: bool, seed: int) -> Cells:
+        return kv_cells(self.store, fast, seed)
+
+    def reduce(self, results: Results, fast: bool, seed: int) -> ExperimentResult:
         rows: List[SeriesRow] = []
-        for value_size, results in kv_sweep(self.store, fast, seed).items():
-            base = results[PrestoreMode.NONE]
+        for (value_size,), runs in by_config(results).items():
+            base = runs[PrestoreMode.NONE]
             rows.append(
                 SeriesRow(
                     {"value_size": value_size},
                     {
                         "throughput_baseline": base.throughput(),
-                        "throughput_clean": results[PrestoreMode.CLEAN].throughput(),
-                        "throughput_skip": results[PrestoreMode.SKIP].throughput(),
-                        "speedup_clean": results[PrestoreMode.CLEAN].drained_speedup_over(base),
-                        "speedup_skip": results[PrestoreMode.SKIP].drained_speedup_over(base),
+                        "throughput_clean": runs[PrestoreMode.CLEAN].throughput(),
+                        "throughput_skip": runs[PrestoreMode.SKIP].throughput(),
+                        "speedup_clean": runs[PrestoreMode.CLEAN].drained_speedup_over(base),
+                        "speedup_skip": runs[PrestoreMode.SKIP].drained_speedup_over(base),
                     },
                 )
             )
@@ -124,16 +117,19 @@ class Fig12CLHTWA(Experiment):
         "for large values; at 128B it is roughly halved."
     )
 
-    def run(self, fast: bool = True, seed: int = 1234) -> ExperimentResult:
+    def cells(self, fast: bool, seed: int) -> Cells:
+        return kv_cells("clht", fast, seed)
+
+    def reduce(self, results: Results, fast: bool, seed: int) -> ExperimentResult:
         rows: List[SeriesRow] = []
-        for value_size, results in kv_sweep("clht", fast, seed).items():
+        for (value_size,), runs in by_config(results).items():
             rows.append(
                 SeriesRow(
                     {"value_size": value_size},
                     {
-                        "wa_baseline": results[PrestoreMode.NONE].write_amplification,
-                        "wa_clean": results[PrestoreMode.CLEAN].write_amplification,
-                        "wa_skip": results[PrestoreMode.SKIP].write_amplification,
+                        "wa_baseline": runs[PrestoreMode.NONE].write_amplification,
+                        "wa_clean": runs[PrestoreMode.CLEAN].write_amplification,
+                        "wa_skip": runs[PrestoreMode.SKIP].write_amplification,
                     },
                 )
             )

@@ -9,13 +9,12 @@ instructions instead of "at the last minute" inside them (§7.3.1).
 from __future__ import annotations
 
 import functools
-
 from typing import List
 
 from repro.core.prestore import PrestoreMode
-from repro.experiments.common import run_variants
+from repro.experiments.common import MACHINES_B, Cells, Results, by_config
 from repro.experiments.registry import Experiment, ExperimentResult, SeriesRow, register
-from repro.sim.machine import machine_b_fast, machine_b_slow
+from repro.runner import Cell
 from repro.workloads.kv import CLHTWorkload, MasstreeWorkload, YCSBSpec
 
 __all__ = ["Fig13CLHTMachineB", "Fig14MasstreeMachineB"]
@@ -29,26 +28,27 @@ _THREADS = 8
 class _KVMachineB(Experiment):
     store_cls = CLHTWorkload
 
-    def run(self, fast: bool = True, seed: int = 1234) -> ExperimentResult:
+    def cells(self, fast: bool, seed: int) -> Cells:
         operations = 1000 if fast else 2000
+        factory = functools.partial(
+            self.store_cls,
+            spec=YCSBSpec(mix="A", num_keys=4096, operations=operations, value_size=1024),
+            threads=_THREADS,
+            op_overhead_instructions=_OP_OVERHEAD,
+        )
+        return {
+            (machine, mode): Cell(factory, preset(), mode, seed)
+            for machine, preset in MACHINES_B
+            for mode in (PrestoreMode.NONE, PrestoreMode.CLEAN)
+        }
+
+    def reduce(self, results: Results, fast: bool, seed: int) -> ExperimentResult:
         rows: List[SeriesRow] = []
-        for machine_name, spec in (("B-fast", machine_b_fast()), ("B-slow", machine_b_slow())):
-            results = run_variants(
-                functools.partial(
-                    self.store_cls,
-                    spec=YCSBSpec(mix="A", num_keys=4096, operations=operations, value_size=1024),
-                    threads=_THREADS,
-                    op_overhead_instructions=_OP_OVERHEAD,
-                ),
-                spec,
-                (PrestoreMode.NONE, PrestoreMode.CLEAN),
-                seed=seed,
-            )
-            base = results[PrestoreMode.NONE]
-            clean = results[PrestoreMode.CLEAN]
+        for (machine,), runs in by_config(results).items():
+            base, clean = runs[PrestoreMode.NONE], runs[PrestoreMode.CLEAN]
             rows.append(
                 SeriesRow(
-                    {"machine": machine_name},
+                    {"machine": machine},
                     {
                         "throughput_baseline": base.throughput(),
                         "throughput_clean": clean.throughput(),

@@ -9,12 +9,12 @@ writing to the cache."
 from __future__ import annotations
 
 import functools
-
 from typing import List
 
 from repro.core.prestore import PrestoreMode
-from repro.experiments.common import run_variants, safe_ratio
+from repro.experiments.common import Cells, Results, safe_ratio
 from repro.experiments.registry import Experiment, ExperimentResult, SeriesRow, register
+from repro.runner import Cell
 from repro.sim.machine import machine_a
 from repro.workloads.microbench import Listing3
 
@@ -31,17 +31,19 @@ class Listing3Overhead(Experiment):
         "and cache write latency.  DirtBuster does not recommend it."
     )
 
-    def run(self, fast: bool = True, seed: int = 1234) -> ExperimentResult:
-        iterations = 3000 if fast else 10000
-        results = run_variants(
-            functools.partial(Listing3, iterations=iterations),
-            machine_a(),
-            (PrestoreMode.NONE, PrestoreMode.CLEAN),
-            seed=seed,
-            endorsed_only=False,  # this is deliberate misuse
-        )
-        base = results[PrestoreMode.NONE]
-        clean = results[PrestoreMode.CLEAN]
+    def _iterations(self, fast: bool) -> int:
+        return 3000 if fast else 10000
+
+    def cells(self, fast: bool, seed: int) -> Cells:
+        factory = functools.partial(Listing3, iterations=self._iterations(fast))
+        return {
+            mode: Cell(factory, machine_a(), mode, seed, endorsed_only=False)  # deliberate misuse
+            for mode in (PrestoreMode.NONE, PrestoreMode.CLEAN)
+        }
+
+    def reduce(self, results: Results, fast: bool, seed: int) -> ExperimentResult:
+        iterations = self._iterations(fast)
+        base, clean = results[PrestoreMode.NONE], results[PrestoreMode.CLEAN]
         rows = [
             SeriesRow(
                 {"variant": "baseline"},

@@ -6,15 +6,21 @@ measured rows plus the paper's claim about their shape — and implements
 roughly what factor, where crossovers fall) rather than absolute cycle
 counts (DESIGN.md §3 explains why absolute numbers are simulator
 constants).
+
+Experiments declare their simulations as runner cells and reduce the
+results to rows; :func:`run_all` runs many as one sweep (DESIGN.md §10).
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
+import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
+import repro.runner
 from repro.errors import ExperimentError
+from repro.experiments.common import Cells, Results
+from repro.runner import Cell, CellOutcome, cache_key, runner_session
 
 __all__ = ["SeriesRow", "ExperimentResult", "Experiment", "register", "get", "all_ids", "run_all"]
 
@@ -46,6 +52,9 @@ class ExperimentResult:
     rows: List[SeriesRow]
     #: Deviations or caveats discovered while reproducing.
     notes: List[str] = field(default_factory=list)
+    #: Host seconds :func:`run_all` charges to this experiment: the wall
+    #: time of the cells it declared first, plus its reduce and check.
+    wall_s: float = field(default=0.0, compare=False)
 
     def rows_where(self, **config) -> List[SeriesRow]:
         """Rows whose config matches all given key/values."""
@@ -78,17 +87,26 @@ class ExperimentResult:
         return "\n".join(head + body + tail)
 
 
-class Experiment(ABC):
-    """One paper table or figure."""
+class Experiment:
+    """One paper table or figure: the cells it needs and how to reduce them."""
 
     #: Stable id, e.g. ``"fig3"``; used by benches and the CLI.
     id: str = "abstract"
     title: str = ""
     paper_claim: str = ""
 
-    @abstractmethod
+    def cells(self, fast: bool, seed: int) -> Cells:
+        """Runner cells keyed by configuration, e.g. ``("B-fast", 20, DEMOTE)``."""
+        return {}
+
+    def reduce(self, results: Results, fast: bool, seed: int) -> ExperimentResult:
+        """Rows from the results of :meth:`cells`, keyed and ordered as declared."""
+        raise NotImplementedError
+
     def run(self, fast: bool = True, seed: int = 1234) -> ExperimentResult:
-        """Execute the experiment; ``fast`` uses scaled-down sweeps."""
+        """Execute the experiment's cells in one sweep and reduce them."""
+        outcomes = _sweep(self.cells(fast, seed))
+        return self.reduce({key: o.result for key, o in outcomes.items()}, fast, seed)
 
     def check(self, result: ExperimentResult) -> List[str]:
         """Verify the reproduced shape; returns human-readable failures.
@@ -99,7 +117,9 @@ class Experiment(ABC):
 
     def run_checked(self, fast: bool = True, seed: int = 1234) -> ExperimentResult:
         """Run and append check failures to the result notes."""
-        result = self.run(fast=fast, seed=seed)
+        return self._checked(self.run(fast=fast, seed=seed))
+
+    def _checked(self, result: ExperimentResult) -> ExperimentResult:
         for failure in self.check(result):
             result.notes.append(f"SHAPE CHECK FAILED: {failure}")
         return result
@@ -112,6 +132,15 @@ class Experiment(ABC):
             rows=rows,
             notes=notes or [],
         )
+
+
+def _sweep(cells: Cells) -> Dict[Hashable, CellOutcome]:
+    """Run ``cells`` in one sweep; a failed cell raises CellExecutionError."""
+    if not cells:
+        return {}
+    # Looked up at call time: bench-e2e's span probes wrap it there.
+    outcomes = repro.runner.execute_cells(list(cells.values()), on_error="raise")
+    return dict(zip(cells, outcomes))
 
 
 _REGISTRY: Dict[str, Callable[[], Experiment]] = {}
@@ -142,19 +171,37 @@ def all_ids() -> List[str]:
 
 
 def run_all(
+    ids: Optional[Sequence[str]] = None,
     fast: bool = True,
     seed: int = 1234,
     workers: Optional[int] = None,
     cache_dir: Optional[str] = None,
 ) -> Dict[str, ExperimentResult]:
-    """Run every registered experiment (the EXPERIMENTS.md generator).
+    """Run the given experiments (default: all) as one sweep.
 
-    ``workers``/``cache_dir`` install a :func:`repro.runner.runner_session`
-    around the whole batch, so every ``run_variants`` sweep underneath
-    shards its cells across the same process pool and shares one result
-    cache.
+    Every experiment's cells go through one ``execute_cells`` call in a
+    ``runner_session(workers, cache_dir)``; a cell several experiments
+    declare (same cache key) runs once.  Each experiment is then reduced
+    and checked, in ``ids`` order.
     """
-    from repro.runner import runner_session
-
+    experiments = {eid: get(eid) for eid in (all_ids() if ids is None else ids)}
+    # A cell's identity in the sweep is its cache key.
+    idents: Dict[str, Dict[Hashable, Hashable]] = {}
+    sweep: Dict[Hashable, Tuple[str, Cell]] = {}  # identity -> (first declarer, cell)
+    for eid, experiment in experiments.items():
+        idents[eid] = {}
+        for key, cell in experiment.cells(fast, seed).items():
+            ident = cache_key(cell) or (eid, key)  # uncacheable cells are never shared
+            idents[eid][key] = ident
+            sweep.setdefault(ident, (eid, cell))
     with runner_session(workers=workers or 1, cache_dir=cache_dir):
-        return {eid: get(eid).run_checked(fast=fast, seed=seed) for eid in all_ids()}
+        outcomes = _sweep({ident: cell for ident, (_, cell) in sweep.items()})
+    results: Dict[str, ExperimentResult] = {}
+    for eid, experiment in experiments.items():
+        started = time.perf_counter()
+        found = {key: outcomes[ident].result for key, ident in idents[eid].items()}
+        result = experiment._checked(experiment.reduce(found, fast, seed))
+        cells_s = sum(outcomes[i].wall_s for i, (first, _) in sweep.items() if first == eid)
+        result.wall_s = cells_s + time.perf_counter() - started
+        results[eid] = result
+    return results

@@ -13,12 +13,12 @@ Two experiments:
 from __future__ import annotations
 
 import functools
-
 from typing import List
 
 from repro.core.prestore import PatchConfig, PrestoreMode
-from repro.experiments.common import run_variants, safe_ratio
+from repro.experiments.common import Cells, Results, by_config, safe_ratio
 from repro.experiments.registry import Experiment, ExperimentResult, SeriesRow, register
+from repro.runner import Cell
 from repro.sim.machine import machine_a, machine_b_fast
 from repro.workloads.nas import FTWorkload, ISWorkload, MGWorkload, SPWorkload
 from repro.workloads.tensorflow_sim import TensorFlowWorkload
@@ -48,18 +48,17 @@ class Sec741SuggestedOverhead(Experiment):
         ),
     )
 
-    def run(self, fast: bool = True, seed: int = 1234) -> ExperimentResult:
+    def cells(self, fast: bool, seed: int) -> Cells:
+        return {
+            (name, mode): Cell(factory, machine_b_fast(), mode, seed)
+            for name, factory in self.CASES
+            for mode in (PrestoreMode.NONE, PrestoreMode.CLEAN)
+        }
+
+    def reduce(self, results: Results, fast: bool, seed: int) -> ExperimentResult:
         rows: List[SeriesRow] = []
-        for name, factory in self.CASES:
-            results = run_variants(
-                factory,
-                machine_b_fast(),
-                (PrestoreMode.NONE, PrestoreMode.CLEAN),
-                seed=seed,
-                endorsed_only=True,
-            )
-            base = results[PrestoreMode.NONE]
-            clean = results[PrestoreMode.CLEAN]
+        for (name,), runs in by_config(results).items():
+            base, clean = runs[PrestoreMode.NONE], runs[PrestoreMode.CLEAN]
             overhead = safe_ratio(clean.cycles_with_drain, base.cycles_with_drain) - 1.0
             rows.append(
                 SeriesRow({"workload": name}, {"overhead_pct": 100.0 * overhead})
@@ -88,49 +87,34 @@ class Sec742ManualMisuse(Experiment):
         "effect; DirtBuster recommends neither."
     )
 
-    def run(self, fast: bool = True, seed: int = 1234) -> ExperimentResult:
-        rows: List[SeriesRow] = []
+    CASES = (
         # FT: clean the hot fftz2 scratch only (the manual mistake).
-        ft_base = (
-            FTWorkload(grid=24, iterations=1, threads=4)
-            .run(machine_a(), PatchConfig.baseline(), seed=seed)
-            .run
-        )
-        ft_bad = (
-            FTWorkload(grid=24, iterations=1, threads=4)
-            .run(
-                machine_a(),
-                PatchConfig({"ft.fftz2": PrestoreMode.CLEAN}),
-                seed=seed,
-            )
-            .run
-        )
-        rows.append(
-            SeriesRow(
-                {"workload": "nas-ft", "patched_site": "ft.fftz2"},
-                {"slowdown": safe_ratio(ft_bad.cycles_with_drain, ft_base.cycles_with_drain)},
-            )
-        )
+        ("nas-ft", "ft.fftz2", functools.partial(FTWorkload, grid=24, iterations=1, threads=4)),
         # IS: clean the randomly-written buckets.  One ranking pass, as in
         # the measured NPB iteration: each bucket line is written about
         # once, so the data is "neither re-read nor re-written" and the
         # pre-store can neither help nor hurt.
-        is_base = (
-            ISWorkload(grid=24, iterations=1, threads=4)
-            .run(machine_a(), PatchConfig.baseline(), seed=seed)
-            .run
-        )
-        is_bad = (
-            ISWorkload(grid=24, iterations=1, threads=4)
-            .run(machine_a(), PatchConfig({"is.rank": PrestoreMode.CLEAN}), seed=seed)
-            .run
-        )
-        rows.append(
-            SeriesRow(
-                {"workload": "nas-is", "patched_site": "is.rank"},
-                {"slowdown": safe_ratio(is_bad.cycles_with_drain, is_base.cycles_with_drain)},
+        ("nas-is", "is.rank", functools.partial(ISWorkload, grid=24, iterations=1, threads=4)),
+    )
+
+    def cells(self, fast: bool, seed: int) -> Cells:
+        spec = machine_a()
+        return {
+            (name, site, mode): Cell(factory, spec, None, seed, patches=PatchConfig({site: mode}))
+            for name, site, factory in self.CASES
+            for mode in (PrestoreMode.NONE, PrestoreMode.CLEAN)
+        }
+
+    def reduce(self, results: Results, fast: bool, seed: int) -> ExperimentResult:
+        rows: List[SeriesRow] = []
+        for (name, site), runs in by_config(results).items():
+            base, bad = runs[PrestoreMode.NONE], runs[PrestoreMode.CLEAN]
+            rows.append(
+                SeriesRow(
+                    {"workload": name, "patched_site": site},
+                    {"slowdown": safe_ratio(bad.cycles_with_drain, base.cycles_with_drain)},
+                )
             )
-        )
         return self._result(rows)
 
     def check(self, result: ExperimentResult) -> List[str]:

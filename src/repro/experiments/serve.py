@@ -2,8 +2,8 @@
 
 The serving composition the traffic layer exists for: an open-loop
 YCSB-A client fleet against the CLHT store on Machine A, swept over
-pre-store modes × fault scenarios through the runner's
-:class:`~repro.runner.grid.Grid` ``fault_plans`` axis.
+pre-store modes × fault scenarios, one runner cell per pair carrying
+the scenario's :class:`~repro.faults.plan.FaultPlan`.
 
 Three scenarios per mode:
 
@@ -25,12 +25,13 @@ degraded medium but losing nothing on crash.
 from __future__ import annotations
 
 import functools
-import itertools
 from typing import List, Optional
 
 from repro.core.prestore import PrestoreMode
+from repro.experiments.common import Cells, Results
 from repro.experiments.registry import Experiment, ExperimentResult, SeriesRow, register
 from repro.faults.plan import FaultPlan
+from repro.runner import Cell
 from repro.sim.machine import machine_a
 from repro.traffic.arrivals import ArrivalSpec
 from repro.traffic.serving import ServingWorkload
@@ -66,10 +67,7 @@ class ServeTraffic(Experiment):
         "paid only in tail latency when the medium itself degrades."
     )
 
-    def run(self, fast: bool = True, seed: int = 1234) -> ExperimentResult:
-        from repro.runner import execute_cells
-        from repro.runner.grid import Grid
-
+    def cells(self, fast: bool, seed: int) -> Cells:
         operations = 2000 if fast else 4000
         arrival = ArrivalSpec(kind="poisson", rate_per_kcycle=_RATE_PER_KCYCLE)
         horizon = arrival.expected_horizon_cycles(operations)
@@ -85,31 +83,21 @@ class ServeTraffic(Experiment):
             arrival=arrival,
             slo_cycles=_SLO_CYCLES,
         )
-        scenarios = (
-            ("steady", None),
-            (
-                "degraded",
-                FaultPlan.degraded_window(0.25 * horizon, 0.5 * horizon, slowdown=8.0),
-            ),
-            ("crash", FaultPlan.crash_at_cycle(0.6 * horizon)),
-        )
-        grid = Grid(
-            factories=[factory],
-            machines=[machine_a()],
-            modes=_MODES,
-            fault_plans=[plan for _, plan in scenarios],
-            seeds=[seed],
-            experiment=self.id,
-        )
-        outcomes = execute_cells(grid.cells(), on_error="raise")
+        plans = {
+            "steady": None,
+            "degraded": FaultPlan.degraded_window(0.25 * horizon, 0.5 * horizon, slowdown=8.0),
+            "crash": FaultPlan.crash_at_cycle(0.6 * horizon),
+        }
+        return {
+            (mode, scenario): Cell(factory, machine_a(), mode, seed, fault_plan=plan)
+            for mode in _MODES
+            for scenario, plan in plans.items()
+        }
 
+    def reduce(self, results: Results, fast: bool, seed: int) -> ExperimentResult:
         rows: List[SeriesRow] = []
-        # Grid expansion is row-major (modes before fault_plans), so the
-        # outcome order is exactly this product.
-        for (mode, (scenario, _plan)), outcome in zip(
-            itertools.product(_MODES, scenarios), outcomes
-        ):
-            extra = outcome.result.extra
+        for (mode, scenario), run in results.items():
+            extra = run.extra
             serving = extra["serving"]
             report = extra.get("fault_report") or {}
             recovery = report.get("recovery") or {}

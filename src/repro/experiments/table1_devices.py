@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from typing import List
 
+from repro.experiments.common import Results
 from repro.experiments.registry import Experiment, ExperimentResult, SeriesRow, register
 from repro.sim.memory import cxl_ssd_spec, dram_spec, fpga_spec, optane_pmem_spec
 
@@ -20,7 +21,7 @@ class Table1Devices(Experiment):
         "256B/512B."
     )
 
-    def run(self, fast: bool = True, seed: int = 1234) -> ExperimentResult:
+    def reduce(self, results: Results, fast: bool, seed: int) -> ExperimentResult:
         rows = [
             SeriesRow({"device": "Intel CPU cache line"}, {"granularity_bytes": 64}),
             SeriesRow({"device": "ThunderX ARM cache line"}, {"granularity_bytes": 128}),

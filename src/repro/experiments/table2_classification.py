@@ -10,6 +10,7 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from repro.dirtbuster.runner import DirtBuster, DirtBusterConfig
+from repro.experiments.common import Results
 from repro.experiments.registry import Experiment, ExperimentResult, SeriesRow, register
 from repro.sim.machine import MachineSpec, machine_a, machine_b_fast
 from repro.workloads.base import Workload
@@ -112,7 +113,9 @@ class Table2Classification(Experiment):
         "writes before fences)."
     )
 
-    def run(self, fast: bool = True, seed: int = 1234) -> ExperimentResult:
+    def reduce(self, results: Results, fast: bool, seed: int) -> ExperimentResult:
+        # No cells: DirtBuster's passes attach their own tracers, so they
+        # run here rather than through the runner.
         # A short sampling period so even the scaled-down compute-bound
         # applications (EP and friends) yield enough samples.
         dirtbuster = DirtBuster(DirtBusterConfig(sampling_period=53))

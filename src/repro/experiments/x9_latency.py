@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 import functools
-
 from typing import List
 
 from repro.core.prestore import PrestoreMode
-from repro.experiments.common import run_variants, safe_ratio
+from repro.experiments.common import MACHINES_B, Cells, Results, by_config, safe_ratio
 from repro.experiments.registry import Experiment, ExperimentResult, SeriesRow, register
-from repro.sim.machine import machine_b_fast, machine_b_slow
+from repro.runner import Cell
 from repro.workloads.x9 import X9Workload
 
 __all__ = ["X9Latency"]
@@ -25,21 +24,22 @@ class X9Latency(Experiment):
         "in the background instead of at the last minute inside the CAS."
     )
 
-    def run(self, fast: bool = True, seed: int = 1234) -> ExperimentResult:
+    def cells(self, fast: bool, seed: int) -> Cells:
         messages = 1500 if fast else 4000
+        factory = functools.partial(X9Workload, messages=messages)
+        return {
+            (machine, messages, mode): Cell(factory, preset(), mode, seed)
+            for machine, preset in MACHINES_B
+            for mode in (PrestoreMode.NONE, PrestoreMode.DEMOTE)
+        }
+
+    def reduce(self, results: Results, fast: bool, seed: int) -> ExperimentResult:
         rows: List[SeriesRow] = []
-        for machine_name, spec in (("B-fast", machine_b_fast()), ("B-slow", machine_b_slow())):
-            results = run_variants(
-                functools.partial(X9Workload, messages=messages),
-                spec,
-                (PrestoreMode.NONE, PrestoreMode.DEMOTE),
-                seed=seed,
-            )
-            base = results[PrestoreMode.NONE]
-            demote = results[PrestoreMode.DEMOTE]
+        for (machine, messages), runs in by_config(results).items():
+            base, demote = runs[PrestoreMode.NONE], runs[PrestoreMode.DEMOTE]
             rows.append(
                 SeriesRow(
-                    {"machine": machine_name},
+                    {"machine": machine},
                     {
                         "cycles_per_message_baseline": safe_ratio(base.cycles, messages),
                         "cycles_per_message_demote": safe_ratio(demote.cycles, messages),

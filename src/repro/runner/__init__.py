@@ -1,8 +1,9 @@
 """repro.runner: shard experiment cells across worker processes.
 
-The runner turns any sweep — a registered experiment, a
-``run_variants`` call, an AutoTuner measurement pair — into a list of
-:class:`~repro.runner.cells.Cell` values and executes them through one
+The runner turns any sweep — the cells every registered experiment
+declares (one sweep for ``prestores-experiments --all``), an AutoTuner
+measurement pair — into a list of :class:`~repro.runner.cells.Cell`
+values and executes them through one
 :func:`~repro.runner.pool.execute_cells` entry point, with
 
 * **determinism** — a cell constructs its workload and machine fresh

@@ -60,8 +60,6 @@ class Cell:
     #: ``result.extra["crashcheck_report"]``.  The persistence domain
     #: follows the fault plan's (ADR without one).
     crashcheck: bool = False
-    #: Owning experiment id, for log context (optional).
-    experiment: Optional[str] = None
     #: Deterministic fault plan; a non-empty plan routes the cell through
     #: :func:`repro.faults.run_with_faults` and lands the crash report in
     #: ``result.extra["fault_report"]``.  None (or an empty plan) is the
@@ -132,7 +130,7 @@ def run_cell(cell: Cell) -> CellRun:
             adr=adr,
             seed=cell.seed,
         ).to_dict()
-    with run_context(run_id=run_id, experiment_id=cell.experiment, worker=worker):
+    with run_context(run_id=run_id, worker=worker):
         if cell.fault_plan is not None and not cell.fault_plan.is_empty():
             from repro.faults.harness import run_with_faults
 

@@ -86,9 +86,8 @@ class Grid:
     obs: bool = False
     sanitize: bool = False
     crashcheck: bool = False
-    experiment: Optional[str] = None
-    #: Fault-plan axis (the serving scenarios sweep steady / degraded /
-    #: crash): None or an empty plan is the plain, bit-identical run.
+    #: Fault-plan axis (e.g. steady / degraded / crash): None or an empty
+    #: plan is the plain, bit-identical run.
     fault_plans: Sequence[Optional["FaultPlan"]] = (None,)
 
     def __post_init__(self) -> None:
@@ -117,7 +116,6 @@ class Grid:
                 obs=self.obs,
                 sanitize=self.sanitize,
                 crashcheck=self.crashcheck,
-                experiment=self.experiment,
                 fault_plan=plan,
             )
             for factory, spec, mode, plan, seed in itertools.product(

@@ -41,18 +41,19 @@ future, so the driver rebuilds the pool — up to :data:`MAX_POOL_RESTARTS`
 times — and requeues the unfinished cells; a cell that brings the pool
 down :data:`MAX_CELL_BREAKS` times is marked failed instead of requeued,
 and once restarts are exhausted whatever remains runs inline.  With
-``on_error="raise"`` (what :func:`~repro.experiments.common.run_variants`
-and the AutoTuner use) any non-ok outcome raises
-:class:`~repro.errors.CellExecutionError` carrying the full outcome list.
+``on_error="raise"`` (what the experiments and the AutoTuner use) any
+non-ok outcome raises :class:`~repro.errors.CellExecutionError` carrying
+the full outcome list.
 
 Retry backoff is exponential with **deterministic jitter** seeded from
 the cell's run id (:func:`retry_delay`), so retry timing — and the
 SweepEvent order within one cell — is reproducible run to run.
 
 :func:`runner_session` sets ambient worker-count/cache/retry/chunking
-defaults so callers several layers up (the experiment CLI) can
-parallelise every ``run_variants`` underneath without threading
-arguments through each experiment's ``run`` method.
+defaults so callers several layers up (``repro.experiments.run_all``,
+a benchmark running experiments one by one) can parallelise and cache
+every ``execute_cells`` call underneath without threading arguments
+through each experiment's ``run`` method.
 """
 
 from __future__ import annotations
@@ -258,9 +259,9 @@ def runner_session(
     """Install ambient runner defaults (and one shared warm process pool).
 
     Every :func:`execute_cells` call inside the block — including the
-    ones ``run_variants`` makes on behalf of registered experiments —
-    inherits ``workers``, the cache, chunking, and the retry policy
-    unless explicitly overridden.  The pool is created once, warmed by
+    one an experiment's ``run`` makes for its declared cells — inherits
+    ``workers``, the cache, chunking, and the retry policy unless
+    explicitly overridden.  The pool is created once, warmed by
     :func:`_pool_initializer`, and reused by every call in the block.
     """
     global _session

@@ -1,9 +1,14 @@
 """Unit tests for the experiment framework and the cheap experiments."""
 
+import functools
+
 import pytest
 
 import repro.experiments  # noqa: F401  (registers everything)
+import repro.runner
+from repro.core.prestore import PrestoreMode
 from repro.errors import ExperimentError
+from repro.experiments import registry
 from repro.experiments.registry import (
     Experiment,
     ExperimentResult,
@@ -11,7 +16,11 @@ from repro.experiments.registry import (
     all_ids,
     get,
     register,
+    run_all,
 )
+from repro.runner import Cell, cache_key
+from repro.sim.machine import machine_a
+from repro.workloads.microbench import Listing1
 
 PAPER_IDS = {
     "table1",
@@ -108,3 +117,73 @@ class TestCheapExperiments:
         assert not [n for n in result.notes if n.startswith("SHAPE")]
         for row in result.rows:
             assert row.metric("latency_reduction_pct") > 0
+
+
+def _tiny_listing1(element_size):
+    """Module-level spy factory: describable, picklable, and countable."""
+    _tiny_listing1.calls += 1
+    return Listing1(element_size=element_size, num_elements=64, iterations=120)
+
+
+_tiny_listing1.calls = 0
+
+
+def _tiny_cell(element_size, mode=PrestoreMode.NONE):
+    return Cell(functools.partial(_tiny_listing1, element_size), machine_a(), mode, seed=7)
+
+
+class _Declares(Experiment):
+    """A stub experiment with one cell of its own and one it shares."""
+
+    id = "stub-declares"
+
+    def cells(self, fast, seed):
+        return {"own": _tiny_cell(256), "shared": _tiny_cell(512)}
+
+    def reduce(self, results, fast, seed):
+        return self._result(
+            [SeriesRow({"key": key}, {"cycles": run.cycles}) for key, run in results.items()]
+        )
+
+
+class _AlsoDeclares(_Declares):
+    id = "stub-also-declares"
+
+    def cells(self, fast, seed):
+        return {"shared": _tiny_cell(512), "clean": _tiny_cell(512, PrestoreMode.CLEAN)}
+
+
+class TestProtocol:
+    """Experiments declare cells; run_all runs every experiment's cells as one sweep."""
+
+    @pytest.mark.parametrize("fast", [True, False])
+    def test_every_declared_cell_is_cacheable(self, fast):
+        for eid in all_ids():
+            for key, cell in get(eid).cells(fast, 1234).items():
+                assert cache_key(cell) is not None, (eid, key)
+
+    def test_run_all_is_one_sweep_that_simulates_shared_cells_once(self, monkeypatch):
+        for cls in (_Declares, _AlsoDeclares):
+            monkeypatch.setitem(registry._REGISTRY, cls.id, cls)
+        sweeps = []
+        execute = repro.runner.execute_cells
+
+        def spy(cells, **kw):
+            sweeps.append(len(cells))
+            return execute(cells, **kw)
+
+        monkeypatch.setattr(repro.runner, "execute_cells", spy)
+        before = _tiny_listing1.calls
+        results = run_all([_AlsoDeclares.id, _Declares.id])
+        assert sweeps == [3]
+        assert _tiny_listing1.calls - before == 3
+        assert list(results) == [_AlsoDeclares.id, _Declares.id]
+        shared = [r.rows_where(key="shared")[0].metric("cycles") for r in results.values()]
+        assert shared[0] == shared[1]
+        assert all(r.wall_s > 0 for r in results.values())
+
+    def test_pooled_run_all_matches_serial(self):
+        ids = ["fig5", "x9", "listing3"]
+        serial = run_all(ids)
+        assert run_all(ids, workers=2) == serial
+        assert serial == {eid: get(eid).run_checked() for eid in ids}

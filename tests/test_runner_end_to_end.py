@@ -129,7 +129,9 @@ class TestCLIs:
             timings = re.findall(r"^(\w+): (\d+\.\d\d) s$", out, re.MULTILINE)
             assert [eid for eid, _ in timings] == ["table1", "listing3", "total"]
             seconds = [float(s) for _, s in timings]
-            assert abs(seconds[2] - seconds[0] - seconds[1]) <= 0.02  # 3 roundings
+            # One sweep: each experiment's cells and reduce lie inside the
+            # batch's wall clock, give or take 3 roundings.
+            assert seconds[0] + seconds[1] <= seconds[2] + 0.02
             markdowns.append(md.read_text())
         # Timings stay out of the markdown, which is byte-identical.
         assert markdowns[0] == markdowns[1]

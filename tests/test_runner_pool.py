@@ -6,7 +6,6 @@ import pytest
 
 from repro.core.autotune import AutoTuner
 from repro.core.prestore import PrestoreMode
-from repro.experiments.common import run_variants
 from repro.runner import (
     Cell,
     ResultCache,
@@ -102,17 +101,18 @@ class TestCache:
 
 
 class TestIntegration:
-    def test_run_variants_workers_matches_serial(self, tiny_machine_a):
+    def test_execute_cells_workers_matches_serial(self, tiny_machine_a):
         factory = functools.partial(Listing1, element_size=512, num_elements=64, iterations=120)
-        serial = run_variants(factory, tiny_machine_a, MODES, seed=7)
-        pooled = run_variants(factory, tiny_machine_a, MODES, seed=7, workers=2)
-        for mode in MODES:
-            assert pooled[mode].to_json() == serial[mode].to_json()
+        cells = [Cell(factory, tiny_machine_a, mode, seed=7) for mode in MODES]
+        serial = execute_cells(cells, on_error="raise")
+        pooled = execute_cells(cells, workers=2, on_error="raise")
+        assert [o.result.to_json() for o in pooled] == [o.result.to_json() for o in serial]
 
-    def test_run_variants_progress_reports_every_cell(self, tiny_machine_a):
+    def test_execute_cells_progress_reports_every_cell(self, tiny_machine_a):
         lines = []
         factory = functools.partial(Listing1, element_size=512, num_elements=64, iterations=120)
-        run_variants(factory, tiny_machine_a, MODES, seed=7, progress=lines.append)
+        cells = [Cell(factory, tiny_machine_a, mode, seed=7) for mode in MODES]
+        execute_cells(cells, progress=lines.append)
         assert len(lines) == len(MODES)
         assert all("listing1" in line for line in lines)
 

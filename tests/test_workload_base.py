@@ -4,12 +4,8 @@ import pytest
 
 from repro.core.prestore import PatchConfig, PrestoreMode
 from repro.errors import WorkloadError
-from repro.experiments.common import (
-    MANUAL_MISUSE_SITES,
-    endorsed_patches,
-    patch_all_sites,
-    run_variants,
-)
+from repro.experiments.common import MANUAL_MISUSE_SITES, endorsed_patches, patch_all_sites
+from repro.runner import Cell, execute_cells
 from repro.workloads.microbench import Listing1
 from repro.workloads.nas import FTWorkload
 
@@ -61,11 +57,9 @@ class TestExperimentPatching:
         assert config.mode("ft.fftz2") is PrestoreMode.NONE
         assert "ft.fftz2" in MANUAL_MISUSE_SITES
 
-    def test_run_variants_covers_modes(self, tiny_machine_a):
-        results = run_variants(
-            lambda: Listing1(element_size=256, num_elements=64, iterations=60),
-            tiny_machine_a,
-            (PrestoreMode.NONE, PrestoreMode.CLEAN, PrestoreMode.SKIP),
-        )
-        assert set(results) == {PrestoreMode.NONE, PrestoreMode.CLEAN, PrestoreMode.SKIP}
-        assert all(r.cycles > 0 for r in results.values())
+    def test_execute_cells_covers_modes(self, tiny_machine_a):
+        modes = (PrestoreMode.NONE, PrestoreMode.CLEAN, PrestoreMode.SKIP)
+        factory = lambda: Listing1(element_size=256, num_elements=64, iterations=60)  # noqa: E731
+        outcomes = execute_cells([Cell(factory, tiny_machine_a, mode) for mode in modes])
+        assert [o.cell.mode for o in outcomes] == list(modes)
+        assert all(o.ok and o.result.cycles > 0 for o in outcomes)
