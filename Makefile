@@ -55,18 +55,18 @@ dirtbuster-smoke:
 	$(PYTHON) -m repro.dirtbuster nas-mg > build/dirtbuster-nas-mg.txt
 	grep -E '^nas-mg +yes +yes +-$$' build/dirtbuster-nas-mg.txt
 
-# Shape-check gate for the single-event experiments: fig5, x9 and
-# listing3 run in fast mode and the CLI exits 1 when any of them prints
-# SHAPE CHECK FAILED.  The three run again as one pooled sweep
-# (--workers 2), and fig5 runs again in the per-access reference
-# vocabulary (REPRO_SIM_REFERENCE=1); both must match the serial
-# batched run byte for byte.  It takes seconds; CI runs it under a
-# 5-minute timeout.
+# Shape-check gate for the single-event experiments (fig5, x9,
+# listing3) and the fault-plan ones (serve, faults-window): the five
+# run in fast mode and the CLI exits 1 when any of them prints SHAPE
+# CHECK FAILED.  The five run again as one pooled sweep (--workers 2),
+# and fig5 runs again in the per-access reference vocabulary
+# (REPRO_SIM_REFERENCE=1); both must match the serial batched run byte
+# for byte.  It takes seconds; CI runs it under a 5-minute timeout.
 experiments-smoke:
 	@mkdir -p build
 	$(PYTHON) -m repro.experiments.cli fig5 --markdown build/fig5-streams.md
-	$(PYTHON) -m repro.experiments.cli fig5 x9 listing3 --markdown build/smoke-serial.md
-	$(PYTHON) -m repro.experiments.cli fig5 x9 listing3 --workers 2 --markdown build/smoke-pooled.md
+	$(PYTHON) -m repro.experiments.cli fig5 x9 listing3 serve faults-window --markdown build/smoke-serial.md
+	$(PYTHON) -m repro.experiments.cli fig5 x9 listing3 serve faults-window --workers 2 --markdown build/smoke-pooled.md
 	diff build/smoke-serial.md build/smoke-pooled.md
 	REPRO_SIM_REFERENCE=1 $(PYTHON) -m repro.experiments.cli fig5 --markdown build/fig5-reference.md
 	diff build/fig5-streams.md build/fig5-reference.md

@@ -124,6 +124,7 @@ class SamplingTracer(Tracer):
         size: int,
         chunk: int,
         stride: int,
+        nontemporal: bool,
         index: int,
         clocks: List[float],
         site: CodeSite,
@@ -204,6 +205,7 @@ class FullTracer(Tracer):
         size: int,
         chunk: int,
         stride: int,
+        nontemporal: bool,
         index: int,
         clocks: List[float],
         site: CodeSite,

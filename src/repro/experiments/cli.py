@@ -77,8 +77,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     total = time.perf_counter() - started
     for eid, result in results.items():
         print(result.render())
-        # Wall seconds go to stdout only: the markdown stays deterministic.
-        print(f"{eid}: {result.wall_s:.2f} s")
+        # Wall seconds and path counts go to stdout only: the markdown
+        # stays deterministic.
+        paths = " ".join(f"{path}={count}" for path, count in result.path_counts.items())
+        print(f"{eid}: {result.wall_s:.2f} s  accesses {paths}")
         print()
     print(f"total: {total:.2f} s")
 

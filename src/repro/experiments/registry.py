@@ -55,6 +55,9 @@ class ExperimentResult:
     #: Host seconds :func:`run_all` charges to this experiment: the wall
     #: time of the cells it declared first, plus its reduce and check.
     wall_s: float = field(default=0.0, compare=False)
+    #: ``Machine.path_counts()`` summed over the same cells; cells served
+    #: from the ResultCache count nothing.
+    path_counts: Dict[str, int] = field(default_factory=dict, compare=False)
 
     def rows_where(self, **config) -> List[SeriesRow]:
         """Rows whose config matches all given key/values."""
@@ -201,7 +204,12 @@ def run_all(
         started = time.perf_counter()
         found = {key: outcomes[ident].result for key, ident in idents[eid].items()}
         result = experiment._checked(experiment.reduce(found, fast, seed))
-        cells_s = sum(outcomes[i].wall_s for i, (first, _) in sweep.items() if first == eid)
-        result.wall_s = cells_s + time.perf_counter() - started
+        own = [outcomes[i] for i, (first, _) in sweep.items() if first == eid]
+        result.wall_s = sum(o.wall_s for o in own) + time.perf_counter() - started
+        paths = {"fused": 0, "unrolled": 0, "single": 0}
+        for outcome in own:
+            for path, count in outcome.path_counts.items():
+                paths[path] += count
+        result.path_counts = paths
         results[eid] = result
     return results

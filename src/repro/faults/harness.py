@@ -21,7 +21,7 @@ path included.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from repro.core.prestore import PatchConfig
@@ -58,6 +58,9 @@ class FaultRunReport:
     image: Optional[PersistentImage]
     recovery: Optional[Dict[str, object]]
     result: RunResult
+    #: ``Machine.path_counts()`` of the run, up to the crash (kept out
+    #: of :meth:`to_dict`).
+    path_counts: Dict[str, int] = field(default_factory=dict)
 
     def to_dict(self, include_image: bool = True) -> Dict[str, object]:
         """JSON-stable dict (sorted keys at serialisation time)."""
@@ -198,6 +201,7 @@ def run_with_faults(
         image=image,
         recovery=recovery,
         result=result,
+        path_counts=machine.path_counts(),
     )
     if crash is not None and image is not None:
         _log.info(

@@ -2,15 +2,17 @@
 
 Two cooperating pieces realise a :class:`~repro.faults.plan.FaultPlan`:
 
-* :class:`FaultInjector` wraps ``machine.step`` with a pre-event hook.
-  Registering as an observer without a ``record_stream`` method forces
-  the machine to unroll batched STREAM events through ``step``, so the
-  hook sees every individual access exactly as the reference vocabulary
-  would — crash points land at true event boundaries on both the fast
-  and reference interpreters.  The hook bumps per-line store version
-  counters *before* the store executes (so a non-temporal store's
-  device writeback observes its own version) and raises
-  :class:`CrashSignal` when the plan's crash point is reached.
+* :class:`FaultInjector` wraps ``machine.step`` with a pre-event hook
+  and is the machine's stream horizon
+  (:class:`~repro.sim.machine.StreamHorizon`).  The hook bumps per-line
+  store version counters *before* a store executes (so a non-temporal
+  store's device writeback observes its own version) and raises
+  :class:`CrashSignal` when the plan's crash point is reached.  Streams
+  keep their fused loops: the horizon caps each fused run at the crash
+  cycle and instruction, bumps each store access's versions on the
+  loops' per-access hook, and the machine steps the access at the cap
+  at once — so crash points land at true event boundaries, the same
+  ones the reference vocabulary gives.
 
 * :class:`FaultDevice` replaces the machine's
   :class:`~repro.sim.memory.MemoryDevice` and tracks, per cache line,
@@ -22,18 +24,20 @@ Two cooperating pieces realise a :class:`~repro.faults.plan.FaultPlan`:
   read faults and degraded-bandwidth phases.
 
 Timing side effects of the tracking itself are zero: the device delegates
-all accounting to the base class and only adds bookkeeping, so a run
+all accounting to the base class and only adds bookkeeping (the fused
+loops inline device bodies only for the base class itself), so a run
 under an *empty* plan never constructs these objects at all and stays
 bit-identical to a plain run.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+import math
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.faults.plan import BandwidthPhase, FaultPlan
-from repro.sim.event import Event, EventKind
-from repro.sim.machine import Machine
+from repro.sim.event import STREAM_WRITE, Event, EventKind
+from repro.sim.machine import Machine, StreamHorizon
 from repro.sim.memory import DeviceSpec, MemoryDevice
 
 __all__ = ["CrashSignal", "FaultDevice", "FaultInjector"]
@@ -160,12 +164,13 @@ class FaultDevice(MemoryDevice):
         return None
 
 
-class FaultInjector:
-    """Observer + ``step`` pre-hook realising a plan's crash point.
+class FaultInjector(StreamHorizon):
+    """``step`` pre-hook and stream horizon realising a plan's crash point.
 
-    The observer registration is what forces stream unrolling (fidelity:
-    crash points are per-access); the actual work happens in the wrapped
-    ``machine.step``, which runs *before* each event executes.
+    Single events and unrolled stream accesses meet the crash check and
+    the version bump in the wrapped ``machine.step``, which runs
+    *before* each event executes.  Fused stream runs meet them through
+    :meth:`limits` and :meth:`before_accesses`.
     """
 
     def __init__(self, plan: FaultPlan, device: FaultDevice) -> None:
@@ -176,9 +181,9 @@ class FaultInjector:
         self._orig_step = None
 
     def install(self, machine: Machine) -> None:
-        """Attach to ``machine``: observer + shadowed ``step``."""
+        """Attach to ``machine``: stream horizon + shadowed ``step``."""
         self.machine = machine
-        machine.attach_observer(self)
+        machine.horizon = self
         self._orig_step = machine.step
         machine.step = self._wrapped_step  # type: ignore[method-assign]
 
@@ -205,7 +210,37 @@ class FaultInjector:
         if kind is EventKind.WRITE or kind is EventKind.ATOMIC:
             self.device.bump_versions(event.lines(machine.line_size))
 
-    # -- observer interface (bookkeeping only) -------------------------------
+    # -- stream horizon ------------------------------------------------------
 
-    def record(self, core_id: int, event: Event, instr_index: int, cycles: float) -> None:
-        """All real work happens pre-event; nothing to do post-event."""
+    def limits(self, core) -> Tuple[float, Optional[int]]:
+        """Stop fused runs before the access the crash check would fire on."""
+        crash = self.plan.crash
+        if crash is None:
+            return math.inf, None
+        cycle = math.inf if crash.at_cycle is None else crash.at_cycle
+        if crash.at_instruction is None:
+            return cycle, None
+        assert self.machine is not None
+        return cycle, crash.at_instruction - self.machine.instruction_count
+
+    def before_accesses(self, core, event: Event) -> Optional[Callable[[float], None]]:
+        """Bump each store access's line versions before it executes."""
+        if event.kind is not STREAM_WRITE:
+            return None
+        assert self.machine is not None
+        versions = self.device.line_versions
+        get = versions.get
+        line_size = self.machine.line_size
+        chunk = event.chunk
+        end = event.addr + event.size
+        starts = iter(range(event.addr, end, event.stride))
+
+        def bump(clock: float) -> None:
+            a = next(starts)
+            line = a // line_size
+            last = ((a + chunk if a + chunk < end else end) - 1) // line_size
+            while line <= last:
+                versions[line] = get(line, 0) + 1
+                line += 1
+
+        return bump

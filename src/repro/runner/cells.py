@@ -26,7 +26,7 @@ import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Optional
 
 from repro.core.prestore import PatchConfig, PrestoreMode
 from repro.sim.machine import MachineSpec
@@ -78,6 +78,9 @@ class CellRun:
     #: ``pid<N>`` of the executing process (the parent itself when inline).
     worker: str
     wall_s: float
+    #: ``Machine.path_counts()`` of the run; not part of the result, so
+    #: cached bytes do not depend on it.
+    path_counts: Dict[str, int] = field(default_factory=dict)
 
 
 def _derive_config(cell: Cell, workload: Workload) -> PatchConfig:
@@ -150,10 +153,13 @@ def run_cell(cell: Cell) -> CellRun:
             if report.image is not None:
                 doc["image_digest"] = report.image.digest()
             result.extra["fault_report"] = doc
+            path_counts = report.path_counts
         else:
-            result = workload.run(
+            ran = workload.run(
                 cell.spec, config, seed=cell.seed, sanitize=cell.sanitize, obs=cell.obs
-            ).run
+            )
+            result = ran.run
+            path_counts = ran.path_counts
         if crashcheck_doc is not None:
             result.extra["crashcheck_report"] = crashcheck_doc
     return CellRun(
@@ -162,6 +168,7 @@ def run_cell(cell: Cell) -> CellRun:
         run_id=run_id,
         worker=worker,
         wall_s=time.perf_counter() - started,
+        path_counts=path_counts,
     )
 
 

@@ -66,7 +66,7 @@ from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
     Callable,
@@ -142,6 +142,9 @@ class CellOutcome:
     error: Optional[str] = None
     #: Execution attempts consumed (0 for cache hits).
     attempts: int = 1
+    #: ``Machine.path_counts()`` of the simulation; empty when nothing
+    #: ran (cache hits, failures).
+    path_counts: Dict[str, int] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -465,6 +468,7 @@ def execute_cells(
             wall_s=run.wall_s,
             status="ok",
             attempts=max(1, job.attempts),
+            path_counts=run.path_counts,
         )
         _emit(
             progress,

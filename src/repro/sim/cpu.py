@@ -21,7 +21,7 @@ implement the paper's cost model:
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Callable, Iterable, List, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
 from repro.core.prestore import CYCLES_PER_PRESTORE, PrestoreOp
 from repro.errors import SimulationError
@@ -37,6 +37,7 @@ from repro.sim.event import (
     WRITE,
     Event,
 )
+from repro.sim.memory import MemoryDevice
 from repro.sim.replacement import _PLRU_LUT_MAX_WAYS, IntelLikePolicy, _plru_lut
 from repro.sim.stats import CoreStats
 from repro.sim.store_buffer import StoreBuffer
@@ -86,6 +87,11 @@ class Core:
         #: Outer-level line indexes, innermost-but-one first — the fused
         #: store loop's residency probe (replaces hierarchy.contains).
         self._other_indexes = [lvl._index for lvl in machine.hierarchy.levels[1:]]
+        #: Every level's ``(line index, invalidate)``, innermost first —
+        #: the fused NT loop's invalidation walk.
+        self._invalidators = tuple(
+            (lvl._index, lvl.invalidate) for lvl in machine.hierarchy.levels
+        )
         #: L1 recency-touch tables when L1 runs the LUT-encoded
         #: intel-like policy: ``(and_masks, or_masks)`` let the fused
         #: loops mark a hit way without a policy call (same state
@@ -222,7 +228,7 @@ class Core:
         event: Event,
         strict_limit: float = math.inf,
         loose_limit: float = math.inf,
-        clocks: Optional[List[float]] = None,
+        note: Optional[Callable[[float], None]] = None,
     ) -> Optional[Event]:
         """Execute a batched access run in a fused per-line loop.
 
@@ -237,22 +243,25 @@ class Core:
         ``event`` mutated to the remaining ``[addr, addr+size)`` range;
         ``None`` once the run is complete.
 
-        ``clocks``, when given, gets the core clock at the start of each
-        executed access (observers replay per-access cycles from it);
-        only the fused loops fill it.
+        ``note``, when given, is called with the core clock at the start
+        of each executed access, before it runs (observers replay
+        per-access cycles from it, the fault injector bumps store
+        versions); only the fused loops call it.
         """
         kind = event.kind
+        if kind is STREAM_WRITE and event.nontemporal:
+            return self._stream_nt_fast(event, strict_limit, loose_limit, note)
         if self._fast_policy:
-            if kind is STREAM_WRITE and not event.nontemporal:
-                return self._stream_write_fast(event, strict_limit, loose_limit, clocks)
+            if kind is STREAM_WRITE:
+                return self._stream_write_fast(event, strict_limit, loose_limit, note)
             if kind is STREAM_READ:
-                return self._stream_read_fast(event, strict_limit, loose_limit, clocks)
+                return self._stream_read_fast(event, strict_limit, loose_limit, note)
         if kind is not STREAM_READ and kind is not STREAM_WRITE:
             raise SimulationError(f"execute_stream() got non-stream event {event!r}")
-        if clocks is not None:
-            raise SimulationError("per-access clocks need a fused stream loop")
-        # No fusion (NT writes, exotic policies): every access runs
-        # through the reference handlers.
+        if note is not None:
+            raise SimulationError("a per-access hook needs a fused stream loop")
+        # No fusion (cached accesses under a non-idempotent policy): every
+        # access runs through the reference handlers.
         return self.unroll_stream(event, self.execute, strict_limit, loose_limit)
 
     def unroll_stream(
@@ -325,7 +334,7 @@ class Core:
         event: Event,
         strict_limit: float,
         loose_limit: float,
-        clocks: Optional[List[float]] = None,
+        note: Optional[Callable[[float], None]] = None,
     ) -> Optional[Event]:
         """Fused store loop, warm and cold.
 
@@ -392,8 +401,11 @@ class Core:
         # Line-aligned, line-sized traffic stays within one internal
         # block whenever lines are no wider than the device granularity
         # (true for every preset); otherwise fall back to the bound
-        # methods, re-synced per call.
-        inline_dev = line_size <= d_gran
+        # methods, re-synced per call.  The inline bodies are
+        # MemoryDevice's own, so a subclass (the fault-tracking device
+        # overrides read, write_back and _media_occupancy_bytes) takes
+        # the bound methods too.
+        inline_dev = line_size <= d_gran and type(device) is MemoryDevice
         bus_nf = device._bus_next_free
         media_nf = device._media_next_free
         rr_nf = device._read_return_next_free
@@ -405,7 +417,6 @@ class Core:
         cid = self.stats.core_id
         stats = self.stats
         visibility = self._visibility_latency
-        note_clock = clocks.append if clocks is not None else None
 
         addr, size, chunk, stride = event.addr, event.size, event.chunk, event.stride
         relaxed, site, chain = event.relaxed, event.site, event.callchain
@@ -422,8 +433,8 @@ class Core:
         while offset < size:
             if not (clock < strict_limit and clock <= loose_limit):
                 break
-            if note_clock is not None:
-                note_clock(clock)
+            if note is not None:
+                note(clock)
             if seq:
                 # Aligned line-granular stream (the common case): chunks
                 # never straddle and the target line just increments.
@@ -750,7 +761,7 @@ class Core:
         event: Event,
         strict_limit: float,
         loose_limit: float,
-        clocks: Optional[List[float]] = None,
+        note: Optional[Callable[[float], None]] = None,
     ) -> Optional[Event]:
         """Fused load loop, warm and cold.
 
@@ -786,7 +797,6 @@ class Core:
         line_owner = machine.line_owner
         cid = self.stats.core_id
         stats = self.stats
-        note_clock = clocks.append if clocks is not None else None
 
         addr, size, chunk, stride = event.addr, event.size, event.chunk, event.stride
         relaxed, site, chain = event.relaxed, event.site, event.callchain
@@ -804,8 +814,8 @@ class Core:
         while offset < size:
             if not (clock < strict_limit and clock <= loose_limit):
                 break
-            if note_clock is not None:
-                note_clock(clock)
+            if note is not None:
+                note(clock)
             length = chunk if size - offset >= chunk else size - offset
             a = addr + offset
             line = a // line_size
@@ -893,6 +903,133 @@ class Core:
             stats.reads += n_fast
         if n_hits:
             l1.stats.hits += n_hits
+        if offset < size:
+            event.addr = addr + offset
+            event.size = size - offset
+            return event
+        return None
+
+    def _stream_nt_fast(
+        self,
+        event: Event,
+        strict_limit: float,
+        loose_limit: float,
+        note: Optional[Callable[[float], None]] = None,
+    ) -> Optional[Event]:
+        """Fused non-temporal store loop.
+
+        Per access this replicates ``execute``'s retirement accounting
+        and :meth:`_do_nontemporal_write`: ``STORE_ISSUE_COST``; for
+        every line the access covers, its invalidation in every level
+        and the drop of its owner and store-buffer entries; the device
+        writeback; and ``_apply_backpressure``.  NT stores touch no
+        replacement state, so the loop runs under any policy, and
+        line-straddling chunks need no fallback.  The writeback body is
+        inlined for the base device when the access lands in one
+        internal block; otherwise ``device.write_back`` runs with the
+        device horizons synced around it.  Contending cores preempt NT
+        streams after one or two accesses, so the loop binds only what
+        every access uses.
+        """
+        line_size = self._line_size
+        invalidators = self._invalidators
+        line_owner = self._line_owner
+        pending = self._pending
+        device = self.machine.device
+        inline_dev = type(device) is MemoryDevice
+        c_open = device.combiner._open
+        d_bw = device._bw
+        d_gran = device._gran
+        bus_nf = device._bus_next_free
+        media_nf = device._media_next_free
+        backlog_limit = self.machine.spec.backlog_limit_cycles
+        n_wb = 0  # inline writebacks since the last flush
+        n_bytes = 0  # their payload bytes
+        n_cmerge = 0  # combiner merges since the last flush
+        n_cclose = 0  # combiner closes (= media writes) since the last flush
+
+        addr, size, chunk, stride = event.addr, event.size, event.chunk, event.stride
+        offset = 0
+        clock = self.clock
+        while offset < size:
+            if not (clock < strict_limit and clock <= loose_limit):
+                break
+            if note is not None:
+                note(clock)
+            length = chunk if size - offset >= chunk else size - offset
+            a = addr + offset
+            end = a + length - 1
+            clock += 1.0  # STORE_ISSUE_COST
+            line = a // line_size
+            last = end // line_size
+            while line <= last:
+                for index, invalidate in invalidators:
+                    if line in index:
+                        invalidate(line)
+                line_owner.pop(line, None)
+                pending.pop(line, None)
+                line += 1
+            block = a // d_gran
+            if inline_dev and end // d_gran == block:
+                # Inline MemoryDevice.write_back + the single-block
+                # combiner add (stats batched in n_wb/n_bytes/n_cmerge/
+                # n_cclose).
+                n_wb += 1
+                n_bytes += length
+                start = clock if clock >= bus_nf else bus_nf
+                bus_done = start + length / d_bw
+                bus_nf = bus_done
+                if block in c_open:
+                    merged = c_open[block] + length
+                    del c_open[block]  # refresh LRU
+                    c_open[block] = d_gran if merged > d_gran else merged
+                    n_cmerge += 1
+                else:
+                    combiner = device.combiner
+                    if len(c_open) >= combiner.capacity:
+                        evicted = next(iter(c_open))
+                        del c_open[evicted]
+                        n_cclose += 1
+                        if combiner.on_close is not None:
+                            combiner.on_close(evicted)
+                        # The closed entry's media write queues behind
+                        # the payload delivery.
+                        start = bus_done if bus_done >= media_nf else media_nf
+                        media_nf = start + d_gran / d_bw
+                    c_open[block] = length
+            else:
+                device._bus_next_free = bus_nf
+                device._media_next_free = media_nf
+                device.write_back(a, length, clock)
+                bus_nf = device._bus_next_free
+                media_nf = device._media_next_free
+            # Inline _apply_backpressure().
+            horizon = bus_nf if bus_nf > media_nf else media_nf
+            if horizon > clock:
+                excess = (horizon - clock) - backlog_limit
+                if excess > 0:
+                    clock += excess
+                    self.stats.backpressure_stall_cycles += excess
+            offset += stride
+
+        self.clock = clock
+        device._bus_next_free = bus_nf
+        device._media_next_free = media_nf
+        stats = self.stats
+        executed = offset // stride
+        stats.instructions += executed
+        stats.writes += executed
+        stats.nontemporal_writes += executed
+        if n_wb:
+            dstats = device.stats
+            dstats.writebacks_received += n_wb
+            dstats.bytes_received += n_bytes
+            combiner = device.combiner
+            combiner.merges += n_cmerge
+            if n_cclose:
+                combiner.closes += n_cclose
+                dstats.media_writes += n_cclose
+                dstats.media_bytes_written += n_cclose * d_gran
         if offset < size:
             event.addr = addr + offset
             event.size = size - offset

@@ -47,6 +47,7 @@ __all__ = [
     "MachineSpec",
     "Machine",
     "Tracer",
+    "StreamHorizon",
     "machine_a",
     "machine_a_cxl",
     "machine_b_fast",
@@ -95,20 +96,58 @@ class Tracer:
     timer-based samplers (perf) weight their samples by.
 
     An observer that also defines ``record_stream(core_id, kind, addr,
-    size, chunk, stride, index, clocks, site, callchain)`` takes fused
-    stream runs in bulk (DESIGN.md §18, "Observed streams"): when every
-    attached observer does, the machine runs a stream's fused loop and
-    hands over the executed part once.  Access *k* of it is a ``kind``
-    (READ or WRITE) at ``addr + k*stride`` of ``min(chunk, size -
-    k*stride)`` bytes, instruction index ``index + k``, taking
-    ``clocks[k+1] - clocks[k]`` cycles — exactly the record the unrolled
-    path would pass to :meth:`record`.
+    size, chunk, stride, nontemporal, index, clocks, site, callchain)``
+    takes fused stream runs in bulk (DESIGN.md §18, "Observed streams"):
+    when every attached observer does, the machine runs a stream's fused
+    loop and hands over the executed part once.  Access *k* of it is a
+    ``kind`` (READ or WRITE, non-temporal when ``nontemporal``) at
+    ``addr + k*stride`` of ``min(chunk, size - k*stride)`` bytes,
+    instruction index ``index + k``, taking ``clocks[k+1] - clocks[k]``
+    cycles — exactly the record the unrolled path would pass to
+    :meth:`record`.
     """
 
     def record(
         self, core_id: int, event: Event, instr_index: int, cycles: float
     ) -> None:  # pragma: no cover
         raise NotImplementedError
+
+
+def _both(
+    first: Callable[[float], None], second: Callable[[float], None]
+) -> Callable[[float], None]:
+    """One per-access hook calling ``first`` then ``second``."""
+
+    def both(clock: float) -> None:
+        first(clock)
+        second(clock)
+
+    return both
+
+
+class StreamHorizon:
+    """A bound on fused stream runs, with a hook before each access.
+
+    A machine holds at most one, in :attr:`Machine.horizon` (the fault
+    injector is one; DESIGN.md §18, "Horizons").  Before each fused run
+    the machine asks :meth:`limits` how far the run may go, and calls
+    the hook :meth:`before_accesses` returns with each access's start
+    clock before the access executes.  When the run stops at the
+    horizon while the scheduler would still pick its core, the machine
+    unrolls the rest of the run through ``step`` at once, as the
+    unrolled path would, so a ``step`` wrapper sees the next access
+    there.  Unrolled streams and single events get no hook calls; they
+    go through ``step`` anyway.
+    """
+
+    def limits(self, core: Core) -> Tuple[float, Optional[int]]:
+        """``(cycle, accesses)``: run while the core clock is below
+        ``cycle``, and at most ``accesses`` accesses (None: no cap)."""
+        return math.inf, None
+
+    def before_accesses(self, core: Core, event: Event) -> Optional[Callable[[float], None]]:
+        """A callable run with each access's start clock, or None."""
+        return None
 
 
 @dataclass(frozen=True)
@@ -192,6 +231,8 @@ class Machine:
         #: :meth:`path_counts`).
         self._fused = 0
         self._unrolled = 0
+        #: The stream horizon, if any (see :class:`StreamHorizon`).
+        self.horizon: Optional[StreamHorizon] = None
         self._tracer: Optional[Tracer] = None
         self._sanitizer: Optional[Tracer] = None
         if tracer is not None:
@@ -386,55 +427,93 @@ class Machine:
         (see :class:`Tracer`), which then gets the executed part once.
         Otherwise the stream unrolls through :meth:`step` one access at
         a time, so every observer sees exactly the records the reference
-        vocabulary produces.
+        vocabulary produces.  A :attr:`horizon` bounds the fused run;
+        stopped there, the rest of the run unrolls through :meth:`step`
+        at once, under the same scheduler bounds.
         """
         index = core.stats.instructions
-        fused = core._fast_policy and not event.nontemporal
+        # NT stores touch no replacement state: their loop fuses under
+        # any policy.
+        fused = core._fast_policy or event.nontemporal
+        dispatch = self._dispatch
+        horizon = self.horizon
+        if not fused or (dispatch and not self._stream_recorders):
+            # Every access is a real ``step`` call, so observers, span
+            # profilers and the fault injector's ``step`` wrapper see it.
+            leftover = core.unroll_stream(
+                event, partial(self.step, core), strict_limit, loose_limit
+            )
+            self._unrolled += core.stats.instructions - index
+            return leftover
+        if not dispatch and horizon is None:
+            # The common case: nothing to record, nothing to stop at.
+            leftover = core.execute_stream(event, strict_limit, loose_limit)
+            executed = core.stats.instructions - index
+            self._instr_index += executed
+            self._fused += executed
+            return leftover
+        addr, size, stride = event.addr, event.size, event.stride
+        note: Optional[Callable[[float], None]] = None
         clocks: Optional[List[float]] = None
-        if self._dispatch:
-            recorders = self._stream_recorders
-            if not (fused and recorders):
-                # Every access is a real ``step`` call, so span profilers
-                # and the fault injector that wrap ``step`` see it too.
-                leftover = core.unroll_stream(
-                    event, partial(self.step, core), strict_limit, loose_limit
-                )
-                self._unrolled += core.stats.instructions - index
-                return leftover
-            # The event mutates to its tail: keep the run's head.
-            kind = READ if event.kind is STREAM_READ else WRITE
-            addr, size = event.addr, event.size
+        if dispatch:
             clocks = []
-        leftover = core.execute_stream(event, strict_limit, loose_limit, clocks)
+            note = clocks.append
+        stop = strict_limit
+        capped = False
+        if horizon is not None:
+            bump = horizon.before_accesses(core, event)
+            if bump is not None:
+                note = bump if clocks is None else _both(clocks.append, bump)
+            cycle, accesses = horizon.limits(core)
+            if cycle < stop:
+                stop = cycle
+            if accesses is not None and accesses * stride < size:
+                # Run the first ``accesses`` accesses only; the tail is
+                # restored below.
+                capped = True
+                event.size = max(accesses, 0) * stride
+        leftover = core.execute_stream(event, stop, loose_limit, note) if event.size else None
         executed = core.stats.instructions - index
         self._instr_index += executed
-        if fused:
-            self._fused += executed
-        else:
-            self._unrolled += executed
-        if clocks is not None:
+        self._fused += executed
+        if capped:
+            done = executed * stride
+            event.addr = addr + done
+            event.size = size - done
+            leftover = event
+        if clocks is not None and executed:
             clocks.append(core.clock)
-            if leftover is not None:
-                size -= leftover.size
             cid = core.stats.core_id
-            for record_stream in recorders:
+            kind = READ if event.kind is STREAM_READ else WRITE
+            for record_stream in self._stream_recorders:
                 record_stream(
-                    cid, kind, addr, size, event.chunk, event.stride, index, clocks,
-                    event.site, event.callchain,
+                    cid, kind, addr, min(size, executed * stride), event.chunk, stride,
+                    event.nontemporal, index, clocks, event.site, event.callchain,
                 )
+        if leftover is not None and horizon is not None:
+            clock = core.clock
+            if clock < strict_limit and clock <= loose_limit:
+                # Stopped at the horizon: the unrolled path would step
+                # the next access now, with no other core in between.
+                # (The fault injector's ``step`` raises on it.)
+                index = core.stats.instructions
+                leftover = core.unroll_stream(
+                    leftover, partial(self.step, core), strict_limit, loose_limit
+                )
+                self._unrolled += core.stats.instructions - index
         return leftover
 
     def path_counts(self) -> Dict[str, int]:
         """Memory accesses by the path that executed them.
 
         ``fused`` ran in a fused stream loop; ``unrolled`` were stream
-        accesses run one at a time, through :meth:`step` because an
-        observer needed per-access records or through the core's
-        generic loop where no fused loop applies (NT writes,
-        non-idempotent policies); ``single`` came as single READ/WRITE
-        events (derived, so the unobserved path pays nothing).  Not part
-        of the :class:`RunResult`: the two vocabularies run the same
-        accesses down different paths.
+        accesses run one at a time through :meth:`step`, because an
+        observer needed per-access records, no fused loop applies
+        (cached stores and loads under a non-idempotent policy) or a
+        :attr:`horizon` stopped the fused run; ``single`` came as single
+        READ/WRITE events (derived, so the unobserved path pays
+        nothing).  Not part of the :class:`RunResult`: the two
+        vocabularies run the same accesses down different paths.
         """
         accesses = sum(c.stats.reads + c.stats.writes for c in self.cores)
         return {

@@ -287,12 +287,12 @@ class MemoryDevice:
     def _media_occupancy_bytes(self, now: float, nbytes: int) -> int:
         """Fault-injection seam: the media work one access costs at ``now``.
 
-        The base device returns ``nbytes`` unchanged (the stream fast
-        path inlines exactly this identity arithmetic); the
+        The base device returns ``nbytes`` unchanged (the fused stream
+        loops inline exactly this identity arithmetic); the
         fault-tracking device multiplies it inside degraded-bandwidth
-        phases, which is safe because installing a fault device always
-        forces streams to unroll onto the out-of-line methods (the
-        ``FaultInjector`` observer has no ``record_stream``)."""
+        phases, which is safe because the fused loops inline device
+        bodies only when the device is exactly a ``MemoryDevice`` and
+        call the out-of-line methods on any subclass."""
         return nbytes
 
     # -- CPU-visible operations ---------------------------------------------

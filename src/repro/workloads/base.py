@@ -14,8 +14,8 @@ same object is consumed by three clients:
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Dict, Optional, Sequence
 
 from repro.core.prestore import PatchConfig, PatchSite
 from repro.errors import WorkloadError
@@ -33,6 +33,9 @@ class WorkloadResult:
     workload: str
     patch_summary: str
     run: RunResult
+    #: ``Machine.path_counts()`` of the run: which interpreter path ran
+    #: its accesses (not part of the RunResult).
+    path_counts: Dict[str, int] = field(default_factory=dict)
 
     @property
     def cycles(self) -> float:
@@ -101,7 +104,12 @@ class Workload(ABC):
         result.extra.update(self.result_extras())
         enabled = patches.enabled_sites()
         summary = ", ".join(f"{k}={v}" for k, v in sorted(enabled.items())) or "baseline"
-        return WorkloadResult(workload=self.name, patch_summary=summary, run=result)
+        return WorkloadResult(
+            workload=self.name,
+            patch_summary=summary,
+            run=result,
+            path_counts=program.machine.path_counts(),
+        )
 
     def site(self, name: str) -> PatchSite:
         """Look up one of this workload's patch sites by name."""

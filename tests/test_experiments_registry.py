@@ -182,6 +182,20 @@ class TestProtocol:
         assert shared[0] == shared[1]
         assert all(r.wall_s > 0 for r in results.values())
 
+    def test_run_all_sums_path_counts_of_simulated_cells(self, monkeypatch, tmp_path):
+        for cls in (_Declares, _AlsoDeclares):
+            monkeypatch.setitem(registry._REGISTRY, cls.id, cls)
+        ids = [_AlsoDeclares.id, _Declares.id]
+        cold = run_all(ids, cache_dir=str(tmp_path))
+        # Each experiment counts the cells it declared first: the shared
+        # cell belongs to the first declarer.
+        accesses = {eid: sum(r.path_counts.values()) for eid, r in cold.items()}
+        assert accesses[_AlsoDeclares.id] > accesses[_Declares.id] > 0
+        assert all(set(r.path_counts) == {"fused", "unrolled", "single"} for r in cold.values())
+        warm = run_all(ids, cache_dir=str(tmp_path))
+        assert warm == cold
+        assert all(set(r.path_counts.values()) == {0} for r in warm.values())
+
     def test_pooled_run_all_matches_serial(self):
         ids = ["fig5", "x9", "listing3"]
         serial = run_all(ids)

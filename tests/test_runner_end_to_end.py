@@ -126,12 +126,22 @@ class TestCLIs:
             md = tmp_path / f"out{run}.md"
             assert main(["table1", "listing3", "--markdown", str(md)]) == 0
             out = capsys.readouterr().out
-            timings = re.findall(r"^(\w+): (\d+\.\d\d) s$", out, re.MULTILINE)
-            assert [eid for eid, _ in timings] == ["table1", "listing3", "total"]
-            seconds = [float(s) for _, s in timings]
+            timings = re.findall(
+                r"^(\w+): (\d+\.\d\d) s(?:  accesses fused=(\d+) unrolled=(\d+) single=(\d+))?$",
+                out,
+                re.MULTILINE,
+            )
+            assert [t[0] for t in timings] == ["table1", "listing3", "total"]
+            seconds = [float(t[1]) for t in timings]
             # One sweep: each experiment's cells and reduce lie inside the
             # batch's wall clock, give or take 3 roundings.
             assert seconds[0] + seconds[1] <= seconds[2] + 0.02
+            # Each experiment line carries its cells' path counts: table1
+            # simulates nothing, listing3's stores are single events.
+            paths = [tuple(int(n) for n in t[2:]) for t in timings[:2]]
+            assert paths[0] == (0, 0, 0)
+            assert paths[1][:2] == (0, 0) and paths[1][2] > 0
+            assert timings[2][2:] == ("", "", "")
             markdowns.append(md.read_text())
         # Timings stay out of the markdown, which is byte-identical.
         assert markdowns[0] == markdowns[1]

@@ -4,7 +4,7 @@ The fast path's contract is bit-identity: running a workload with the
 batched STREAM vocabulary must produce exactly the ``RunResult`` JSON
 the reference one-event-per-access vocabulary produces, on every
 machine preset (DESIGN.md §11).  These tests pin that contract for a
-representative workload per family, for six synthetic stream bodies
+representative workload per family, for eight synthetic stream bodies
 (``tests/stream_bodies.py``), as a hypothesis property over random
 access programs, and at the observer boundary.
 """
@@ -88,6 +88,13 @@ class TestBitIdentity:
         # loops, with the miss path cold after the first pass.
         self._assert_body_identical(preset, bench)
 
+    @pytest.mark.parametrize("preset", PRESETS, ids=lambda p: p.__name__)
+    @pytest.mark.parametrize("bench", ["nt_seq_write", "nt_strided_write"])
+    def test_nontemporal_benchmarks_identical(self, preset, bench):
+        # The fused NT loop: invalidation of dirty, buffered lines in
+        # every level, and writebacks that straddle device blocks.
+        self._assert_body_identical(preset, bench)
+
     @staticmethod
     def _assert_body_identical(preset, bench):
         reference = run_body(preset(), bench, streams=False)
@@ -143,6 +150,33 @@ def test_random_streams_match_reference(ops_a, ops_b):
         program.spawn(_bodies, ops_a, as_streams)
         if ops_b:
             program.spawn(_bodies, ops_b, as_streams)
+        results[as_streams] = program.run().to_json()
+    assert results[True] == results[False]
+
+
+def _shared_writer(t, shared, nontemporal, delay):
+    yield t.compute(delay)
+    yield from t.write_block(shared.base, shared.size, nontemporal=nontemporal)
+    # An atomic pays the owner transfer on top of its fill.
+    for offset in range(0, shared.size, 4 * t.line_size):
+        yield t.atomic(shared.base + offset)
+    yield from t.read_block(shared.base, shared.size)
+
+
+@pytest.mark.parametrize("preset", PRESETS, ids=lambda p: p.__name__)
+def test_nt_streams_take_lines_from_other_cores(preset):
+    """NT stores over lines another core owns and buffers, then reads.
+
+    The NT run must drop the other core's ownership (which the atomics
+    would pay for) and its cached copies, exactly as the per-access NT
+    store does.
+    """
+    results = {}
+    for as_streams in (False, True):
+        program = Program(preset(num_cores=2), streams=as_streams)
+        shared = program.allocator.alloc(24 * program.machine.line_size, label="shared")
+        program.spawn(_shared_writer, shared, False, 1)
+        program.spawn(_shared_writer, shared, True, 400)
         results[as_streams] = program.run().to_json()
     assert results[True] == results[False]
 
@@ -233,7 +267,9 @@ class _Recorder(Tracer):
         self.records = []
 
     def record(self, core_id, event, instr_index, cycles):
-        self.records.append((core_id, event.kind, event.addr, event.size, instr_index, cycles))
+        self.records.append(
+            (core_id, event.kind, event.addr, event.size, event.nontemporal, instr_index, cycles)
+        )
 
 
 class _StreamRecorder(_Recorder):
@@ -244,14 +280,15 @@ class _StreamRecorder(_Recorder):
         self.runs = 0
 
     def record_stream(
-        self, core_id, kind, addr, size, chunk, stride, index, clocks, site, callchain
+        self, core_id, kind, addr, size, chunk, stride, nontemporal, index, clocks, site,
+        callchain,
     ):
         self.runs += 1
         for k in range(len(clocks) - 1):
             offset = k * stride
             self.records.append(
-                (core_id, kind, addr + offset, min(chunk, size - offset), index + k,
-                 clocks[k + 1] - clocks[k])
+                (core_id, kind, addr + offset, min(chunk, size - offset), nontemporal,
+                 index + k, clocks[k + 1] - clocks[k])
             )
 
 
@@ -302,10 +339,10 @@ def test_one_per_access_observer_unrolls_for_all():
 class TestFaultPlansOnFastPath:
     """Fault injection and the batched vocabulary must compose safely.
 
-    The injector registers as an observer without ``record_stream``, so
-    any non-empty plan forces per-access unrolling: the fused store loops
-    never run under faults, and crash points land on the same
-    instruction whichever vocabulary the caller requested.
+    The injector is the machine's stream horizon: fused runs stop at the
+    crash point and bump store versions per access, so crash points land
+    on the same instruction whichever vocabulary the caller requested
+    (``tests/test_fault_streams.py`` is the full oracle).
     """
 
     def test_empty_plan_is_identity_on_fast_path(self):
@@ -336,9 +373,10 @@ class TestFaultPlansOnFastPath:
             for streams in (False, True)
         }
         assert reports[True].crashed and reports[False].crashed
-        # Versioned durability accounting is per-access; the forced
-        # unrolling keeps every line's written/accepted/media version —
-        # and hence the whole report — independent of the request.
+        # Versioned durability accounting is per-access; the fused
+        # loops' per-access hook keeps every line's written/accepted/media
+        # version — and hence the whole report — independent of the
+        # request.
         assert reports[True].image.line_versions == reports[False].image.line_versions
         assert reports[True].image.digest() == reports[False].image.digest()
         assert reports[True].to_json() == reports[False].to_json()

@@ -79,7 +79,8 @@ class _Recorder:
 
     def record(self, core_id, event, instr_index, cycles):
         self.records.append(
-            (core_id, event.kind.value, event.addr, event.size, instr_index, cycles)
+            (core_id, event.kind.value, event.addr, event.size, event.nontemporal, instr_index,
+             cycles)
         )
 
 
@@ -87,13 +88,14 @@ class _StreamRecorder(_Recorder):
     """Also takes fused runs in bulk, expanded into the same records."""
 
     def record_stream(
-        self, core_id, kind, addr, size, chunk, stride, index, clocks, site, callchain
+        self, core_id, kind, addr, size, chunk, stride, nontemporal, index, clocks, site,
+        callchain,
     ):
         for k in range(len(clocks) - 1):
             offset = k * stride
             self.records.append(
-                (core_id, kind.value, addr + offset, min(chunk, size - offset), index + k,
-                 clocks[k + 1] - clocks[k])
+                (core_id, kind.value, addr + offset, min(chunk, size - offset), nontemporal,
+                 index + k, clocks[k + 1] - clocks[k])
             )
 
 

@@ -129,10 +129,10 @@ def test_bulk_tracers_match_unrolled(programs, make_spec):
         ref_json, ref_paths = _run(make_spec, programs, unrolled, oracle=True)
         assert bulk_json == ref_json
         assert _observed(bulk) == _observed(unrolled)
-        # The oracle unrolls every stream access; the bulk run unrolls
-        # only the NT stream writes, which have no fused loop.
-        assert ref_paths["fused"] == 0
-        assert bulk_paths["fused"] + bulk_paths["unrolled"] == ref_paths["unrolled"]
+        # The oracle unrolls every stream access; the bulk run, NT
+        # stream writes included, unrolls none.
+        assert ref_paths["fused"] == bulk_paths["unrolled"] == 0
+        assert bulk_paths["fused"] == ref_paths["unrolled"]
         assert bulk_paths["single"] == ref_paths["single"]
 
 
@@ -149,6 +149,25 @@ def test_bulk_tracer_records_split_runs():
             _small_a, programs, unrolled, True
         )[0], name
         assert _observed(bulk) == _observed(unrolled), name
+
+
+def test_nontemporal_runs_traced_in_bulk():
+    # Sequential and line-straddling NT stores over lines that cached
+    # stores dirtied, from two threads that preempt each other.
+    programs = [
+        [("write_block", 1, 0, 1200, 64, False), ("write_block", 1, 0, 1200, 64, True),
+         ("read_block", 0, 2, 600, 64)],
+        [("write_block", 2, 10, 900, 100, True), ("write", 0, 12, 8),
+         ("write_block", 3, 4, 1000, 24, True), ("fence", 0, "full")],
+    ]
+    for name, make_tracer in _TRACERS:
+        bulk, unrolled = make_tracer(), make_tracer()
+        bulk_json, bulk_paths = _run(_small_b, programs, bulk, False)
+        ref_json, ref_paths = _run(_small_b, programs, unrolled, True)
+        assert bulk_json == ref_json, name
+        assert _observed(bulk) == _observed(unrolled), name
+        assert bulk_paths["unrolled"] == ref_paths["fused"] == 0, name
+        assert bulk_paths["fused"] == ref_paths["unrolled"] > 0, name
 
 
 _SITE = CodeSite("stream_fn", "prop.c", 1)
@@ -168,7 +187,8 @@ def test_sampling_countdown_replays_each_delta(deltas, period, start):
     for delta in deltas:
         clocks.append(clocks[-1] + delta)
     bulk, unrolled = SamplingTracer(period), SamplingTracer(period)
-    bulk.record_stream(0, WRITE, 4096, 64 * len(deltas) - 8, 64, 64, 10, clocks, _SITE, ())
+    bulk.record_stream(0, WRITE, 4096, 64 * len(deltas) - 8, 64, 64, False, 10, clocks, _SITE,
+                      ())
     for k in range(len(deltas)):
         size = 64 if k + 1 < len(deltas) else 56
         access = Event.fast_access(WRITE, 4096 + 64 * k, size, False, False, _SITE, ())
