@@ -42,10 +42,11 @@ serve-smoke:
 
 # DirtBuster smoke: run the tool end to end on nas-is (a random writer
 # that opens one sequentiality context per write), clht and nas-mg (the
-# most stream-heavy traced runs, which take the fused stream path), and
-# check their Table 2 rows.  CI runs it under a 5-minute timeout, so a
-# lookup that scans every open context again (minutes on nas-is) fails
-# the job.
+# most stream-heavy traced runs, which take the fused stream path), x9
+# on Machine B (weak model: WAIT/POST and fences in the one traced run)
+# and gzip (not write-intensive, so steps 2-3 are skipped), and check
+# their Table 2 rows.  CI runs it under a 5-minute timeout, so a lookup
+# that scans every open context again (minutes on nas-is) fails the job.
 dirtbuster-smoke:
 	mkdir -p build
 	$(PYTHON) -m repro.dirtbuster nas-is > build/dirtbuster-nas-is.txt
@@ -54,6 +55,10 @@ dirtbuster-smoke:
 	grep -E '^clht +yes +yes +yes$$' build/dirtbuster-clht.txt
 	$(PYTHON) -m repro.dirtbuster nas-mg > build/dirtbuster-nas-mg.txt
 	grep -E '^nas-mg +yes +yes +-$$' build/dirtbuster-nas-mg.txt
+	$(PYTHON) -m repro.dirtbuster x9 --machine b-fast > build/dirtbuster-x9.txt
+	grep -E '^x9 +yes +yes +yes$$' build/dirtbuster-x9.txt
+	$(PYTHON) -m repro.dirtbuster gzip > build/dirtbuster-gzip.txt
+	grep -E '^gzip +- +- +-$$' build/dirtbuster-gzip.txt
 
 # Shape-check gate for the single-event experiments (fig5, x9,
 # listing3) and the fault-plan ones (serve, faults-window): the five

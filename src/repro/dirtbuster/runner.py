@@ -1,13 +1,19 @@
-"""DirtBuster end-to-end: sampling run → instrumented run → advice.
+"""DirtBuster end-to-end: sampling pass → instrumented pass → advice.
 
 This is the tool's public entry point, mirroring Figure 6:
 
-1. run the workload once with the cheap sampling tracer and rank
+1. sample the workload's run with the cheap sampling tracer and rank
    write-intensive functions (skipping everything else if the application
    spends <10 % of its accesses storing, as in Section 7.1);
-2. run it again fully instrumented on those functions;
+2. analyse the accesses of those functions, fully instrumented;
 3. analyse sequentiality, fence proximity, and re-read/re-write
    distances, and emit one recommendation per function.
+
+Steps 1 and 2 share one simulation.  The paper runs the application
+twice because PIN is too slow to trace everything; here the run is
+deterministic and tracers never change its path, so a full tracer rides
+the sampling run and step 2 filters the trace to the selected functions
+when it is fed (DESIGN.md §18, "One simulation per application").
 
 The report also carries the three Table 2 classification bits for the
 workload (write-intensive / sequential writes / writes before fence).
@@ -16,15 +22,16 @@ workload (write-intensive / sequential writes / writes before fence).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.core.prestore import PatchConfig
 from repro.dirtbuster.instrument import FunctionPatterns, Instrumenter
 from repro.dirtbuster.recommend import Recommendation, Recommender, Thresholds
 from repro.dirtbuster.report import render_report
 from repro.dirtbuster.sampling import SampleProfile, WRITE_INTENSIVE_APP_THRESHOLD
-from repro.dirtbuster.trace import FullTracer, SamplingTracer
-from repro.sim.machine import MachineSpec
+from repro.dirtbuster.trace import AccessRecord, FullTracer, SamplingTracer
+from repro.sim.event import Event
+from repro.sim.machine import MachineSpec, Tracer
 from repro.workloads.base import Workload
 
 __all__ = ["DirtBusterConfig", "Classification", "DirtBusterReport", "DirtBuster"]
@@ -107,6 +114,26 @@ class DirtBusterReport:
         return "\n".join(header) + "\n\n" + render_report(self.recommendations)
 
 
+class _Both(Tracer):
+    """Both DirtBuster tracers in a run's one tracer slot.
+
+    It takes fused runs in bulk as both tracers do, so the run stays on
+    the fused stream path.
+    """
+
+    def __init__(self, sampler: SamplingTracer, full: FullTracer) -> None:
+        self._sample, self._sample_stream = sampler.record, sampler.record_stream
+        self._full, self._full_stream = full.record, full.record_stream
+
+    def record(self, core_id: int, event: Event, instr_index: int, cycles: float) -> None:
+        self._sample(core_id, event, instr_index, cycles)
+        self._full(core_id, event, instr_index, cycles)
+
+    def record_stream(self, *run: Any) -> None:
+        self._sample_stream(*run)
+        self._full_stream(*run)
+
+
 class DirtBuster:
     """The tool: run me on a workload and a machine spec."""
 
@@ -114,35 +141,39 @@ class DirtBuster:
         self.config = config or DirtBusterConfig()
         self.recommender = Recommender(self.config.thresholds)
 
+    # bench-e2e's span probes time the steps by these method names.
+
     # -- step 1 ----------------------------------------------------------------
 
-    def sample(self, workload: Workload, spec: MachineSpec, seed: int = 1234) -> SampleProfile:
-        """Sampling run (the perf pass)."""
-        tracer = SamplingTracer(period=self.config.sampling_period)
-        workload.run(spec, patches=PatchConfig.baseline(), tracer=tracer, seed=seed)
-        return SampleProfile.from_tracer(tracer)
+    def sample(
+        self, workload: Workload, spec: MachineSpec, seed: int = 1234
+    ) -> Tuple[SampleProfile, List[AccessRecord]]:
+        """The perf pass, with the PIN pass riding the same run.
+
+        Returns the sample profile and the unfiltered full trace.
+        """
+        sampler = SamplingTracer(period=self.config.sampling_period)
+        full = FullTracer()
+        workload.run(
+            spec, patches=PatchConfig.baseline(), tracer=_Both(sampler, full), seed=seed
+        )
+        return SampleProfile.from_tracer(sampler), full.records
 
     # -- steps 2-3 ----------------------------------------------------------------
 
     def instrument(
-        self,
-        workload: Workload,
-        spec: MachineSpec,
-        functions: Sequence[str],
-        seed: int = 1234,
+        self, records: Sequence[AccessRecord], functions: Sequence[str], line_size: int
     ) -> List[FunctionPatterns]:
-        """Instrumented run (the PIN pass) + pattern analysis."""
-        tracer = FullTracer(functions=functions)
-        workload.run(spec, patches=PatchConfig.baseline(), tracer=tracer, seed=seed)
-        instrumenter = Instrumenter(spec.line_size, functions=functions)
-        instrumenter.feed(tracer.records)
+        """The PIN pass's analysis of ``functions``' records + fences."""
+        instrumenter = Instrumenter(line_size, functions=functions)
+        instrumenter.feed(records)
         return instrumenter.patterns()
 
     # -- the whole pipeline ------------------------------------------------------
 
     def analyze(self, workload: Workload, spec: MachineSpec, seed: int = 1234) -> DirtBusterReport:
         """Steps 1-3 end to end."""
-        profile = self.sample(workload, spec, seed=seed)
+        profile, records = self.sample(workload, spec, seed=seed)
         write_intensive = profile.application_write_intensive(self.config.app_store_threshold)
         if not write_intensive:
             return DirtBusterReport(
@@ -163,7 +194,7 @@ class DirtBuster:
             top=self.config.max_functions,
         )
         functions = [c.function for c in candidates]
-        patterns = self.instrument(workload, spec, functions, seed=seed)
+        patterns = self.instrument(records, functions, spec.line_size)
         # Only report on the functions selected in step 1.
         patterns = [p for p in patterns if p.function in set(functions)]
         recommendations = self.recommender.recommend_all(patterns)

@@ -16,6 +16,8 @@ DirtBuster uses two observation mechanisms (paper Figure 6):
 Both implement :class:`repro.sim.machine.Tracer` and attach to a machine,
 and both take fused stream runs in bulk through ``record_stream``, so a
 traced run keeps the simulator's fast path (DESIGN.md §18).
+:class:`~repro.dirtbuster.runner.DirtBuster` attaches both, the full
+tracer unfiltered, to one run of the application.
 """
 
 from __future__ import annotations
@@ -37,7 +39,14 @@ class AccessRecord:
     ``instr_index`` is the global retired-instruction counter at the time
     the instruction executed — the unit all DirtBuster distances are
     measured in.
+
+    Slotted, because a DirtBuster run keeps every access of the
+    application (``dataclass(slots=True)`` needs Python 3.10).  Frozen
+    instances cannot take their slots back through ``setattr``, so
+    pickling goes through the constructor.
     """
+
+    __slots__ = ("instr_index", "core_id", "kind", "addr", "size", "site", "callchain")
 
     instr_index: int
     core_id: int
@@ -46,6 +55,9 @@ class AccessRecord:
     size: int
     site: CodeSite
     callchain: Tuple[CodeSite, ...]
+
+    def __reduce__(self) -> tuple:
+        return (AccessRecord, tuple(getattr(self, name) for name in self.__slots__))
 
     @property
     def is_store(self) -> bool:

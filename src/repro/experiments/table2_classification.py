@@ -114,8 +114,8 @@ class Table2Classification(Experiment):
     )
 
     def reduce(self, results: Results, fast: bool, seed: int) -> ExperimentResult:
-        # No cells: DirtBuster's passes attach their own tracers, so they
-        # run here rather than through the runner.
+        # No cells: DirtBuster's one simulation per application carries
+        # its own tracers, so it runs here rather than through the runner.
         # A short sampling period so even the scaled-down compute-bound
         # applications (EP and friends) yield enough samples.
         dirtbuster = DirtBuster(DirtBusterConfig(sampling_period=53))

@@ -1,12 +1,15 @@
 """Unit tests for tracing and the perf-style sampler."""
 
 import dataclasses
+import io
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.dirtbuster.export import dump_records, load_records
 from repro.dirtbuster.sampling import SampleProfile
-from repro.dirtbuster.trace import FullTracer, SamplingTracer
+from repro.dirtbuster.trace import AccessRecord, FullTracer, SamplingTracer
 from repro.errors import AnalysisError, TraceError
 from repro.sim.event import CodeSite, Event, EventKind
 
@@ -89,6 +92,51 @@ class TestFullTracer:
         tracer.record(0, _read(), 2)
         groups = tracer.per_core()
         assert len(groups[0]) == 2 and len(groups[1]) == 1
+
+
+class TestAccessRecordIsAValue:
+    """A slotted AccessRecord behaves as the frozen dataclass did."""
+
+    @staticmethod
+    def _records():
+        chain = (CodeSite(function="main", file="m.c", line=3, ip=0x40),
+                 CodeSite(function="put", file="kv.c", line=70, ip=0x80))
+        return [
+            AccessRecord(i, i % 2, kind, 64 * i, 8 + i, CodeSite("memcpy", "lib.c", 9, 0x10),
+                         chain[: i % 3])
+            for i, kind in enumerate(
+                [EventKind.WRITE, EventKind.READ, EventKind.ATOMIC, EventKind.FENCE,
+                 EventKind.PRESTORE]
+            )
+        ]
+
+    def test_slotted(self):
+        assert not hasattr(self._records()[0], "__dict__")
+
+    def test_equality_and_hashing(self):
+        records, again = self._records(), self._records()
+        assert records == again
+        assert [hash(r) for r in records] == [hash(r) for r in again]
+        assert len(set(records + again)) == len(records)
+        assert records[0] != dataclasses.replace(records[0], addr=records[0].addr + 1)
+
+    def test_pickle_round_trip(self):
+        records = self._records()
+        assert pickle.loads(pickle.dumps(records)) == records
+
+    def test_jsonl_round_trip(self):
+        records = self._records()
+        buffer = io.StringIO()
+        assert dump_records(records, buffer) == len(records)
+        buffer.seek(0)
+        assert load_records(buffer) == records
+
+    def test_fields_cannot_be_assigned(self):
+        record = self._records()[0]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            record.addr = 0
+        with pytest.raises((dataclasses.FrozenInstanceError, AttributeError)):
+            record.extra = 0
 
 
 class TestSampleProfile:

@@ -18,6 +18,7 @@ from repro.sim.event import WRITE, CodeSite, Event
 from repro.sim.machine import Machine, machine_a
 from repro.workloads.memapi import Program
 from repro.workloads.nas.mg import MGWorkload
+from repro.workloads.phoronix import ReadMostlyWorkload
 
 from tests.test_single_events import _small_a, _small_b
 
@@ -208,7 +209,7 @@ def _mg():
     return MGWorkload(grid=32, iterations=1, threads=4)
 
 
-def test_dirtbuster_runs_stay_on_the_fused_path(monkeypatch):
+def _path_counts_per_simulation(monkeypatch, workload):
     counts = []
     finish = Machine.finish
 
@@ -217,12 +218,25 @@ def test_dirtbuster_runs_stay_on_the_fused_path(monkeypatch):
         return finish(machine)
 
     monkeypatch.setattr(Machine, "finish", counting_finish)
-    report = DirtBuster(DirtBusterConfig(sampling_period=53)).analyze(_mg(), machine_a())
+    report = DirtBuster(DirtBusterConfig(sampling_period=53)).analyze(workload, machine_a())
+    return report, counts
+
+
+def test_dirtbuster_runs_stay_on_the_fused_path(monkeypatch):
+    report, counts = _path_counts_per_simulation(monkeypatch, _mg())
     assert report.classification.write_intensive  # both passes ran
-    assert len(counts) == 2
+    assert len(counts) == 1  # ...on one simulation
     for paths in counts:
         assert paths["unrolled"] == 0
         assert paths["fused"] > 0
+
+
+def test_dirtbuster_simulates_a_skipped_application_once(monkeypatch):
+    gzip = ReadMostlyWorkload("gzip", "stream", scale=100)
+    report, counts = _path_counts_per_simulation(monkeypatch, gzip)
+    assert not report.classification.write_intensive
+    assert len(counts) == 1
+    assert counts[0]["unrolled"] == 0
 
 
 def test_obs_run_reports_unrolled_accesses():
