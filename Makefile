@@ -43,10 +43,12 @@ serve-smoke:
 # DirtBuster smoke: run the tool end to end on nas-is (a random writer
 # that opens one sequentiality context per write), clht and nas-mg (the
 # most stream-heavy traced runs, which take the fused stream path), x9
-# on Machine B (weak model: WAIT/POST and fences in the one traced run)
-# and gzip (not write-intensive, so steps 2-3 are skipped), and check
-# their Table 2 rows.  CI runs it under a 5-minute timeout, so a lookup
-# that scans every open context again (minutes on nas-is) fails the job.
+# on Machine B (weak model: WAIT/POST and fences in the one traced run),
+# gzip (not write-intensive, so steps 2-3 are skipped) and masstree (KV
+# value crafting under craft_value, leaf-lock atomics and Listing 7's
+# load fences), and check their Table 2 rows.  CI runs it under a
+# 5-minute timeout, so a lookup that scans every open context again
+# (minutes on nas-is) fails the job.
 dirtbuster-smoke:
 	mkdir -p build
 	$(PYTHON) -m repro.dirtbuster nas-is > build/dirtbuster-nas-is.txt
@@ -59,6 +61,8 @@ dirtbuster-smoke:
 	grep -E '^x9 +yes +yes +yes$$' build/dirtbuster-x9.txt
 	$(PYTHON) -m repro.dirtbuster gzip > build/dirtbuster-gzip.txt
 	grep -E '^gzip +- +- +-$$' build/dirtbuster-gzip.txt
+	$(PYTHON) -m repro.dirtbuster masstree > build/dirtbuster-masstree.txt
+	grep -E '^masstree +yes +yes +yes$$' build/dirtbuster-masstree.txt
 
 # Shape-check gate for the single-event experiments (fig5, x9,
 # listing3) and the fault-plan ones (serve, faults-window): the five

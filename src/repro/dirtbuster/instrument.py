@@ -10,14 +10,14 @@ re-read/re-write distances — and assembles one
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.dirtbuster.contexts import ContextTracker, SequentialitySummary
 from repro.dirtbuster.distances import DistanceStats, DistanceTracker
 from repro.dirtbuster.fences import FenceProximity, FenceTracker
-from repro.dirtbuster.trace import AccessRecord
+from repro.dirtbuster.trace import AccessRecord, owning_function
 from repro.errors import AnalysisError
-from repro.sim.event import EventKind
+from repro.sim.event import ATOMIC, FENCE, READ, WRITE, CodeSite
 
 __all__ = ["BucketRow", "FunctionPatterns", "Instrumenter"]
 
@@ -81,50 +81,55 @@ class Instrumenter:
         self.distances = DistanceTracker(line_size, slack=0)
         self._sites: Dict[str, tuple] = {}
 
-    def _selected(self, record: AccessRecord) -> bool:
-        if self.functions is None:
-            return True
-        if record.function in self.functions:
-            return True
-        return any(site.function in self.functions for site in record.callchain)
-
-    def _attribute_to(self, record: AccessRecord) -> str:
-        """The instrumented function a record belongs to.
-
-        Writes routinely happen inside generic helpers (memcpy-alikes);
-        perf callchains let DirtBuster attribute them to the instrumented
-        caller, which is where the patch will go (Section 6.2.1).
-        """
-        if self.functions is None or record.function in self.functions:
-            return record.function
-        for site in reversed(record.callchain):
-            if site.function in self.functions:
-                return site.function
-        return record.function
+    def _owner(self, site: CodeSite, callchain: Tuple[CodeSite, ...]) -> Optional[tuple]:
+        """``(function, file, line)`` of the selected function owning an
+        access at ``site``, or None when no selected function does."""
+        function = owning_function(site, callchain, self.functions)
+        if function is None:
+            return None
+        owner = site if site.function == function else next(
+            (s for s in callchain if s.function == function), site
+        )
+        return function, owner.file, owner.line
 
     def feed(self, records: Sequence[AccessRecord]) -> None:
-        """Consume trace records (must be in execution order)."""
-        for rec in records:
-            if rec.has_fence_semantics:
+        """Consume trace records (must be in execution order).
+
+        Owners are looked up once per distinct ``(site, callchain)`` pair
+        of objects: the workload layer shares one site object per label
+        and one callchain tuple per open function block.  The memo keeps
+        both objects alive, so their ids stay unique while it lives.
+        """
+        owners: Dict[Tuple[int, int], tuple] = {}
+        sites = self._sites
+        observe_fence = self.fences.observe_fence
+        fence_write = self.fences.observe_write
+        context_write = self.contexts.observe_write
+        distance_write = self.distances.observe_write
+        observe_read = self.distances.observe_read
+        for instr_index, core_id, kind, addr, size, site, callchain in records:
+            if kind is FENCE or kind is ATOMIC:
                 # Atomics both order (fence semantics) and write.
-                self.fences.observe_fence(rec.core_id, rec.instr_index)
+                observe_fence(core_id, instr_index)
                 continue
-            if not self._selected(rec):
+            if kind is not WRITE and kind is not READ:
                 continue
-            function = self._attribute_to(rec)
-            if rec.kind is EventKind.WRITE:
-                if function not in self._sites:
-                    owner = rec.site if rec.function == function else next(
-                        (s for s in rec.callchain if s.function == function), rec.site
-                    )
-                    self._sites[function] = (owner.file, owner.line)
-                ctx = self.contexts.observe_write(rec.core_id, function, rec.addr, rec.size)
-                self.fences.observe_write(rec.core_id, function, rec.instr_index)
-                self.distances.observe_write(
-                    rec.core_id, function, rec.addr, rec.size, rec.instr_index, context=ctx
-                )
-            elif rec.kind is EventKind.READ:
-                self.distances.observe_read(rec.core_id, rec.addr, rec.size, rec.instr_index)
+            key = (id(site), id(callchain))
+            entry = owners.get(key)
+            if entry is None:
+                entry = owners[key] = (self._owner(site, callchain), site, callchain)
+            owner = entry[0]
+            if owner is None:
+                continue
+            if kind is WRITE:
+                function = owner[0]
+                if function not in sites:
+                    sites[function] = owner[1:]
+                ctx = context_write(core_id, function, addr, size)
+                fence_write(core_id, function, instr_index)
+                distance_write(core_id, function, addr, size, instr_index, context=ctx)
+            else:
+                observe_read(core_id, addr, size, instr_index)
 
     def patterns(self) -> List[FunctionPatterns]:
         """One :class:`FunctionPatterns` per function that wrote data."""

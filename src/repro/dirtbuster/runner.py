@@ -194,9 +194,9 @@ class DirtBuster:
             top=self.config.max_functions,
         )
         functions = [c.function for c in candidates]
+        # Every pattern belongs to a function selected in step 1: the
+        # instrumenter attributes each write to one (owning_function).
         patterns = self.instrument(records, functions, spec.line_size)
-        # Only report on the functions selected in step 1.
-        patterns = [p for p in patterns if p.function in set(functions)]
         recommendations = self.recommender.recommend_all(patterns)
         sequential = any(self.recommender.writes_sequentially(p) for p in patterns)
         fenced = any(self.recommender.writes_before_fence(p) for p in patterns)

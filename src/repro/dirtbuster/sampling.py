@@ -17,11 +17,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import groupby
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import AnalysisError
 from repro.dirtbuster.trace import AccessRecord, SamplingTracer
+from repro.sim.event import EventKind
 
 __all__ = ["FunctionProfile", "SampleProfile", "WRITE_INTENSIVE_APP_THRESHOLD"]
 
@@ -77,33 +77,52 @@ class SampleProfile:
             raise AnalysisError(
                 "no samples collected — run longer or lower the sampling period"
             )
-        from repro.sim.event import EventKind
-
         self.other_samples = other_samples
         self.total_samples = len(samples) + other_samples
         self.total_stores = 0
         self._functions: Dict[str, FunctionProfile] = {}
         # A multi-hit event is one shared record repeated (SamplingTracer),
         # so each run of one object becomes a single weighted update.
-        for _, run in groupby(samples, key=id):
-            sample = next(run)
-            weight = 1 + sum(1 for _ in run)
-            prof = self._functions.get(sample.function)
-            if prof is None:
-                prof = FunctionProfile(
-                    function=sample.function, file=sample.site.file, line=sample.site.line
-                )
-                self._functions[sample.function] = prof
-            if sample.is_store:
-                self.total_stores += weight
-            if sample.kind is EventKind.ATOMIC:
-                prof.atomics += weight
-            elif sample.is_store:
-                prof.stores += weight
-            else:
-                prof.loads += weight
-            chain = tuple(site.function for site in sample.callchain)
-            prof.callchains[chain] += weight
+        chains: dict = {}
+        run: Optional[AccessRecord] = None
+        weight = 0
+        for sample in samples:
+            if sample is run:
+                weight += 1
+                continue
+            if run is not None:
+                self._add(run, weight, chains)
+            run, weight = sample, 1
+        if run is not None:
+            self._add(run, weight, chains)
+
+    def _add(self, sample: AccessRecord, weight: int, chains: dict) -> None:
+        """Count ``weight`` hits on ``sample``.
+
+        ``chains`` memoises each callchain object's function names for one
+        profile build, holding the chain so its id stays unique.
+        """
+        site = sample.site
+        prof = self._functions.get(site.function)
+        if prof is None:
+            prof = FunctionProfile(function=site.function, file=site.file, line=site.line)
+            self._functions[site.function] = prof
+        kind = sample.kind
+        if kind is EventKind.ATOMIC:
+            self.total_stores += weight
+            prof.atomics += weight
+        elif kind is EventKind.WRITE:
+            self.total_stores += weight
+            prof.stores += weight
+        else:
+            prof.loads += weight
+        callchain = sample.callchain
+        entry = chains.get(id(callchain))
+        if entry is None:
+            entry = chains[id(callchain)] = (
+                tuple(caller.function for caller in callchain), callchain
+            )
+        prof.callchains[entry[0]] += weight
 
     @classmethod
     def from_tracer(cls, tracer: SamplingTracer) -> "SampleProfile":

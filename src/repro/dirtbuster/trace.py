@@ -18,35 +18,36 @@ and both take fused stream runs in bulk through ``record_stream``, so a
 traced run keeps the simulator's fast path (DESIGN.md §18).
 :class:`~repro.dirtbuster.runner.DirtBuster` attaches both, the full
 tracer unfiltered, to one run of the application.
+
+Each traced access becomes one :class:`AccessRecord`, a named tuple the
+hot paths build without keyword handling, and :func:`owning_function`
+is the one rule deciding which selected function an access belongs to
+(DESIGN.md §18, "Trace records").
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, List, Optional, Set, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Set, Tuple
 
 from repro.errors import TraceError
 from repro.sim.event import PRESTORE, READ, WRITE, CodeSite, Event, EventKind
 from repro.sim.machine import Tracer
 
-__all__ = ["AccessRecord", "SamplingTracer", "FullTracer"]
+__all__ = ["AccessRecord", "SamplingTracer", "FullTracer", "owning_function"]
 
 
-@dataclass(frozen=True)
-class AccessRecord:
+class AccessRecord(NamedTuple):
     """One traced instruction.
 
     ``instr_index`` is the global retired-instruction counter at the time
     the instruction executed — the unit all DirtBuster distances are
     measured in.
 
-    Slotted, because a DirtBuster run keeps every access of the
-    application (``dataclass(slots=True)`` needs Python 3.10).  Frozen
-    instances cannot take their slots back through ``setattr``, so
-    pickling goes through the constructor.
+    A named tuple, because a DirtBuster run keeps every access of the
+    application: no per-instance ``__dict__``, native pickling, and the
+    tracers build one with ``tuple.__new__`` at a quarter of a frozen
+    dataclass's constructor cost.
     """
-
-    __slots__ = ("instr_index", "core_id", "kind", "addr", "size", "site", "callchain")
 
     instr_index: int
     core_id: int
@@ -55,9 +56,6 @@ class AccessRecord:
     size: int
     site: CodeSite
     callchain: Tuple[CodeSite, ...]
-
-    def __reduce__(self) -> tuple:
-        return (AccessRecord, tuple(getattr(self, name) for name in self.__slots__))
 
     @property
     def is_store(self) -> bool:
@@ -76,16 +74,36 @@ class AccessRecord:
         return self.site.function
 
 
+_new = tuple.__new__
+
+
 def _record_of(core_id: int, event: Event, instr_index: int) -> AccessRecord:
-    return AccessRecord(
-        instr_index=instr_index,
-        core_id=core_id,
-        kind=event.kind,
-        addr=event.addr,
-        size=event.size,
-        site=event.site,
-        callchain=event.callchain,
+    return _new(
+        AccessRecord,
+        (instr_index, core_id, event.kind, event.addr, event.size, event.site, event.callchain),
     )
+
+
+def owning_function(
+    site: CodeSite, callchain: Tuple[CodeSite, ...], functions: Optional[Set[str]]
+) -> Optional[str]:
+    """The selected function an access at ``site`` belongs to, or None.
+
+    ``functions=None`` selects everything.  Otherwise an access belongs to
+    its own function when selected, else to the innermost selected caller
+    on its callchain: writes routinely happen inside generic helpers
+    (memcpy-alikes), and perf callchains let DirtBuster attribute them to
+    the instrumented caller, which is where the patch will go (Section
+    6.2.1).  ``FullTracer``'s record-time filter and the
+    :class:`~repro.dirtbuster.instrument.Instrumenter` share this rule.
+    """
+    function = site.function
+    if functions is None or function in functions:
+        return function
+    for caller in reversed(callchain):
+        if caller.function in functions:
+            return caller.function
+    return None
 
 
 class SamplingTracer(Tracer):
@@ -97,7 +115,7 @@ class SamplingTracer(Tracer):
     compute are counted (they dilute the store share) but carry no
     address; fences and pre-stores are attributed like compute.
 
-    An event long enough to take several samples appends the same frozen
+    An event long enough to take several samples appends the same
     :class:`AccessRecord` once per sample: ``samples`` still has one entry
     per timer hit, but consecutive entries may be one shared object
     (:class:`~repro.dirtbuster.sampling.SampleProfile` folds such runs).
@@ -161,14 +179,17 @@ class SamplingTracer(Tracer):
                     hits += 1
                     remaining += period
                 offset = (k - 1) * stride
-                sample = AccessRecord(
-                    instr_index=index + k - 1,
-                    core_id=core_id,
-                    kind=kind,
-                    addr=addr + offset,
-                    size=min(chunk, size - offset),
-                    site=site,
-                    callchain=callchain,
+                sample = _new(
+                    AccessRecord,
+                    (
+                        index + k - 1,
+                        core_id,
+                        kind,
+                        addr + offset,
+                        min(chunk, size - offset),
+                        site,
+                        callchain,
+                    ),
                 )
                 self.samples.extend([sample] * hits)
         self._countdown[core_id] = remaining
@@ -181,33 +202,26 @@ class FullTracer(Tracer):
     """Record every load/store of selected functions, and every fence.
 
     ``functions=None`` records everything (the paper's fully instrumented
-    mode); otherwise only accesses whose function — or any caller on the
-    callchain — is in the set are kept.  Fence-semantics instructions are
-    always kept regardless of location, because fences relevant to a
-    write-intensive function routinely live in other libraries (Section
-    6.1: "the atomic instructions of locks are generally called from the
-    pthread library").
+    mode); otherwise only accesses that :func:`owning_function` attributes
+    to a function of the set — their own or a caller's — are kept.
+    Fence-semantics instructions are always kept regardless of location,
+    because fences relevant to a write-intensive function routinely live
+    in other libraries (Section 6.1: "the atomic instructions of locks
+    are generally called from the pthread library").
     """
 
     def __init__(self, functions: Optional[Iterable[str]] = None) -> None:
         self.functions: Optional[Set[str]] = set(functions) if functions is not None else None
         self.records: List[AccessRecord] = []
 
-    def _selected(self, site: CodeSite, callchain: Tuple[CodeSite, ...]) -> bool:
-        functions = self.functions
-        if functions is None or site.function in functions:
-            return True
-        return any(caller.function in functions for caller in callchain)
-
     def record(self, core_id: int, event: Event, instr_index: int, cycles: float = 0.0) -> None:
         kind = event.kind
-        if kind is READ or kind is WRITE:
-            if self._selected(event.site, event.callchain):
-                self.records.append(_record_of(core_id, event, instr_index))
-        elif event.has_fence_semantics or (
-            kind is PRESTORE and self._selected(event.site, event.callchain)
-        ):
-            self.records.append(_record_of(core_id, event, instr_index))
+        if kind is READ or kind is WRITE or kind is PRESTORE:
+            if owning_function(event.site, event.callchain, self.functions) is None:
+                return
+        elif not event.has_fence_semantics:
+            return
+        self.records.append(_record_of(core_id, event, instr_index))
 
     def record_stream(
         self,
@@ -224,19 +238,24 @@ class FullTracer(Tracer):
         callchain: Tuple[CodeSite, ...],
     ) -> None:
         """A fused run's accesses: one filter test, one record per access."""
-        if not self._selected(site, callchain):
+        if owning_function(site, callchain, self.functions) is None:
             return
         self.records.extend(
-            AccessRecord(
-                instr_index=index + k,
-                core_id=core_id,
-                kind=kind,
-                addr=addr + offset,
-                size=min(chunk, size - offset),
-                site=site,
-                callchain=callchain,
-            )
-            for k, offset in enumerate(range(0, (len(clocks) - 1) * stride, stride))
+            [
+                _new(
+                    AccessRecord,
+                    (
+                        index + k,
+                        core_id,
+                        kind,
+                        addr + offset,
+                        min(chunk, size - offset),
+                        site,
+                        callchain,
+                    ),
+                )
+                for k, offset in enumerate(range(0, (len(clocks) - 1) * stride, stride))
+            ]
         )
 
     def per_core(self) -> dict:

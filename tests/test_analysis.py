@@ -1,15 +1,13 @@
-"""Unit tests for the analysis utilities (ipmctl, perf, tables)."""
+"""Unit tests for the analysis utilities (ipmctl, tables)."""
 
 import math
 
 import pytest
 
 from repro.analysis.ipmctl import MediaCounters, read_media_counters
-from repro.analysis.perf import profile_store_time
 from repro.analysis.tables import format_table
 from repro.core.prestore import PatchConfig
 from repro.workloads.microbench import Listing1
-from repro.workloads.phoronix import ReadMostlyWorkload
 
 
 class TestIpmctl:
@@ -26,19 +24,6 @@ class TestIpmctl:
     def test_idle_device_reports_nan(self):
         # Zero-denominator convention (DESIGN.md §9): no bytes, no data.
         assert math.isnan(MediaCounters(0, 0, 0).write_amplification)
-
-
-class TestPerf:
-    def test_write_heavy_vs_read_heavy(self, tiny_machine_a):
-        writer = Listing1(element_size=1024, num_elements=256, iterations=300)
-        reader = ReadMostlyWorkload("pytorch", "stream", scale=200)
-        wp = profile_store_time(writer, tiny_machine_a, sampling_period=53)
-        rp = profile_store_time(reader, tiny_machine_a, sampling_period=53)
-        assert wp.write_intensive
-        assert not rp.write_intensive
-        assert wp.store_share > rp.store_share
-        assert "listing1_loop" in dict(wp.top_functions)
-        assert "store" in wp.render() or "%" in wp.render()
 
 
 class TestTables:

@@ -120,3 +120,13 @@ def test_one_simulation_matches_two_runs(name, seed, period):
     assert [repr(p) for p in got.patterns] == [repr(p) for p in want.patterns]
     assert _recommendation_fields(got) == _recommendation_fields(want)
     assert got.render() == want.render()
+
+
+@pytest.mark.parametrize("name", ["clht", "nas-mg"])
+def test_patterns_only_for_instrumented_functions(name):
+    """Attribution only ever names a selected function, so analyze needs
+    no filter after the instrumenter."""
+    make, machine, _ = _CASES[name]
+    report = DirtBuster().analyze(make(), machine())
+    assert report.patterns
+    assert {p.function for p in report.patterns} <= set(report.instrumented_functions)

@@ -1,6 +1,5 @@
 """Unit tests for tracing and the perf-style sampler."""
 
-import dataclasses
 import io
 import pickle
 
@@ -8,10 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.dirtbuster.export import dump_records, load_records
+from repro.dirtbuster.runner import DirtBuster, DirtBusterConfig
 from repro.dirtbuster.sampling import SampleProfile
 from repro.dirtbuster.trace import AccessRecord, FullTracer, SamplingTracer
 from repro.errors import AnalysisError, TraceError
 from repro.sim.event import CodeSite, Event, EventKind
+from repro.workloads.microbench import Listing1
+from repro.workloads.phoronix import ReadMostlyWorkload
 
 
 def _write(function="f", addr=0, size=8):
@@ -118,7 +120,7 @@ class TestAccessRecordIsAValue:
         assert records == again
         assert [hash(r) for r in records] == [hash(r) for r in again]
         assert len(set(records + again)) == len(records)
-        assert records[0] != dataclasses.replace(records[0], addr=records[0].addr + 1)
+        assert records[0] != records[0]._replace(addr=records[0].addr + 1)
 
     def test_pickle_round_trip(self):
         records = self._records()
@@ -133,10 +135,16 @@ class TestAccessRecordIsAValue:
 
     def test_fields_cannot_be_assigned(self):
         record = self._records()[0]
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             record.addr = 0
-        with pytest.raises((dataclasses.FrozenInstanceError, AttributeError)):
+        with pytest.raises(AttributeError):
             record.extra = 0
+
+    def test_keyword_and_positional_construction_agree(self):
+        # export.loads_record builds records by keyword, the tracers by position.
+        for record in self._records():
+            assert AccessRecord(**record._asdict()) == record
+            assert AccessRecord(*record) == record
 
 
 class TestSampleProfile:
@@ -168,6 +176,18 @@ class TestSampleProfile:
         # Function ranking: the lock's atomics do not outrank the writer.
         chosen = profile.write_intensive_functions(share_of_stores=0.5)
         assert [p.function for p in chosen] == ["writer"]
+
+    def test_write_heavy_vs_read_heavy(self, tiny_machine_a):
+        """The Section 7.1 store-time filter on DirtBuster's sampling pass."""
+        dirtbuster = DirtBuster(DirtBusterConfig(sampling_period=53))
+        writer = Listing1(element_size=1024, num_elements=256, iterations=300)
+        reader = ReadMostlyWorkload("pytorch", "stream", scale=200)
+        wp, _ = dirtbuster.sample(writer, tiny_machine_a)
+        rp, _ = dirtbuster.sample(reader, tiny_machine_a)
+        assert wp.application_write_intensive()
+        assert not rp.application_write_intensive()
+        assert wp.application_store_fraction > rp.application_store_fraction
+        assert "listing1_loop" in [p.function for p in wp.write_intensive_functions()]
 
     def test_callchain_grouping(self):
         tracer = SamplingTracer(period=1)
@@ -232,10 +252,41 @@ class TestSharedRecordFolding:
             tracer.record(i % 2, event, i, cycles=cycles)
         if not len(tracer):
             return
-        distinct = [dataclasses.replace(s) for s in tracer.samples]
+        distinct = [s._replace() for s in tracer.samples]
         shared = SampleProfile(tracer.samples, other_samples=tracer.other_samples)
         per_hit = SampleProfile(distinct, other_samples=tracer.other_samples)
         assert _profile_fields(shared) == _profile_fields(per_hit)
+
+    @staticmethod
+    def _per_hit(samples):
+        """Each sample counted on its own: function -> [stores, loads, atomics, chains]."""
+        counts = {}
+        for s in samples:
+            entry = counts.setdefault(s.site.function, [0, 0, 0, {}])
+            entry[{EventKind.WRITE: 0, EventKind.READ: 1, EventKind.ATOMIC: 2}[s.kind]] += 1
+            chain = tuple(site.function for site in s.callchain)
+            entry[3][chain] = entry[3].get(chain, 0) + 1
+        return counts
+
+    @pytest.mark.parametrize("shape", ["AABA-shared", "AABA-copies", "single"])
+    def test_fold_matches_per_hit_count(self, shape):
+        chain = (CodeSite("main"), CodeSite("put"))
+        a = AccessRecord(0, 0, EventKind.WRITE, 0, 8, CodeSite("memcpy"), chain)
+        # B shares A's site object but not its callchain.
+        b = AccessRecord(1, 0, EventKind.READ, 64, 8, a.site, chain[:1])
+        samples = {
+            "AABA-shared": [a, a, b, a],
+            "AABA-copies": [a, a._replace(), b, a._replace()],
+            "single": [a],
+        }[shape]
+        profile = SampleProfile(samples, other_samples=2)
+        got = {
+            p.function: [p.stores, p.loads, p.atomics, dict(p.callchains)]
+            for p in profile.functions()
+        }
+        assert got == self._per_hit(samples)
+        assert profile.total_samples == len(samples) + 2
+        assert profile.total_stores == sum(s.kind is EventKind.WRITE for s in samples)
 
     def test_atomic_runs_count_as_store_time_only(self):
         tracer = SamplingTracer(period=10)
