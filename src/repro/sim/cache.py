@@ -23,9 +23,8 @@ Storage layout (DESIGN.md §15): each level keeps its tags and dirty bits
 as flat structure-of-arrays — one tags array and one dirty byte array of
 ``num_sets * ways`` slots, plus a ``line -> slot`` index — instead of
 per-way objects.  The flat slot number (``set * ways + way``) is the only
-handle the hot paths pass around, and bulk operations (the end-of-run
-drain, state snapshots) read the arrays columnwise, with numpy when it is
-available.
+handle the hot paths pass around, and the end-of-run drain reads the dirty
+column in one scan.  The module needs only the standard library.
 """
 
 from __future__ import annotations
@@ -40,11 +39,6 @@ from repro.sim.replacement import (
     ReplacementPolicy,
     _plru_lut,
 )
-
-try:  # pragma: no cover - exercised implicitly everywhere numpy exists
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is in the standard image
-    _np = None  # type: ignore[assignment]
 
 __all__ = ["CacheLevelSpec", "CacheStats", "CacheLevel", "Eviction", "CacheHierarchy"]
 
@@ -146,8 +140,6 @@ class CacheLevel:
         self._policy_state = [policy.new_set(spec.ways) for _ in range(self.num_sets)]
         # line -> flat slot; the fast path for lookups.
         self._index: Dict[int, int] = {}
-        # line -> hashed set index, memoised (bounded by touched lines).
-        self._set_cache: Dict[int, int] = {}
         #: Whether repeated ``on_access`` calls may be collapsed to one
         #: (see ReplacementPolicy.idempotent_on_access).
         self._idempotent_policy = bool(getattr(policy, "idempotent_on_access", False))
@@ -158,12 +150,9 @@ class CacheLevel:
     def set_index(self, line: int) -> int:
         """The set a line maps to (modulo, or hashed when configured)."""
         if self.hashed_index:
-            cached = self._set_cache.get(line)
-            if cached is None:
-                # Fibonacci hashing: cheap, deterministic, well spread.
-                cached = ((line * 0x9E3779B97F4A7C15) >> 17) % self.num_sets
-                self._set_cache[line] = cached
-            return cached
+            # Fibonacci hashing: cheap, deterministic, well spread.  The
+            # generated fill kernels emit the same expression.
+            return ((line * 0x9E3779B97F4A7C15) >> 17) % self.num_sets
         return line % self.num_sets
 
     def contains(self, line: int) -> bool:
@@ -191,23 +180,6 @@ class CacheLevel:
         for tag in self._tags:
             if tag != EMPTY:
                 yield tag
-
-    def tags_array(self):
-        """The tags column as a numpy array (copy); list without numpy.
-
-        Slot order is physical (set, way) order; :data:`EMPTY` marks a
-        free way.  Bulk readers (state snapshots, the fault harness's
-        dirty-set capture, tests) use this instead of walking slots.
-        """
-        if _np is None:  # pragma: no cover - numpy is in the standard image
-            return list(self._tags)
-        return _np.array(self._tags, dtype=_np.int64)
-
-    def dirty_array(self):
-        """The dirty column as a numpy uint8 view (zero-copy) or bytes."""
-        if _np is None:  # pragma: no cover - numpy is in the standard image
-            return bytes(self._dirty)
-        return _np.frombuffer(self._dirty, dtype=_np.uint8)
 
     @property
     def capacity_lines(self) -> int:
@@ -684,28 +656,25 @@ class CacheHierarchy:
         The walk covers every dirty slot of every level, so a dirty line
         an inner level holds without its outer copies is owed too.
 
-        The walk is columnwise over the flat dirty arrays: with numpy the
-        dirty slots of a level are found in one ``nonzero`` over the
-        byte column (ascending slot order *is* physical walk order),
-        which is what keeps the end-of-run drain cheap on LLC-sized
-        levels.
+        Each level's dirty column is scanned once with ``bytearray.find``
+        stepping (dirty bytes are only ever 0 or 1): ascending slot order
+        *is* physical walk order, and a level's clean stretches are
+        skipped in C, so the cost follows the dirty slots rather than the
+        level's size.
         """
         owed: List[int] = []
         seen = set()
         for lvl in reversed(self.levels):
             stats = lvl.stats
             tags = lvl._tags
-            if _np is not None:
-                dirty_slots = _np.nonzero(
-                    _np.frombuffer(lvl._dirty, dtype=_np.uint8)
-                )[0].tolist()
-            else:  # pragma: no cover - numpy is in the standard image
-                dirty_slots = [i for i, d in enumerate(lvl._dirty) if d]
-            for slot in dirty_slots:
+            dirty = lvl._dirty
+            slot = dirty.find(1)
+            while slot >= 0:
                 line = tags[slot]
-                lvl._dirty[slot] = 0
+                dirty[slot] = 0
                 stats.cleans += 1
                 if line not in seen:
                     seen.add(line)
                     owed.append(line)
+                slot = dirty.find(1, slot + 1)
         return owed

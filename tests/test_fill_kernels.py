@@ -13,8 +13,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.sim.cache import CacheHierarchy, CacheLevel, CacheLevelSpec
-from repro.sim.machine import machine_a, machine_b_fast
+from repro.sim.cache import EMPTY, CacheHierarchy, CacheLevel, CacheLevelSpec
+from repro.sim.machine import Machine, machine_a, machine_b_fast
 from repro.sim.replacement import make_policy
 from tests import object_walk
 
@@ -182,3 +182,49 @@ def test_three_level_partial_hit_can_owe_a_writeback():
         if 0 < level < len(h.levels):
             owed += len(wb)
     assert owed > 0
+
+
+@pytest.mark.parametrize("preset", [machine_a, machine_b_fast], ids=["machine-a", "b-fast"])
+def test_full_size_drain_matches_object_walk(preset):
+    # The drain's scan on full-size columns (machine A: three levels and a
+    # hashed 512-set LLC; B-fast: two levels), with dirt on the first two
+    # and the last two slots of every level and dirt only L1 holds: the
+    # three-level case where L2 dropped a line L1 still holds dirty.
+    kernels = Machine(preset()).hierarchy
+    walk = Machine(preset()).hierarchy
+    llc_lines = kernels.last_level.capacity_lines
+    rng = random.Random(3)
+    ops = [(rng.randrange(3 * llc_lines), rng.random() < 0.2) for _ in range(4 * llc_lines)]
+    for h in (kernels, walk):
+        for line, is_write in ops:
+            h.access_line(line, is_write)
+    l1_only = []
+    if len(kernels.levels) == 3:
+        l1_only = list(kernels.levels[0].resident_lines())[:8]
+        for h in (kernels, walk):
+            for line in l1_only:
+                h.access_line(line, True)
+                h.levels[1].invalidate(line)
+    boundary = []
+    for i, lvl in enumerate(kernels.levels):
+        last = lvl.capacity_lines - 1
+        for slot in (0, 1, last - 1, last):
+            assert lvl._tags[slot] != EMPTY
+            boundary.append(lvl._tags[slot])
+            for h in (kernels, walk):
+                h.levels[i]._dirty[slot] = 1
+    assert _state(kernels) == _state(walk)
+
+    drained = kernels.drain_dirty_lines()
+    want = object_walk.drain_dirty_lines(walk)
+    assert drained == want
+    assert drained != sorted(drained)
+    assert set(boundary) <= set(drained)
+    for line in l1_only:
+        assert line in drained
+        assert not kernels.levels[1].contains(line)
+    for lvl in kernels.levels:
+        assert not any(lvl._dirty)
+    assert [lvl.stats.cleans for lvl in kernels.levels] == [
+        lvl.stats.cleans for lvl in walk.levels
+    ]
