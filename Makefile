@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint sanitize obs-demo sweep-smoke serve-smoke faults crashcheck dirtbuster-smoke experiments-smoke
+.PHONY: test lint sanitize obs-demo sweep-smoke serve-smoke faults crashcheck dirtbuster-smoke experiments-smoke experiments-ratchet
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -79,6 +79,23 @@ experiments-smoke:
 	diff build/smoke-serial.md build/smoke-pooled.md
 	REPRO_SIM_REFERENCE=1 $(PYTHON) -m repro.experiments.cli fig5 --markdown build/fig5-reference.md
 	diff build/fig5-streams.md build/fig5-reference.md
+
+# Shape-check ratchet: every experiment, in fast mode and then --full,
+# as one pooled sweep each (--workers 2).  The CLI exits 1 when any
+# check fails, so only a crash (any other status, or no markdown) stops
+# the target there; ci/shape_ratchet.py then compares the ids whose
+# section says SHAPE CHECK FAILED with the committed list for the mode,
+# exactly.  A new failure fails the target, and so does a listed
+# failure that now passes.  About 1 and 2.5 minutes on two cores.
+experiments-ratchet:
+	@mkdir -p build
+	rm -f build/all-fast.md build/all-full.md
+	$(PYTHON) -m repro.experiments.cli --all --workers 2 --markdown build/all-fast.md \
+		|| [ $$? -eq 1 ]
+	$(PYTHON) ci/shape_ratchet.py build/all-fast.md ci/shape-failures-fast.txt
+	$(PYTHON) -m repro.experiments.cli --all --full --workers 2 --markdown build/all-full.md \
+		|| [ $$? -eq 1 ]
+	$(PYTHON) ci/shape_ratchet.py build/all-full.md ci/shape-failures-full.txt
 
 # Crash-consistency self-check: seeded crash/fault matrix on machine A
 # and B-slow, asserting protocol durability, baseline vulnerability,

@@ -1,26 +1,12 @@
 """Per-table/figure experiment modules.
 
-Importing this package registers every experiment; use
+Importing this package loads only the registry: each experiment's module
+is imported the first time :func:`repro.experiments.get` asks for it
+(``registry._HOMES`` maps every id to its module).  Use
 :func:`repro.experiments.get`/:func:`run_all` or the
 ``prestores-experiments`` CLI to run them.
 """
 
-from repro.experiments import (  # noqa: F401  (imports register experiments)
-    ablations,
-    fault_window,
-    fig3_listing1,
-    fig5_listing2,
-    fig7_tensorflow,
-    fig9_nas,
-    kv_machine_a,
-    kv_machine_b,
-    listing3_overhead,
-    sec74_overheads,
-    serve,
-    table1_devices,
-    table2_classification,
-    x9_latency,
-)
 from repro.experiments.registry import (
     Experiment,
     ExperimentResult,

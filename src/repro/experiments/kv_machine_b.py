@@ -19,8 +19,10 @@ from repro.workloads.kv import CLHTWorkload, MasstreeWorkload, YCSBSpec
 
 __all__ = ["Fig13CLHTMachineB", "Fig14MasstreeMachineB"]
 
-#: Client-side work per request, calibrated so the FPGA is latency- not
-#: bandwidth-bound (the regime of the paper's Enzian runs).
+#: Client-side work per request.  It does not set the regime: at this
+#: value both B presets are link-bound, not latency-bound.  Line fills
+#: cross the link at the device's write bandwidth, so most of a baseline
+#: run's cycles are its fills' transfer time.
 _OP_OVERHEAD = 2400
 _THREADS = 8
 

@@ -13,6 +13,7 @@ results to rows; :func:`run_all` runs many as one sweep (DESIGN.md §10).
 
 from __future__ import annotations
 
+import importlib
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
@@ -146,7 +147,41 @@ def _sweep(cells: Cells) -> Dict[Hashable, CellOutcome]:
     return dict(zip(cells, outcomes))
 
 
+#: Each experiment id's home module under :mod:`repro.experiments`.  A
+#: process imports an experiment's module when it first asks for the
+#: experiment, so it loads only the experiments (and workloads) it runs.
+_HOMES: Dict[str, str] = {
+    "abl-combiner": "ablations",
+    "abl-granularity": "ablations",
+    "abl-replacement": "ablations",
+    "abl-ycsb-mixes": "ablations",
+    "faults-window": "fault_window",
+    "fig3": "fig3_listing1",
+    "fig5": "fig5_listing2",
+    "fig7": "fig7_tensorflow",
+    "fig8": "fig7_tensorflow",
+    "fig9": "fig9_nas",
+    "fig10": "kv_machine_a",
+    "fig11": "kv_machine_a",
+    "fig12": "kv_machine_a",
+    "fig13": "kv_machine_b",
+    "fig14": "kv_machine_b",
+    "listing3": "listing3_overhead",
+    "sec741": "sec74_overheads",
+    "sec742": "sec74_overheads",
+    "serve": "serve",
+    "table1": "table1_devices",
+    "table2": "table2_classification",
+    "x9": "x9_latency",
+}
+
+#: Experiments registered so far: by their home modules as those are
+#: imported, or inserted directly.
 _REGISTRY: Dict[str, Callable[[], Experiment]] = {}
+
+
+def _home_module(experiment_id: str) -> str:
+    return f"{__package__}.{_HOMES[experiment_id]}"
 
 
 def register(cls: type) -> type:
@@ -155,22 +190,28 @@ def register(cls: type) -> type:
         raise ExperimentError(f"{cls!r} is not an Experiment")
     if cls.id in _REGISTRY:
         raise ExperimentError(f"duplicate experiment id {cls.id!r}")
+    if cls.id in _HOMES and cls.__module__ != _home_module(cls.id):
+        raise ExperimentError(
+            f"experiment id {cls.id!r} belongs to {_home_module(cls.id)}, not {cls.__module__}"
+        )
     _REGISTRY[cls.id] = cls
     return cls
 
 
 def get(experiment_id: str) -> Experiment:
-    """Instantiate a registered experiment."""
+    """Instantiate an experiment, importing its home module on first use."""
+    if experiment_id not in _REGISTRY and experiment_id in _HOMES:
+        importlib.import_module(_home_module(experiment_id))
     try:
         return _REGISTRY[experiment_id]()
     except KeyError:
         raise ExperimentError(
-            f"unknown experiment {experiment_id!r}; known: {sorted(_REGISTRY)}"
+            f"unknown experiment {experiment_id!r}; known: {all_ids()}"
         ) from None
 
 
 def all_ids() -> List[str]:
-    return sorted(_REGISTRY)
+    return sorted(_HOMES.keys() | _REGISTRY.keys())
 
 
 def run_all(

@@ -30,7 +30,6 @@ from repro.runner.cells import (
     describe_factory,
     run_cell,
 )
-from repro.runner.grid import Grid, load_journal, run_grid
 from repro.runner.monitor import SweepEvent, SweepMonitor
 from repro.runner.pool import (
     CellOutcome,
@@ -63,3 +62,15 @@ __all__ = [
     "run_grid",
     "runner_session",
 ]
+
+#: Names served from :mod:`repro.runner.grid`, imported on first use:
+#: only resumable sweeps need the grid.
+_GRID_NAMES = frozenset({"Grid", "load_journal", "run_grid"})
+
+
+def __getattr__(name: str):
+    if name in _GRID_NAMES:
+        from repro.runner import grid
+
+        return getattr(grid, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -63,12 +63,12 @@ import pickle
 import random
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import FIRST_COMPLETED, Future, wait
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
+    TYPE_CHECKING,
     Callable,
     Deque,
     Dict,
@@ -86,6 +86,9 @@ from repro.runner.cache import ResultCache
 from repro.runner.cells import Cell, CellRun, cell_run_id, run_cell
 from repro.runner.monitor import SweepEvent
 from repro.sim.stats import RunResult
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 __all__ = [
     "CellOutcome",
@@ -208,6 +211,10 @@ def _pool_initializer() -> None:
 
 
 def _new_executor(workers: int) -> ProcessPoolExecutor:
+    # Imported here: concurrent.futures.process pulls in multiprocessing,
+    # which a serial process never needs.
+    from concurrent.futures import ProcessPoolExecutor
+
     return ProcessPoolExecutor(max_workers=workers, initializer=_pool_initializer)
 
 
@@ -592,6 +599,8 @@ def _drive_pool(
     genuine killer would take the parent process with it); only clean
     jobs are returned for inline when restarts are exhausted.
     """
+    from concurrent.futures.process import BrokenProcessPool
+
     if timeout_s is not None:
         size = 1  # the deadline is per cell; chunks would stretch it
     elif chunk_size is not None:

@@ -114,9 +114,11 @@ class RunResult:
     def throughput(self, work_items: Optional[int] = None, with_drain: bool = True) -> float:
         """Completed work items per kilocycle (higher is better).
 
-        ``with_drain`` (default) charges the end-of-run writeback drain,
-        approximating steady state for short write-heavy runs.  NaN for
-        a zero-cycle run (rate of nothing over no time — see the module
+        ``with_drain`` (default) also charges the end-of-run writeback
+        drain: a roughly fixed cost that a short run does not amortise,
+        so it can dominate a short write-heavy run's rate.  For the run
+        alone, compare ``cycles`` (:meth:`speedup_over`).  NaN for a
+        zero-cycle run (rate of nothing over no time — see the module
         docstring's derived-ratio convention).
         """
         items = self.work_items if work_items is None else work_items

@@ -4,7 +4,6 @@ import functools
 
 import pytest
 
-import repro.experiments  # noqa: F401  (registers everything)
 import repro.runner
 from repro.core.prestore import PrestoreMode
 from repro.errors import ExperimentError
@@ -64,6 +63,16 @@ class TestRegistry:
 
         with pytest.raises(ExperimentError):
             register(Dup)
+
+    def test_registration_outside_the_home_module_rejected(self, monkeypatch):
+        monkeypatch.delitem(registry._REGISTRY, "table1", raising=False)
+
+        class Elsewhere(Experiment):
+            id = "table1"
+
+        with pytest.raises(ExperimentError, match="belongs to repro.experiments.table1_devices"):
+            register(Elsewhere)
+        assert "table1" not in registry._REGISTRY
 
     def test_non_experiment_rejected(self):
         with pytest.raises(ExperimentError):

@@ -1,10 +1,11 @@
 """The simulator's runtime needs only the standard library.
 
-A fresh interpreter imports the experiments, fingerprints the code and
-runs one experiment whose simulations end in the dirty-line drain; every
-module that appears in ``sys.modules`` along the way must be ``repro``'s
-own or the standard library's.  Modules ``site`` loads at start-up (a
-``.pth`` file's imports, say) come before the snapshot and do not count.
+A fresh interpreter imports every experiment's module, fingerprints the
+code and runs one experiment whose simulations end in the dirty-line
+drain; every module that appears in ``sys.modules`` along the way must
+be ``repro``'s own or the standard library's.  Modules ``site`` loads at
+start-up (a ``.pth`` file's imports, say) come before the snapshot and
+do not count.
 The check is by location rather than ``sys.stdlib_module_names``, which
 Python 3.9 lacks: built-in and frozen modules pass, and so does a module
 whose file lies under the interpreter's stdlib directory but outside its
@@ -27,8 +28,10 @@ PROBE = textwrap.dedent(
 
     import repro.experiments
     import repro.runner
-    from repro.experiments import get
+    from repro.experiments import all_ids, get
 
+    for eid in all_ids():  # each experiment's module loads on first use
+        get(eid)
     repro.runner.code_fingerprint()
     get("listing3").run_checked(fast=True, seed=1234)
 

@@ -1,6 +1,8 @@
 """The process-pool runner: determinism, caching, and integration."""
 
 import functools
+import os
+import time
 
 import pytest
 
@@ -30,6 +32,21 @@ def _listing1_factory():
 _listing1_factory.calls = 0
 
 
+def _rendezvous_factory(directory):
+    """Listing 1, built once two processes are building a workload at once.
+
+    Each call leaves a marker named after its process and waits until a
+    second process has left one, so two cells get past it together only
+    when two workers run them side by side.  After 30 s it gives up and
+    the test's process count shows the failure.
+    """
+    open(os.path.join(directory, str(os.getpid())), "w").close()
+    deadline = time.monotonic() + 30.0
+    while len(os.listdir(directory)) < 2 and time.monotonic() < deadline:
+        time.sleep(0.005)
+    return Listing1(element_size=512, num_elements=64, iterations=120)
+
+
 def _cells(seed=7, factory=_listing1_factory):
     return [Cell(make_workload=factory, spec=machine_a(), mode=m, seed=seed) for m in MODES]
 
@@ -43,8 +60,11 @@ class TestDeterminism:
         parallel = [o.result_json for o in execute_cells(_cells(), workers=workers)]
         assert parallel == reference
 
-    def test_parallel_runs_use_distinct_processes(self):
-        outcomes = execute_cells(_cells(), workers=2)
+    def test_parallel_runs_use_distinct_processes(self, tmp_path):
+        # A rendezvous, not timing: a worker that finished its first cell
+        # before the other worker was up would otherwise take both.
+        factory = functools.partial(_rendezvous_factory, str(tmp_path))
+        outcomes = execute_cells(_cells(factory=factory), workers=2)
         workers = {o.worker for o in outcomes}
         assert all(w.startswith("pid") for w in workers)
         assert len(workers) == 2
