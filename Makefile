@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint sanitize obs-demo sweep-smoke serve-smoke faults crashcheck dirtbuster-smoke experiments-smoke experiments-ratchet
+.PHONY: test lint sanitize obs-demo serve-smoke faults crashcheck dirtbuster-smoke experiments-smoke experiments-ratchet
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -14,23 +14,6 @@ lint:
 
 sanitize:
 	$(PYTHON) -m repro.sanitize examples/quickstart.py
-
-# Sweep-scale smoke: run a 64-cell grid chunked at workers=2, stop it
-# on purpose after 24 cells (exit 75 = resumable), then resume from the
-# outcome journal and finish — the kill-and-resume path CI exercises.
-# Artifacts: the journal plus the SweepMonitor JSONL progress stream.
-sweep-smoke:
-	mkdir -p build
-	rm -f build/sweep-journal.jsonl build/sweep-smoke.jsonl
-	$(PYTHON) -m repro.runner sweep --cells 64 --workers 2 --chunk-size 4 \
-		--journal build/sweep-journal.jsonl --stop-after 24 \
-		--monitor-jsonl build/sweep-smoke.jsonl; \
-		status=$$?; \
-		if [ $$status -ne 75 ]; then \
-			echo "expected resumable exit 75, got $$status"; exit 1; fi
-	$(PYTHON) -m repro.runner sweep --cells 64 --workers 2 --chunk-size 4 \
-		--journal build/sweep-journal.jsonl \
-		--monitor-jsonl build/sweep-smoke.jsonl
 
 # Serving smoke: a small open-loop serving run with a crash at 60% of
 # the arrival horizon, asserting the latency percentiles (p50/p99/p999),
@@ -66,11 +49,15 @@ dirtbuster-smoke:
 
 # Shape-check gate for the single-event experiments (fig5, x9,
 # listing3) and the fault-plan ones (serve, faults-window): the five
-# run in fast mode and the CLI exits 1 when any of them prints SHAPE
+# run in fast mode and the CLI exits 3 when any of them prints SHAPE
 # CHECK FAILED.  The five run again as one pooled sweep (--workers 2),
 # and fig5 runs again in the per-access reference vocabulary
 # (REPRO_SIM_REFERENCE=1); both must match the serial batched run byte
-# for byte.  It takes seconds; CI runs it under a 5-minute timeout.
+# for byte.  Last, ci/kill_resume.py runs the pooled sweep with a
+# --cache-dir, sends it SIGKILL after its first stored cell, and re-runs
+# it: the re-run must store exactly the cells the kill lost and write the
+# serial run's markdown.  It takes seconds; CI runs it under a 5-minute
+# timeout.
 experiments-smoke:
 	@mkdir -p build
 	$(PYTHON) -m repro.experiments.cli fig5 --markdown build/fig5-streams.md
@@ -79,11 +66,13 @@ experiments-smoke:
 	diff build/smoke-serial.md build/smoke-pooled.md
 	REPRO_SIM_REFERENCE=1 $(PYTHON) -m repro.experiments.cli fig5 --markdown build/fig5-reference.md
 	diff build/fig5-streams.md build/fig5-reference.md
+	$(PYTHON) ci/kill_resume.py build/smoke-serial.md build/smoke-resumed.md build/smoke-cache \
+		fig5 x9 listing3 serve faults-window
 
 # Shape-check ratchet: every experiment, in fast mode and then --full,
-# as one pooled sweep each (--workers 2).  The CLI exits 1 when any
-# check fails, so only a crash (any other status, or no markdown) stops
-# the target there; ci/shape_ratchet.py then compares the ids whose
+# as one pooled sweep each (--workers 2).  The CLI exits 3 when any
+# check fails and 1 when it crashes, so only a crash (any status but 0
+# and 3) stops the target there; ci/shape_ratchet.py then compares the ids whose
 # section says SHAPE CHECK FAILED with the committed list for the mode,
 # exactly.  A new failure fails the target, and so does a listed
 # failure that now passes.  About 1 and 2.5 minutes on two cores.
@@ -91,10 +80,10 @@ experiments-ratchet:
 	@mkdir -p build
 	rm -f build/all-fast.md build/all-full.md
 	$(PYTHON) -m repro.experiments.cli --all --workers 2 --markdown build/all-fast.md \
-		|| [ $$? -eq 1 ]
+		|| [ $$? -eq 3 ]
 	$(PYTHON) ci/shape_ratchet.py build/all-fast.md ci/shape-failures-fast.txt
 	$(PYTHON) -m repro.experiments.cli --all --full --workers 2 --markdown build/all-full.md \
-		|| [ $$? -eq 1 ]
+		|| [ $$? -eq 3 ]
 	$(PYTHON) ci/shape_ratchet.py build/all-full.md ci/shape-failures-full.txt
 
 # Crash-consistency self-check: seeded crash/fault matrix on machine A

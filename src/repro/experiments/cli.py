@@ -5,6 +5,16 @@ Examples::
     prestores-experiments --list
     prestores-experiments fig3 fig5
     prestores-experiments --all --full --markdown experiments.md
+    prestores-experiments --all --workers 2 --cache-dir build/cache
+
+Exit status: 0 when every shape check passed, 3 when at least one
+experiment printed ``SHAPE CHECK FAILED`` (the run itself completed and
+its markdown was written), and 1 on a crash, so a caller can tell a
+failed claim from a broken run.
+
+``--cache-dir`` is also how a killed sweep resumes: every finished cell
+is stored as it completes, so re-running the same command simulates
+only the cells the kill lost and prints the same results.
 """
 
 from __future__ import annotations
@@ -16,6 +26,9 @@ from typing import Iterable, List, Optional
 
 from repro.experiments import all_ids, get, run_all
 from repro.experiments.registry import ExperimentResult
+
+#: Exit status when the run completed but a shape check failed.
+EXIT_SHAPE_FAILED = 3
 
 
 def _markdown(results: Iterable[ExperimentResult]) -> str:
@@ -38,6 +51,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="prestores-experiments",
         description="Reproduce the tables and figures of the Pre-Stores paper.",
+        epilog=(
+            f"exit status: 0 all shape checks passed, {EXIT_SHAPE_FAILED} a shape check "
+            "failed, 1 the run crashed"
+        ),
     )
     parser.add_argument("experiments", nargs="*", help="experiment ids (e.g. fig3 table2)")
     parser.add_argument("--list", action="store_true", help="list known experiment ids")
@@ -56,7 +73,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--cache-dir",
         metavar="DIR",
-        help="content-addressed result cache; repeat runs skip simulation",
+        help="content-addressed result cache; repeat runs skip simulation, "
+        "and re-running a killed sweep resumes it",
     )
     args = parser.parse_args(argv)
 
@@ -89,7 +107,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             fh.write(_markdown(results.values()))
         print(f"wrote {args.markdown}")
     notes = (note for result in results.values() for note in result.notes)
-    return 1 if any(note.startswith("SHAPE CHECK FAILED") for note in notes) else 0
+    failed = any(note.startswith("SHAPE CHECK FAILED") for note in notes)
+    return EXIT_SHAPE_FAILED if failed else 0
 
 
 if __name__ == "__main__":  # pragma: no cover

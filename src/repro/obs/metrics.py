@@ -116,8 +116,7 @@ Metric = Union[Counter, Gauge, Histogram]
 
 def _validate_name(name: str) -> None:
     """Registry names are free-form but must be exposable: non-empty,
-    printable, no whitespace — the exporter (:mod:`repro.obs.export`)
-    later sanitises them into the OpenMetrics charset."""
+    printable, no whitespace."""
     if not name or any(c.isspace() or not c.isprintable() for c in name):
         raise ValueError(f"invalid metric name {name!r}: empty, whitespace, or unprintable")
 
@@ -154,45 +153,6 @@ class MetricsRegistry:
 
     def get(self, name: str) -> Optional[Metric]:
         return self._metrics.get(name)
-
-    def names(self) -> List[str]:
-        """Registered instrument names, sorted."""
-        return sorted(self._metrics)
-
-    def merge(self, other: "MetricsRegistry") -> "MetricsRegistry":
-        """Fold another registry into this one; returns ``self``.
-
-        The fleet-aggregation primitive: per-worker registries merge into
-        one without double-counting — counters and histograms *add*
-        (bucket counts, count, and sum element-wise; mismatched bucket
-        bounds are an error, not a silent re-bucketing), while gauges
-        take the other registry's value when it is set (non-NaN), since a
-        gauge is a last-observation, not an accumulation.  Instruments
-        registered under the same name with different types raise
-        ``TypeError`` (the same collision rule as first use).
-        """
-        for name in other.names():
-            metric = other._metrics[name]
-            if isinstance(metric, Counter):
-                mine = self.counter(name, help=metric.help)
-                mine.value += metric.value
-            elif isinstance(metric, Gauge):
-                mine_g = self.gauge(name, help=metric.help)
-                if not math.isnan(metric.value):
-                    mine_g.value = metric.value
-            else:
-                assert isinstance(metric, Histogram)
-                mine_h = self.histogram(name, bounds=metric.bounds, help=metric.help)
-                if mine_h.bounds != metric.bounds:
-                    raise ValueError(
-                        f"histogram {name!r} bucket bounds differ "
-                        f"({mine_h.bounds} vs {metric.bounds}); refusing to merge"
-                    )
-                for i, n in enumerate(metric.bucket_counts):
-                    mine_h.bucket_counts[i] += n
-                mine_h.count += metric.count
-                mine_h.total += metric.total
-        return self
 
     def __contains__(self, name: str) -> bool:
         return name in self._metrics

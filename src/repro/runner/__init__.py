@@ -11,10 +11,11 @@ values and executes them through one
   whether it ran serially, in a 4-way pool, or came from the cache;
 * **a content-addressed cache** — keyed on factory identity, machine
   spec, mode/patches, seed, and a fingerprint of the simulator sources
-  (:class:`~repro.runner.cache.ResultCache`); and
-* **resumable sweeps** — :func:`~repro.runner.grid.run_grid` journals
-  terminal outcomes and skips completed cells on a re-run
-  (``python -m repro.runner sweep``, ``make sweep-smoke``).
+  (:class:`~repro.runner.cache.ResultCache`).  The cache is also how a
+  killed sweep resumes: every finished cell is stored as it completes,
+  so re-running the same sweep with the same cache directory
+  (``prestores-experiments ... --cache-dir DIR``) simulates only the
+  cells the kill lost.
 
 See DESIGN.md ("The runner") for the sharding model and cache-key
 contract.
@@ -30,7 +31,6 @@ from repro.runner.cells import (
     describe_factory,
     run_cell,
 )
-from repro.runner.monitor import SweepEvent, SweepMonitor
 from repro.runner.pool import (
     CellOutcome,
     RunnerSession,
@@ -45,32 +45,16 @@ __all__ = [
     "CellRun",
     "CellExecutionError",
     "CellOutcome",
-    "Grid",
     "ResultCache",
     "RunnerError",
     "RunnerSession",
-    "SweepEvent",
-    "SweepMonitor",
     "active_session",
     "cache_key",
     "code_fingerprint",
     "describe_factory",
     "execute_cells",
-    "load_journal",
     "retry_delay",
     "run_cell",
-    "run_grid",
     "runner_session",
 ]
 
-#: Names served from :mod:`repro.runner.grid`, imported on first use:
-#: only resumable sweeps need the grid.
-_GRID_NAMES = frozenset({"Grid", "load_journal", "run_grid"})
-
-
-def __getattr__(name: str):
-    if name in _GRID_NAMES:
-        from repro.runner import grid
-
-        return getattr(grid, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

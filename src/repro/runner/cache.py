@@ -27,8 +27,12 @@ them.
 With ``max_bytes`` set, stores evict least-recently-used entries
 (recency = payload mtime, bumped on every hit) until the payload bytes
 fit the budget.  Hit/miss/evict/store counters are exposed through
-:meth:`stats` and published as :class:`~repro.obs.metrics.MetricsRegistry`
-gauges via :meth:`publish_metrics`.
+:meth:`stats`.
+
+Because ``execute_cells`` stores each cell the moment it finishes, the
+cache is also the resume mechanism: a sweep killed part-way and re-run
+against the same directory loads every stored cell and simulates only
+the rest, and the results are the same bytes either way.
 
 Keys come from :func:`repro.runner.cells.cache_key` and already include
 the code fingerprint; a stale entry from an older tree simply never
@@ -47,7 +51,6 @@ from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple, Union
 from repro.runner.cells import Cell, cache_key
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs.metrics import MetricsRegistry
     from repro.sim.stats import RunResult
 
 __all__ = ["ResultCache", "MANIFEST_NAME", "MANIFEST_SCHEMA"]
@@ -63,12 +66,7 @@ _EVICT_HYSTERESIS = 0.9
 class ResultCache:
     """Filesystem-backed map from cell key to serialised RunResult."""
 
-    def __init__(
-        self,
-        root: Union[str, Path],
-        max_bytes: Optional[int] = None,
-        registry: Optional["MetricsRegistry"] = None,
-    ) -> None:
+    def __init__(self, root: Union[str, Path], max_bytes: Optional[int] = None) -> None:
         self.root = Path(root)
         self.max_bytes = max_bytes
         self.hits = 0
@@ -76,7 +74,6 @@ class ResultCache:
         self.corrupt = 0
         self.evictions = 0
         self.stores = 0
-        self._registry = registry
         #: key -> [payload bytes, last-use mtime]; replayed from the
         #: manifest once, then maintained by this instance's own ops.
         self._index: Dict[str, List[float]] = {}
@@ -447,30 +444,3 @@ class ResultCache:
             "entries": len(self),
             "bytes": self.total_bytes,
         }
-
-    # -- metrics ------------------------------------------------------------
-
-    def publish_metrics(self, registry: Optional["MetricsRegistry"] = None) -> "MetricsRegistry":
-        """Surface the counters as ``cache.*`` gauges on ``registry``.
-
-        Defaults to (and lazily creates) the cache's own registry, so a
-        :class:`~repro.runner.monitor.SweepMonitor` — or any exporter —
-        can fold cache behaviour into the fleet snapshot.
-        """
-        if registry is None:
-            if self._registry is None:
-                from repro.obs.metrics import MetricsRegistry
-
-                self._registry = MetricsRegistry()
-            registry = self._registry
-        for name, value, help_text in (
-            ("cache.hits", self.hits, "cache lookups that found a valid entry"),
-            ("cache.misses", self.misses, "cache lookups that found nothing usable"),
-            ("cache.corrupt", self.corrupt, "entries rejected as unparseable and evicted"),
-            ("cache.evictions", self.evictions, "entries removed (budget, corruption, manual)"),
-            ("cache.stores", self.stores, "entries written"),
-            ("cache.entries", len(self), "live entries in the manifest index"),
-            ("cache.bytes", self.total_bytes, "payload bytes tracked by the index"),
-        ):
-            registry.gauge(name, help=help_text).set(float(value))
-        return registry

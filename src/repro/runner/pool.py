@@ -21,7 +21,7 @@ Throughput comes from two mechanisms (DESIGN.md §16):
   the worker runs each cell of a chunk independently and reports
   per-cell results, so one failing cell never takes its chunk-mates'
   results down — it is isolated and re-run solo through the normal
-  retry path, and per-cell SweepEvents are unchanged.
+  retry path.
 
 A sweep is never lost to one bad cell.  Every cell produces a
 :class:`CellOutcome` whose ``status`` says how it ended:
@@ -46,8 +46,8 @@ non-ok outcome raises :class:`~repro.errors.CellExecutionError` carrying
 the full outcome list.
 
 Retry backoff is exponential with **deterministic jitter** seeded from
-the cell's run id (:func:`retry_delay`), so retry timing — and the
-SweepEvent order within one cell — is reproducible run to run.
+the cell's run id (:func:`retry_delay`), so retry timing is
+reproducible run to run.
 
 :func:`runner_session` sets ambient worker-count/cache/retry/chunking
 defaults so callers several layers up (``repro.experiments.run_all``,
@@ -84,7 +84,6 @@ from repro.errors import CellExecutionError, RunnerError
 from repro.obs.log import get_logger
 from repro.runner.cache import ResultCache
 from repro.runner.cells import Cell, CellRun, cell_run_id, run_cell
-from repro.runner.monitor import SweepEvent
 from repro.sim.stats import RunResult
 
 if TYPE_CHECKING:
@@ -103,11 +102,6 @@ __all__ = [
 ]
 
 _log = get_logger("runner")
-
-Progress = Optional[Callable[[str], None]]
-#: The event-bus seam: anything callable that accepts a SweepEvent
-#: (e.g. :class:`repro.runner.monitor.SweepMonitor`).
-EventBus = Optional[Callable[[SweepEvent], None]]
 
 #: How many times one ``execute_cells`` call rebuilds a broken process
 #: pool before running whatever is left inline.
@@ -134,8 +128,7 @@ class CellOutcome:
     #: determinism tests compare); None when there is no result.
     result_json: Optional[str]
     run_id: str
-    #: ``pid<N>`` of the process that simulated, ``"cache"``, or
-    #: ``"journal"`` for outcomes resumed from a sweep journal.
+    #: ``pid<N>`` of the process that simulated, or ``"cache"``.
     worker: str
     cached: bool
     wall_s: float
@@ -175,8 +168,8 @@ def retry_delay(run_id: str, attempt: int, backoff_s: float) -> float:
     The jitter factor is drawn from ``Random(f"{run_id}#{attempt}")``,
     uniform in ``[0.5, 1.5)`` — decorrelated across cells (so a burst of
     failures does not retry in lockstep) yet bit-reproducible for a
-    given cell and attempt, which keeps retry timing and per-cell
-    SweepEvent ordering deterministic in tests.
+    given cell and attempt, which keeps retry timing deterministic in
+    tests.
     """
     base = backoff_s * (2 ** (max(1, attempt) - 1))
     jitter = random.Random(f"{run_id}#{attempt}").random()
@@ -343,13 +336,11 @@ def execute_cells(
     cells: Sequence[Cell],
     workers: Optional[int] = None,
     cache: Union[ResultCache, str, Path, None] = None,
-    progress: Progress = None,
     timeout_s: Optional[float] = None,
     retries: Optional[int] = None,
     backoff_s: Optional[float] = None,
     chunk_size: Optional[int] = None,
     on_error: str = "return",
-    events: EventBus = None,
 ) -> List[CellOutcome]:
     """Run every cell; outcomes come back in cell order, one per cell.
 
@@ -371,15 +362,6 @@ def execute_cells(
     (``status``/``error``/``attempts``); ``"raise"`` raises
     :class:`~repro.errors.CellExecutionError` after the whole sweep ran,
     with every outcome attached.
-
-    ``events`` is the observability seam (DESIGN.md §14): every
-    lifecycle edge — sweep begin/end, cache hit, submit, finish, retry,
-    timeout, failure, quarantine — is delivered as a
-    :class:`~repro.runner.monitor.SweepEvent` to the callable, *after*
-    the outcome exists, so a subscriber can never influence results
-    (attaching one changes no RunResult byte).  Chunked dispatch emits
-    the same per-cell events.  A subscriber that raises is detached
-    with a warning rather than failing the sweep.
     """
     if on_error not in ("return", "raise"):
         raise RunnerError(f'on_error must be "return" or "raise", got {on_error!r}')
@@ -404,21 +386,6 @@ def execute_cells(
     outcomes: List[Optional[CellOutcome]] = [None] * total
     jobs: List[_Job] = []
 
-    subscriber: List[EventBus] = [events]
-
-    def emit_event(kind: str, **kw: object) -> None:
-        """Deliver one SweepEvent; a raising subscriber is detached."""
-        bus = subscriber[0]
-        if bus is None:
-            return
-        try:
-            bus(SweepEvent(kind=kind, total=total, **kw))  # type: ignore[arg-type]
-        except Exception:
-            subscriber[0] = None
-            _log.warning("sweep event subscriber raised; detaching it", exc_info=True)
-
-    emit_event("sweep_begin")
-
     for i, cell in enumerate(cells):
         key = resolved_cache.key_for(cell) if resolved_cache is not None else None
         if key is not None:
@@ -438,15 +405,6 @@ def execute_cells(
                     status="cached",
                     attempts=0,
                 )
-                _emit(progress, f"[{i + 1}/{total}] {run_id}: cache hit")
-                emit_event(
-                    "cache_hit",
-                    index=i,
-                    run_id=run_id,
-                    worker="cache",
-                    status="cached",
-                    outcome=outcomes[i],
-                )
                 continue
         jobs.append(_Job(index=i, cell=cell, key=key))
 
@@ -464,10 +422,9 @@ def execute_cells(
                     "wall_s": run.wall_s,
                 },
             )
-        result = RunResult.from_json(run.result_json)
         outcomes[job.index] = CellOutcome(
             cell=job.cell,
-            result=result,
+            result=RunResult.from_json(run.result_json),
             result_json=run.result_json,
             run_id=run.run_id,
             worker=run.worker,
@@ -477,46 +434,19 @@ def execute_cells(
             attempts=max(1, job.attempts),
             path_counts=run.path_counts,
         )
-        _emit(
-            progress,
-            f"[{job.index + 1}/{total}] {run.run_id}: {result.cycles:,.0f} cycles, "
-            f"WA={result.write_amplification:.2f}x ({run.wall_s:.2f}s wall, {run.worker})",
-        )
-        emit_event(
-            "finish",
-            index=job.index,
-            run_id=run.run_id,
-            worker=run.worker,
-            status="ok",
-            wall_s=run.wall_s,
-            attempts=max(1, job.attempts),
-            outcome=outcomes[job.index],
-        )
 
     def fail(job: _Job, status: str, error: str) -> None:
-        run_id = cell_run_id(job.cell, "?")
         outcomes[job.index] = CellOutcome(
             cell=job.cell,
             result=None,
             result_json=None,
-            run_id=run_id,
+            run_id=cell_run_id(job.cell, "?"),
             worker="none",
             cached=False,
             wall_s=0.0,
             status=status,
             error=error,
             attempts=max(1, job.attempts),
-        )
-        _emit(progress, f"[{job.index + 1}/{total}] {run_id}: {status.upper()} — {error}")
-        emit_event(
-            status if status == "timeout" else "failed",
-            index=job.index,
-            run_id=run_id,
-            worker="none",
-            status=status,
-            attempts=max(1, job.attempts),
-            error=error,
-            outcome=outcomes[job.index],
         )
 
     inline: List[_Job] = []
@@ -547,17 +477,15 @@ def execute_cells(
             chunk_size,
             finish,
             fail,
-            emit_event,
         )
         inline.extend(leftovers)
 
     for job in inline:
-        _run_inline(job, retries, backoff_s, finish, fail, emit_event)
+        _run_inline(job, retries, backoff_s, finish, fail)
 
     missing = [i for i, o in enumerate(outcomes) if o is None]
     if missing:  # pragma: no cover - every path above fills its slot
         raise RunnerError(f"internal: cells {missing} produced no outcome")
-    emit_event("sweep_end")
     complete: List[CellOutcome] = [o for o in outcomes if o is not None]
     failed = [o for o in complete if not o.ok]
     if failed and on_error == "raise":
@@ -579,7 +507,6 @@ def _drive_pool(
     chunk_size: Optional[int],
     finish: Callable[[_Job, CellRun], None],
     fail: Callable[[_Job, str, str], None],
-    emit_event: Callable[..., None],
 ) -> List[_Job]:
     """Run picklable jobs through a pool; returns jobs left for inline.
 
@@ -629,8 +556,6 @@ def _drive_pool(
             futures[future] = chunk
             if timeout_s is not None:
                 deadlines[future] = time.monotonic() + timeout_s
-            for job in chunk:
-                emit_event("submit", index=job.index, run_id=cell_run_id(job.cell, "?"))
 
         def refill() -> None:
             nonlocal probe
@@ -683,13 +608,6 @@ def _drive_pool(
                                 "%s",
                                 f"cell {run_id}: attempt {job.attempts} failed "
                                 f"({error}); retrying in {delay:.2f}s",
-                            )
-                            emit_event(
-                                "retry",
-                                index=job.index,
-                                run_id=run_id,
-                                attempts=job.attempts,
-                                error=error,
                             )
                             time.sleep(delay)
                             submit([job])
@@ -747,13 +665,6 @@ def _drive_pool(
                     )
                 else:
                     quarantine.append(job)
-                    emit_event(
-                        "quarantine",
-                        index=job.index,
-                        run_id=cell_run_id(job.cell, "?"),
-                        attempts=job.attempts,
-                        error=f"pool break {job.breaks}",
-                    )
             if restarts > MAX_POOL_RESTARTS:
                 for job in sorted(quarantine, key=lambda j: j.index):
                     fail(
@@ -799,25 +710,15 @@ def _run_inline(
     backoff_s: float,
     finish: Callable[[_Job, CellRun], None],
     fail: Callable[[_Job, str, str], None],
-    emit_event: Callable[..., None],
 ) -> None:
     """Serial execution with the same bounded-retry policy as the pool."""
     while True:
-        emit_event("submit", index=job.index, run_id=cell_run_id(job.cell, "?"))
         try:
             run = run_cell(job.cell)
         except Exception as exc:
             job.attempts += 1
             if job.attempts <= retries:
-                run_id = cell_run_id(job.cell, "?")
-                emit_event(
-                    "retry",
-                    index=job.index,
-                    run_id=run_id,
-                    attempts=job.attempts,
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-                time.sleep(retry_delay(run_id, job.attempts, backoff_s))
+                time.sleep(retry_delay(cell_run_id(job.cell, "?"), job.attempts, backoff_s))
                 continue
             fail(job, "failed", f"{type(exc).__name__}: {exc}")
             return
@@ -825,9 +726,3 @@ def _run_inline(
             job.attempts += 1
             finish(job, run)
             return
-
-
-def _emit(progress: Progress, message: str) -> None:
-    _log.info("%s", message)
-    if progress is not None:
-        progress(message)

@@ -208,8 +208,8 @@ class ServingWorkload(Workload):
         """Latency/SLO aggregates for ``RunResult.extra["serving"]``.
 
         Exact nearest-rank quantiles over sorted latencies (not the
-        bucket estimates) — plus the histogram itself, which the sweep
-        monitor folds fleet-wide.  Empty-denominator fields are None
+        bucket estimates) — plus the histogram itself, whose bucket
+        counts add up across runs.  Empty-denominator fields are None
         (JSON null), per the §10 convention.
         """
         lats = sorted(round(done - arrived, 3) for arrived, done, _ in self._records)

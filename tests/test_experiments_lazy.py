@@ -89,8 +89,7 @@ def test_importing_the_package_loads_no_experiment():
     assert not homes & set(modules)
     for package in EXPERIMENT_ONLY:
         assert not [m for m in modules if m == package or m.startswith(package + ".")], package
-    # A serial process needs neither the grid nor the process pool.
-    assert "repro.runner.grid" not in modules
+    # A serial process does not need the process pool.
     assert "concurrent.futures.process" not in modules
     assert "multiprocessing" not in modules
     # The simulator still loads at set-up, and execute_cells stays a

@@ -159,30 +159,100 @@ class TestGC:
         assert fresh.load(keys[0]) is None
 
 
-class TestMetrics:
-    def test_publish_metrics_exports_cache_gauges(self, tmp_path):
-        from repro.obs.metrics import MetricsRegistry
-
+class TestEntries:
+    def test_miss_then_hit_counts_and_returns_exact_bytes(self, tmp_path):
         cache = ResultCache(tmp_path)
-        cache.store(_key(0), "payload")
-        cache.load(_key(0))
-        cache.load(_key(1))
-        registry = cache.publish_metrics(MetricsRegistry())
-        assert registry.gauge("cache.hits").value == 1.0
-        assert registry.gauge("cache.misses").value == 1.0
-        assert registry.gauge("cache.stores").value == 1.0
-        assert registry.gauge("cache.entries").value == 1.0
-        assert registry.gauge("cache.bytes").value == float(len("payload"))
+        assert cache.load(_key(1)) is None
+        payload = '{"exact": "bytes", "n": 1.50}'
+        cache.store(_key(1), payload)
+        assert cache.load(_key(1)) == payload
+        stats = cache.stats()
+        assert (stats["hits"], stats["misses"], stats["stores"]) == (1, 1, 1)
+        assert stats["entries"] == 1 and stats["bytes"] == len(payload)
 
-    def test_monitor_snapshot_includes_cache_counters(self, tmp_path):
-        from repro.runner.monitor import SweepMonitor
-
+    def test_meta_sidecar_round_trips_and_defaults_to_empty(self, tmp_path):
         cache = ResultCache(tmp_path)
-        cache.store(_key(0), "payload")
-        monitor = SweepMonitor(cache=cache)
-        monitor._publish()
-        snapshot = monitor.snapshot()
-        assert snapshot["cache_stores"] == 1.0
-        assert "cache:" in "\n".join(
-            line for line in monitor.render_dashboard().splitlines()
-        )
+        cache.store(_key(1), "payload", meta={"run_id": "r1", "seed": 3})
+        cache.store(_key(2), "payload")
+        assert cache.load_meta(_key(1)) == {"run_id": "r1", "seed": 3}
+        assert cache.load_meta(_key(2)) == {}
+        assert cache.load_meta(_key(3)) == {}
+
+    def test_evict_removes_payload_meta_and_index_entry(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        cache.store(_key(1), "payload", meta={"run_id": "r1"})
+        cache.evict(_key(1))
+        assert not cache._payload_path(_key(1)).exists()
+        assert not cache._meta_path(_key(1)).exists()
+        assert len(cache) == 0 and cache.total_bytes == 0
+        last = (tmp_path / MANIFEST_NAME).read_text().splitlines()[-1]
+        assert json.loads(last) == {"op": "del", "key": _key(1)}
+        assert len(ResultCache(tmp_path)) == 0
+
+    def test_manifest_skips_non_object_and_keyless_lines(self, tmp_path):
+        _fill(ResultCache(tmp_path), 2)
+        with open(tmp_path / MANIFEST_NAME, "a") as fh:
+            fh.write('[1, 2]\n"text"\n{"op": "add", "bytes": 5}\n\n{"op": "del"}\n')
+        fresh = ResultCache(tmp_path)
+        assert len(fresh) == 2
+        assert fresh.total_bytes == 200
+
+    def test_store_after_a_torn_tail_still_loads_and_gc_recounts_it(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        _fill(cache, 2)
+        with open(tmp_path / MANIFEST_NAME, "a") as fh:
+            fh.write('{"op": "add", "key": "torn-by-a-ki')
+        late = ResultCache(tmp_path)
+        late.store(_key(7), "late")
+        # Payload files are the source of truth: the entry loads whatever
+        # became of its manifest line, and gc() books it.
+        fresh = ResultCache(tmp_path)
+        assert fresh.load(_key(7)) == "late"
+        fresh.gc()
+        assert len(ResultCache(tmp_path)) == 3
+
+
+class TestClear:
+    def test_clear_removes_payloads_meta_litter_and_manifest(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        keys = _fill(cache, 3)
+        cache.store(keys[0], "x" * 100, meta={"run_id": "r"})
+        (tmp_path / ".tmp-crashed").write_text("partial")
+        (tmp_path / "notes.txt").write_text("not the cache's")
+        assert cache.clear() == 3
+        remaining = sorted(p.name for p in tmp_path.rglob("*") if p.is_file())
+        assert remaining == ["notes.txt"]
+        assert len(cache) == 0 and cache.total_bytes == 0
+        assert len(ResultCache(tmp_path)) == 0
+
+    def test_clear_of_a_missing_root_is_zero(self, tmp_path):
+        cache = ResultCache(tmp_path / "never-made")
+        assert cache.clear() == 0
+        assert len(cache) == 0
+
+    def test_store_works_after_clear(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        _fill(cache, 2)
+        cache.clear()
+        cache.store(_key(9), "again")
+        assert cache.load(_key(9)) == "again"
+        assert len(ResultCache(tmp_path)) == 1
+
+
+class TestBudgetEdges:
+    def test_an_entry_larger_than_the_budget_is_kept(self, tmp_path):
+        cache = ResultCache(tmp_path, max_bytes=100)
+        keys = _fill(cache, 2, payload="x" * 60)
+        cache.store(_key(50), "y" * 500)
+        assert cache.load(_key(50)) == "y" * 500
+        assert all(cache.load(k) is None for k in keys)
+        assert len(cache) == 1
+
+    def test_eviction_stops_at_the_hysteresis_watermark(self, tmp_path):
+        cache = ResultCache(tmp_path, max_bytes=1000)
+        _fill(cache, 10, payload="x" * 100)
+        assert cache.stats()["evictions"] == 0
+        cache.store(_key(99), "x" * 100)  # 1100 bytes: over budget
+        # Evicts down to 90% of the budget in one pass, not just below it.
+        assert cache.total_bytes <= 900
+        assert cache.stats()["evictions"] == 2

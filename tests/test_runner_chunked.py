@@ -8,7 +8,6 @@ import pytest
 
 from repro.core.prestore import PrestoreMode
 from repro.runner import Cell, execute_cells, retry_delay, runner_session
-from repro.runner.monitor import SweepMonitor
 from repro.runner.pool import MAX_CHUNK_CELLS, _auto_chunk_size
 from repro.sim.machine import machine_a
 from repro.workloads.microbench import Listing1
@@ -130,23 +129,21 @@ class TestDeterministicBackoff:
             assert base * 0.5 <= delay < base * 1.5
 
 
-class TestEventsUnderChunking:
-    def test_event_symmetry_and_monitor_inflight(self):
-        monitor = SweepMonitor()
+class TestOutcomesUnderChunking:
+    def test_every_cell_ends_ok_with_one_attempt(self):
         cells = _grid_cells()
-        execute_cells(cells, workers=2, chunk_size=2, events=monitor)
-        assert monitor.done == len(cells)
-        assert monitor.counts["ok"] == len(cells)
-        assert monitor.inflight == 0  # every submit matched by a terminal event
-        assert monitor.total == len(cells)
+        outcomes = execute_cells(cells, workers=2, chunk_size=2)
+        assert len(outcomes) == len(cells)
+        assert [o.cell for o in outcomes] == cells
+        assert all(o.status == "ok" and o.attempts == 1 for o in outcomes)
 
-    def test_chunked_failure_events_match_per_cell_semantics(self):
-        monitor = SweepMonitor()
+    def test_chunked_failure_outcomes_match_per_cell_semantics(self):
         cells = [_cell(seed=1), _cell(factory=_always_raises, seed=2)]
-        execute_cells(cells, workers=2, chunk_size=2, events=monitor)
-        assert monitor.counts["ok"] == 1
-        assert monitor.counts["failed"] == 1
-        assert monitor.inflight == 0
+        chunked = execute_cells(cells, workers=2, chunk_size=2)
+        serial = execute_cells(cells, workers=1)
+        for outcomes in (chunked, serial):
+            assert [o.status for o in outcomes] == ["ok", "failed"]
+            assert [o.attempts for o in outcomes] == [1, 1]
 
 
 class TestWarmSession:

@@ -119,6 +119,19 @@ class TestSweepNotLost:
         assert "timeout_s" in outcomes[1].error
         assert elapsed < 15  # nowhere near the 30s sleep
 
+    def test_failed_cell_is_not_cached_and_runs_again(self, tmp_path):
+        # A re-run against the same cache resumes the sweep: stored cells
+        # come back as hits, and a failed cell was never stored, so it
+        # runs (and fails) again instead of resuming as a result.
+        cells = [_cell(seed=1), _cell(factory=_always_raises, seed=2)]
+        first = execute_cells(cells, workers=1, cache=tmp_path)
+        assert [o.status for o in first] == ["ok", "failed"]
+        assert len(ResultCache(tmp_path)) == 1
+        again = execute_cells(cells, workers=1, cache=tmp_path)
+        assert [o.status for o in again] == ["cached", "failed"]
+        assert again[1].attempts == 1
+        assert again[0].result_json == first[0].result_json
+
     def test_on_error_raise_carries_all_outcomes(self):
         cells = [_cell(seed=1), _cell(factory=_always_raises, seed=2)]
         with pytest.raises(CellExecutionError) as info:

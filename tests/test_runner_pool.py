@@ -128,13 +128,12 @@ class TestIntegration:
         pooled = execute_cells(cells, workers=2, on_error="raise")
         assert [o.result.to_json() for o in pooled] == [o.result.to_json() for o in serial]
 
-    def test_execute_cells_progress_reports_every_cell(self, tiny_machine_a):
-        lines = []
+    def test_execute_cells_returns_one_outcome_per_cell(self, tiny_machine_a):
         factory = functools.partial(Listing1, element_size=512, num_elements=64, iterations=120)
         cells = [Cell(factory, tiny_machine_a, mode, seed=7) for mode in MODES]
-        execute_cells(cells, progress=lines.append)
-        assert len(lines) == len(MODES)
-        assert all("listing1" in line for line in lines)
+        outcomes = execute_cells(cells)
+        assert [o.cell for o in outcomes] == cells
+        assert all("listing1" in o.run_id and o.wall_s > 0 for o in outcomes)
 
     def test_runner_session_is_ambient(self, tmp_path):
         assert active_session() is None

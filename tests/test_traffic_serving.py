@@ -2,7 +2,6 @@
 
 import functools
 import json
-from types import SimpleNamespace
 
 import pytest
 
@@ -10,9 +9,7 @@ from repro.core.prestore import PatchConfig, PrestoreMode
 from repro.errors import WorkloadError
 from repro.faults.harness import run_with_faults
 from repro.faults.plan import FaultPlan
-from repro.runner import execute_cells
-from repro.runner.grid import Grid
-from repro.runner.monitor import SweepMonitor
+from repro.runner import Cell, execute_cells
 from repro.sim.machine import machine_a
 from repro.traffic.arrivals import ArrivalSpec
 from repro.traffic.serving import ServingWorkload, latency_bounds
@@ -113,14 +110,12 @@ class TestServingExtras:
 
 class TestWorkerCountIdentity:
     def test_results_identical_at_any_worker_count(self):
-        grid = Grid(
-            factories=[_FACTORY],
-            machines=[machine_a()],
-            modes=(PrestoreMode.NONE, PrestoreMode.CLEAN),
-            seeds=[21],
-        )
-        serial = execute_cells(grid.cells(), workers=1)
-        pooled = execute_cells(grid.cells(), workers=2)
+        cells = [
+            Cell(_FACTORY, machine_a(), mode, seed=21)
+            for mode in (PrestoreMode.NONE, PrestoreMode.CLEAN)
+        ]
+        serial = execute_cells(cells, workers=1)
+        pooled = execute_cells(cells, workers=2)
         assert [o.result_json for o in serial] == [o.result_json for o in pooled]
 
 
@@ -163,80 +158,22 @@ class TestFaultComposition:
         assert report.recovery["lost_count"] == 0
 
 
-class TestGridFaultPlanAxis:
-    def test_axis_expands_row_major_with_seeds_fastest(self):
-        plan = FaultPlan.crash_at_cycle(1000.0)
-        grid = Grid(
-            factories=[_FACTORY],
-            machines=[machine_a()],
-            modes=(PrestoreMode.NONE,),
-            fault_plans=[None, plan],
-            seeds=[1, 2],
-        )
-        cells = grid.cells()
-        assert len(grid) == len(cells) == 4
-        assert [(c.fault_plan, c.seed) for c in cells] == [
-            (None, 1), (None, 2), (plan, 1), (plan, 2),
+class TestFaultPlanCells:
+    def test_plan_cells_crash_and_plain_cells_do_not(self):
+        workload = _FACTORY()
+        horizon = workload.arrival.expected_horizon_cycles(workload.spec.operations)
+        plan = FaultPlan.crash_at_cycle(0.6 * horizon)
+        cells = [
+            Cell(_FACTORY, machine_a(), PrestoreMode.NONE, seed=seed, fault_plan=fault_plan)
+            for fault_plan in (None, plan)
+            for seed in (1, 2)
         ]
-
-    def test_default_axis_is_plain_runs(self):
-        grid = Grid(factories=[_FACTORY], machines=[machine_a()])
-        assert all(cell.fault_plan is None for cell in grid.cells())
-
-
-class TestMonitorServingFold:
-    @staticmethod
-    def _result(slo=SLO, ops=10, violations=2, mean=100.0):
-        bounds = list(latency_bounds(slo))
-        counts = [0] * (len(bounds) + 1)
-        counts[0] = ops
-        return SimpleNamespace(
-            extra={
-                "serving": {
-                    "ops_completed": ops,
-                    "slo_violations": violations,
-                    "latency_mean": mean,
-                    "histogram": {"bounds": bounds, "counts": counts},
-                }
-            }
-        )
-
-    def test_fold_accumulates_counters_and_histogram(self):
-        monitor = SweepMonitor()
-        monitor._fold_serving(self._result(ops=10, violations=2))
-        monitor._fold_serving(self._result(ops=5, violations=1))
-        assert monitor.serving_ops == 15
-        assert monitor.serving_violations == 3
-        hist = monitor.registry.get("serving.latency_cycles")
-        assert hist.count == 15
-        assert hist.total == pytest.approx(1500.0)
-        assert "serving" in monitor.render_dashboard()
-
-    def test_fold_refuses_mismatched_bounds(self):
-        monitor = SweepMonitor()
-        monitor._fold_serving(self._result(slo=SLO, ops=10))
-        monitor._fold_serving(self._result(slo=2 * SLO, ops=4))
-        # Counters still aggregate; the histogram keeps its first bounds.
-        assert monitor.serving_ops == 14
-        assert monitor.registry.get("serving.latency_cycles").count == 10
-
-    def test_fold_ignores_results_without_serving(self):
-        monitor = SweepMonitor()
-        monitor._fold_serving(SimpleNamespace(extra={}))
-        assert monitor.serving_ops == 0
-        assert monitor.registry.get("serving.latency_cycles") is None
-
-    def test_live_sweep_folds_cached_and_fresh(self, tmp_path):
-        grid = Grid(
-            factories=[_FACTORY],
-            machines=[machine_a()],
-            modes=(PrestoreMode.NONE,),
-            seeds=[41],
-        )
-        fresh = SweepMonitor()
-        execute_cells(grid.cells(), events=fresh, cache=str(tmp_path))
-        assert fresh.serving_ops == 300
-        warm = SweepMonitor()
-        outcomes = execute_cells(grid.cells(), events=warm, cache=str(tmp_path))
-        assert [o.status for o in outcomes] == ["cached"]
-        assert warm.serving_ops == 300  # cache hits fold too
+        outcomes = execute_cells(cells, workers=2, on_error="raise")
+        assert [o.cell.fault_plan for o in outcomes] == [None, None, plan, plan]
+        reports = [o.result.extra.get("fault_report") for o in outcomes]
+        assert reports[:2] == [None, None]
+        assert all(report["crashed"] for report in reports[2:])
+        assert all(o.result.extra["serving"]["ops_completed"] == 300 for o in outcomes[:2])
+        assert all(o.result.extra["serving"]["ops_completed"] < 300 for o in outcomes[2:])
+        # The plan is part of the cell's identity: same seed, different bytes.
+        assert outcomes[0].result_json != outcomes[2].result_json
