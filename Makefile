@@ -54,7 +54,8 @@ dirtbuster-smoke:
 # and fig5 runs again in the per-access reference vocabulary
 # (REPRO_SIM_REFERENCE=1); both must match the serial batched run byte
 # for byte.  Last, ci/kill_resume.py runs the pooled sweep with a
-# --cache-dir, sends it SIGKILL after its first stored cell, and re-runs
+# --cache-dir, sends the CLI alone SIGKILL after its first stored cell,
+# requires its pool workers to exit on their own within 5 s, and re-runs
 # it: the re-run must store exactly the cells the kill lost and write the
 # serial run's markdown.  It takes seconds; CI runs it under a 5-minute
 # timeout.

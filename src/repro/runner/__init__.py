@@ -15,7 +15,10 @@ values and executes them through one
   killed sweep resumes: every finished cell is stored as it completes,
   so re-running the same sweep with the same cache directory
   (``prestores-experiments ... --cache-dir DIR``) simulates only the
-  cells the kill lost.
+  cells the kill lost;
+* **isolation and blame** — one cell per pool submission, so a cell
+  that raises fails only itself, and a cell that kills its worker
+  process is found by re-probing the cells in flight one at a time.
 
 See DESIGN.md ("The runner") for the sharding model and cache-key
 contract.
@@ -36,7 +39,6 @@ from repro.runner.pool import (
     RunnerSession,
     active_session,
     execute_cells,
-    retry_delay,
     runner_session,
 )
 
@@ -53,7 +55,6 @@ __all__ = [
     "code_fingerprint",
     "describe_factory",
     "execute_cells",
-    "retry_delay",
     "run_cell",
     "runner_session",
 ]

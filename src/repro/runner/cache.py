@@ -172,8 +172,13 @@ class ResultCache:
         self._apply_op(op)
         self.root.mkdir(parents=True, exist_ok=True)
         line = json.dumps(op, sort_keys=True) + "\n"
-        fd = os.open(str(self._manifest_path), os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
+        fd = os.open(str(self._manifest_path), os.O_RDWR | os.O_CREAT | os.O_APPEND, 0o644)
         try:
+            size = os.fstat(fd).st_size
+            if size and os.pread(fd, 1, size - 1) != b"\n":
+                # A torn tail from a killed writer: start a fresh line,
+                # or this op would be glued onto the fragment and lost.
+                line = "\n" + line
             os.write(fd, line.encode())
         finally:
             os.close(fd)
@@ -297,6 +302,10 @@ class ResultCache:
         configured, evicts least-recently-used entries until the payload
         bytes fit the budget again.
         """
+        # Index first: loaded after the payload lands, a fresh cache's
+        # pre-manifest adoption would walk the tree and book this entry
+        # twice.
+        self._ensure_index()
         payload = self._payload_path(key)
         payload.parent.mkdir(parents=True, exist_ok=True)
         self._atomic_write(payload, result_json)

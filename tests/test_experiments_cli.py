@@ -171,7 +171,10 @@ def test_sigkilled_sweep_resumes_from_the_cache(tmp_path, monkeypatch, capsys):
     assert main([*RESUME_IDS, "--markdown", str(reference)]) == 0
     total = len(kill_resume.sweep_keys(RESUME_IDS))
     resumed = tmp_path / "resumed.md"
-    stored, added = kill_resume.kill_and_resume(RESUME_IDS, str(tmp_path / "cache"), str(resumed))
+    stored, added, orphans = kill_resume.kill_and_resume(
+        RESUME_IDS, str(tmp_path / "cache"), str(resumed)
+    )
+    assert not orphans
     assert 0 < stored < total
     assert added == total - stored
     assert resumed.read_text() == reference.read_text()

@@ -38,6 +38,20 @@ class TestO1HotPath:
         assert fresh.load(keys[7]) == "x" * 100
         assert fresh.load(_key(10**6)) is None  # a miss is O(1) too
 
+    def test_stores_into_a_new_cache_walk_nothing_and_book_each_entry_once(
+        self, tmp_path, monkeypatch
+    ):
+        def forbid(*args, **kwargs):
+            raise AssertionError("directory walk while storing into a new cache")
+
+        monkeypatch.setattr(os, "walk", forbid)
+        monkeypatch.setattr(os, "scandir", forbid)
+        monkeypatch.setattr(os, "listdir", forbid)
+        root = tmp_path / "cache"  # not there yet, as a sweep's --cache-dir
+        _fill(ResultCache(root), 5)
+        lines = (root / MANIFEST_NAME).read_text().splitlines()
+        assert [json.loads(line)["op"] for line in lines] == ["add"] * 5
+
     def test_payloads_land_in_two_level_shards(self, tmp_path):
         cache = ResultCache(tmp_path)
         key = "abcdef" + "0" * 58
@@ -204,6 +218,7 @@ class TestEntries:
             fh.write('{"op": "add", "key": "torn-by-a-ki')
         late = ResultCache(tmp_path)
         late.store(_key(7), "late")
+        assert len(ResultCache(tmp_path)) == 3
         # Payload files are the source of truth: the entry loads whatever
         # became of its manifest line, and gc() books it.
         fresh = ResultCache(tmp_path)

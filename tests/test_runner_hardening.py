@@ -1,4 +1,4 @@
-"""Runner durability: retries, timeouts, broken pools, corrupt cache entries.
+"""Runner durability: raising cells, broken pools, orphaned workers, corrupt cache entries.
 
 The worker-side saboteurs are module-level functions (picklable) driven
 by a file-based counter, so their behaviour is identical whichever
@@ -7,13 +7,16 @@ process — pool worker or parent — invokes them.
 
 import functools
 import os
+import signal
+import subprocess
+import sys
 import time
 
 import pytest
 
 from repro.core.prestore import PrestoreMode
 from repro.errors import CellExecutionError, RunnerError
-from repro.runner import Cell, ResultCache, execute_cells, runner_session
+from repro.runner import Cell, ResultCache, execute_cells
 from repro.sim.machine import machine_a
 from repro.workloads.microbench import Listing1
 
@@ -29,8 +32,7 @@ def _cell(seed=7, factory=_tiny_workload, **kwargs):
 def _flaky_factory(counter_path, fail_times):
     """Fails the first ``fail_times`` invocations, then succeeds.
 
-    The counter lives in a file so the count survives process hops;
-    retries of one cell are sequential, so there is no write race.
+    The counter lives in a file so the count survives process hops.
     """
     try:
         with open(counter_path) as fh:
@@ -52,37 +54,31 @@ def _kills_worker():
     os._exit(17)
 
 
-def _sleeps_forever():
-    time.sleep(30)
-    return _tiny_workload()
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+#: Runs two cells in a 2-worker pool; each worker leaves a file named
+#: after its pid in ``argv[1]`` and then sleeps far past the test.
+_ORPHAN_DRIVER = """
+import functools, os, sys, time
+from repro.core.prestore import PrestoreMode
+from repro.runner import Cell, execute_cells
+from repro.sim.machine import machine_a
+
+def record_pid_and_sleep(directory):
+    open(os.path.join(directory, str(os.getpid())), "w").close()
+    time.sleep(120)
+
+factory = functools.partial(record_pid_and_sleep, sys.argv[1])
+execute_cells([Cell(factory, machine_a(), PrestoreMode.NONE, seed=s) for s in (1, 2)], workers=2)
+"""
 
 
-class TestRetries:
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_flaky_cell_succeeds_after_bounded_retries(self, tmp_path, workers):
-        counter = str(tmp_path / "flaky-count")
-        cell = _cell(factory=functools.partial(_flaky_factory, counter, 2))
-        (outcome,) = execute_cells([cell], workers=workers, retries=2, backoff_s=0.01)
-        assert outcome.status == "ok"
-        assert outcome.attempts == 3
-        assert outcome.result is not None
-        # The third invocation was the charm — and the last.
-        assert open(counter).read() == "3"
-
-    def test_retries_exhausted_yields_failed_outcome(self, tmp_path):
-        counter = str(tmp_path / "flaky-count")
-        cell = _cell(factory=functools.partial(_flaky_factory, counter, 5))
-        (outcome,) = execute_cells([cell], workers=1, retries=1, backoff_s=0.01)
-        assert outcome.status == "failed"
-        assert outcome.attempts == 2
-        assert "flaky failure" in outcome.error
-
-    def test_no_retries_by_default(self, tmp_path):
-        counter = str(tmp_path / "flaky-count")
-        cell = _cell(factory=functools.partial(_flaky_factory, counter, 1))
-        (outcome,) = execute_cells([cell], workers=1)
-        assert outcome.status == "failed"
-        assert outcome.attempts == 1
+def _alive(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
 
 
 class TestSweepNotLost:
@@ -109,15 +105,16 @@ class TestSweepNotLost:
         assert outcomes[0].status == "ok"
         assert outcomes[2].status == "ok"
 
-    def test_hanging_cell_times_out_and_sweep_continues(self):
-        cells = [_cell(seed=1), _cell(factory=_sleeps_forever, seed=2)]
-        started = time.monotonic()
-        outcomes = execute_cells(cells, workers=2, timeout_s=1.0)
-        elapsed = time.monotonic() - started
-        assert outcomes[0].status == "ok"
-        assert outcomes[1].status == "timeout"
-        assert "timeout_s" in outcomes[1].error
-        assert elapsed < 15  # nowhere near the 30s sleep
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_raising_cell_is_not_retried(self, tmp_path, workers):
+        # A cell is a deterministic function of its inputs: it runs once,
+        # and its failure is final.
+        counter = str(tmp_path / "flaky-count")
+        cell = _cell(factory=functools.partial(_flaky_factory, counter, 1))
+        (outcome,) = execute_cells([cell], workers=workers)
+        assert outcome.status == "failed"
+        assert "flaky failure #1" in outcome.error
+        assert open(counter).read() == "1"
 
     def test_failed_cell_is_not_cached_and_runs_again(self, tmp_path):
         # A re-run against the same cache resumes the sweep: stored cells
@@ -129,7 +126,7 @@ class TestSweepNotLost:
         assert len(ResultCache(tmp_path)) == 1
         again = execute_cells(cells, workers=1, cache=tmp_path)
         assert [o.status for o in again] == ["cached", "failed"]
-        assert again[1].attempts == 1
+        assert not again[1].cached
         assert again[0].result_json == first[0].result_json
 
     def test_on_error_raise_carries_all_outcomes(self):
@@ -145,14 +142,34 @@ class TestSweepNotLost:
             execute_cells([_cell()], on_error="explode")
 
 
-class TestSessionDefaults:
-    def test_session_retry_policy_is_ambient(self, tmp_path):
-        counter = str(tmp_path / "flaky-count")
-        cell = _cell(factory=functools.partial(_flaky_factory, counter, 1))
-        with runner_session(workers=1, retries=1, backoff_s=0.01):
-            (outcome,) = execute_cells([cell])
-        assert outcome.status == "ok"
-        assert outcome.attempts == 2
+class TestOrphans:
+    def test_pool_workers_exit_when_their_parent_is_killed(self, tmp_path):
+        # SIGKILL gives the parent no chance to shut its pool down; the
+        # workers must notice on their own and exit.
+        driver = subprocess.Popen(
+            [sys.executable, "-c", _ORPHAN_DRIVER, str(tmp_path)],
+            env=dict(os.environ, PYTHONPATH=SRC),
+            start_new_session=True,
+        )
+        try:
+            deadline = time.monotonic() + 60
+            while len(os.listdir(tmp_path)) < 2 and time.monotonic() < deadline:
+                assert driver.poll() is None, "the driver exited before both cells started"
+                time.sleep(0.01)
+            workers = [int(name) for name in os.listdir(tmp_path)]
+            assert len(workers) == 2
+            driver.kill()  # the driver alone, not its process group
+            driver.wait(timeout=30)
+            deadline = time.monotonic() + 5
+            while any(_alive(pid) for pid in workers) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not [pid for pid in workers if _alive(pid)]
+        finally:
+            try:
+                os.killpg(driver.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            driver.wait(timeout=30)
 
 
 class TestCorruptCache:

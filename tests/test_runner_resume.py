@@ -97,7 +97,7 @@ class TestResume:
         for first, hit in zip(fresh, hits):
             assert hit.cached and hit.ok
             assert hit.worker == "cache"
-            assert hit.attempts == 0
+            assert hit.status == "cached"
             assert hit.wall_s == 0.0
             assert hit.path_counts == {}
             assert hit.run_id == first.run_id  # from the provenance sidecar
