@@ -27,9 +27,10 @@ serve-smoke:
 # that opens one sequentiality context per write), clht and nas-mg (the
 # most stream-heavy traced runs, which take the fused stream path), x9
 # on Machine B (weak model: WAIT/POST and fences in the one traced run),
-# gzip (not write-intensive, so steps 2-3 are skipped) and masstree (KV
+# gzip (not write-intensive, so steps 2-3 are skipped), masstree (KV
 # value crafting under craft_value, leaf-lock atomics and Listing 7's
-# load fences), and check their Table 2 rows.  CI runs it under a
+# load fences) and tensorflow (the largest trace: 710 K accesses in the
+# full tracer), and check their Table 2 rows.  CI runs it under a
 # 5-minute timeout, so a lookup that scans every open context again
 # (minutes on nas-is) fails the job.
 dirtbuster-smoke:
@@ -46,6 +47,8 @@ dirtbuster-smoke:
 	grep -E '^gzip +- +- +-$$' build/dirtbuster-gzip.txt
 	$(PYTHON) -m repro.dirtbuster masstree > build/dirtbuster-masstree.txt
 	grep -E '^masstree +yes +yes +yes$$' build/dirtbuster-masstree.txt
+	$(PYTHON) -m repro.dirtbuster tensorflow > build/dirtbuster-tensorflow.txt
+	grep -E '^tensorflow +yes +yes +-$$' build/dirtbuster-tensorflow.txt
 
 # Shape-check gate for the single-event experiments (fig5, x9,
 # listing3) and the fault-plan ones (serve, faults-window): the five

@@ -20,7 +20,7 @@ from repro.dirtbuster.runner import (
     DirtBusterReport,
 )
 from repro.dirtbuster.sampling import FunctionProfile, SampleProfile
-from repro.dirtbuster.trace import AccessRecord, FullTracer, SamplingTracer
+from repro.dirtbuster.trace import AccessRecord, FullTracer, SamplingTracer, Trace
 
 __all__ = [
     "AccessRecord",
@@ -43,6 +43,7 @@ __all__ = [
     "SamplingTracer",
     "SequentialitySummary",
     "Thresholds",
+    "Trace",
     "dump_records",
     "load_records",
     "render_recommendation",

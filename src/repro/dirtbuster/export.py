@@ -2,7 +2,7 @@
 
 The paper's workflow separates collection from analysis ("the logs are
 analyzed to check if the code writes data sequentially...").  This module
-makes that split concrete: a :class:`FullTracer`'s records can be written
+makes that split concrete: a :class:`FullTracer`'s trace can be written
 to a ``.jsonl`` file and re-loaded later — e.g. to collect once on a slow
 full-size run and iterate on analysis thresholds offline.
 """
@@ -10,9 +10,9 @@ full-size run and iterate on analysis thresholds offline.
 from __future__ import annotations
 
 import json
-from typing import IO, Iterable, List, Union
+from typing import IO, Iterable, Union
 
-from repro.dirtbuster.trace import AccessRecord
+from repro.dirtbuster.trace import AccessRecord, Trace
 from repro.errors import TraceError
 from repro.sim.event import CodeSite, EventKind
 
@@ -87,12 +87,12 @@ def dump_records(records: Iterable[AccessRecord], destination: Union[str, IO[str
             fh.close()
 
 
-def load_records(source: Union[str, IO[str]]) -> List[AccessRecord]:
+def load_records(source: Union[str, IO[str]]) -> Trace:
     """Read a JSON-lines trace back into memory (order preserved)."""
     own = isinstance(source, str)
     fh: IO[str] = open(source) if own else source  # type: ignore[arg-type]
     try:
-        return [loads_record(line) for line in fh if line.strip()]
+        return Trace.from_records(loads_record(line) for line in fh if line.strip())
     finally:
         if own:
             fh.close()

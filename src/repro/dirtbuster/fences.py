@@ -15,6 +15,7 @@ thread.  Writes never followed by a fence on their core contribute to
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
@@ -55,8 +56,9 @@ class FenceTracker:
     """Streams per-core events and accumulates write→fence distances."""
 
     def __init__(self) -> None:
-        #: core -> [(function, instr_index), ...] writes since last fence.
-        self._pending: Dict[int, List[Tuple[str, int]]] = {}
+        #: core -> (functions, instruction indices): two parallel columns
+        #: of the writes since the core's last fence, oldest first.
+        self._pending: Dict[int, Tuple[List[str], array]] = {}
         self._functions: Dict[str, FenceProximity] = {}
 
     def _prox(self, function: str) -> FenceProximity:
@@ -68,24 +70,33 @@ class FenceTracker:
 
     def observe_write(self, core_id: int, function: str, instr_index: int) -> None:
         self._prox(function).writes += 1
-        pending = self._pending.setdefault(core_id, [])
-        pending.append((function, instr_index))
-        if len(pending) > _MAX_PENDING:
-            del pending[: len(pending) // 2]
+        pending = self._pending.get(core_id)
+        if pending is None:
+            pending = self._pending[core_id] = ([], array("q"))
+        functions, indices = pending
+        functions.append(function)
+        indices.append(instr_index)
+        if len(indices) > _MAX_PENDING:
+            drop = len(indices) // 2
+            del functions[:drop]
+            del indices[:drop]
 
     def observe_fence(self, core_id: int, instr_index: int) -> None:
         """A fence-semantics instruction retired on ``core_id``."""
         pending = self._pending.get(core_id)
-        if not pending:
+        if pending is None or not pending[0]:
             return
-        for function, write_index in pending:
-            prox = self._prox(function)
+        functions, indices = pending
+        proxes = self._functions
+        for function, write_index in zip(functions, indices):
+            prox = proxes[function]
             distance = instr_index - write_index
             prox.writes_before_fence += 1
             prox._sum_distance += distance
             if distance < prox.min_distance:
                 prox.min_distance = distance
-        pending.clear()
+        functions.clear()
+        del indices[:]
 
     def proximity(self, function: str) -> FenceProximity:
         """Statistics for one function (zeros if it never wrote)."""

@@ -1,8 +1,8 @@
 """Step 2/3 driver: turn a full trace into per-function access patterns.
 
-The :class:`Instrumenter` replays a :class:`~repro.dirtbuster.trace.FullTracer`
-record stream (global execution order, per-core program order preserved)
-through the three analyses — sequentiality contexts, fence proximity, and
+The :class:`Instrumenter` replays a :class:`~repro.dirtbuster.trace.Trace`
+(global execution order, per-core program order preserved) through the
+three analyses — sequentiality contexts, fence proximity, and
 re-read/re-write distances — and assembles one
 :class:`FunctionPatterns` per analysed function.
 """
@@ -10,12 +10,12 @@ re-read/re-write distances — and assembles one
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.dirtbuster.contexts import ContextTracker, SequentialitySummary
 from repro.dirtbuster.distances import DistanceStats, DistanceTracker
 from repro.dirtbuster.fences import FenceProximity, FenceTracker
-from repro.dirtbuster.trace import AccessRecord, owning_function
+from repro.dirtbuster.trace import KIND_CODES, Trace, owning_function
 from repro.errors import AnalysisError
 from repro.sim.event import ATOMIC, FENCE, READ, WRITE, CodeSite
 
@@ -92,44 +92,40 @@ class Instrumenter:
         )
         return function, owner.file, owner.line
 
-    def feed(self, records: Sequence[AccessRecord]) -> None:
-        """Consume trace records (must be in execution order).
+    def feed(self, trace: Trace) -> None:
+        """Consume a trace (in execution order) in one pass over its columns.
 
-        Owners are looked up once per distinct ``(site, callchain)`` pair
-        of objects: the workload layer shares one site object per label
-        and one callchain tuple per open function block.  The memo keeps
-        both objects alive, so their ids stay unique while it lives.
+        Owners are resolved once per ``(site, callchain)`` pair of the
+        trace's table, before the pass.
         """
-        owners: Dict[Tuple[int, int], tuple] = {}
+        owners = [self._owner(site, callchain) for site, callchain in trace.pairs]
         sites = self._sites
         observe_fence = self.fences.observe_fence
         fence_write = self.fences.observe_write
         context_write = self.contexts.observe_write
         distance_write = self.distances.observe_write
         observe_read = self.distances.observe_read
-        for instr_index, core_id, kind, addr, size, site, callchain in records:
-            if kind is FENCE or kind is ATOMIC:
-                # Atomics both order (fence semantics) and write.
-                observe_fence(core_id, instr_index)
-                continue
-            if kind is not WRITE and kind is not READ:
-                continue
-            key = (id(site), id(callchain))
-            entry = owners.get(key)
-            if entry is None:
-                entry = owners[key] = (self._owner(site, callchain), site, callchain)
-            owner = entry[0]
-            if owner is None:
-                continue
-            if kind is WRITE:
+        write, read = KIND_CODES[WRITE], KIND_CODES[READ]
+        fence, atomic = KIND_CODES[FENCE], KIND_CODES[ATOMIC]
+        for instr_index, core_id, kind, addr, size, pair in zip(
+            trace.index, trace.core, trace.kind, trace.addr, trace.size, trace.pair
+        ):
+            if kind == write:
+                owner = owners[pair]
+                if owner is None:
+                    continue
                 function = owner[0]
                 if function not in sites:
                     sites[function] = owner[1:]
                 ctx = context_write(core_id, function, addr, size)
                 fence_write(core_id, function, instr_index)
                 distance_write(core_id, function, addr, size, instr_index, context=ctx)
-            else:
-                observe_read(core_id, addr, size, instr_index)
+            elif kind == read:
+                if owners[pair] is not None:
+                    observe_read(core_id, addr, size, instr_index)
+            elif kind == fence or kind == atomic:
+                # Atomics both order (fence semantics) and write.
+                observe_fence(core_id, instr_index)
 
     def patterns(self) -> List[FunctionPatterns]:
         """One :class:`FunctionPatterns` per function that wrote data."""

@@ -29,7 +29,7 @@ from repro.dirtbuster.instrument import FunctionPatterns, Instrumenter
 from repro.dirtbuster.recommend import Recommendation, Recommender, Thresholds
 from repro.dirtbuster.report import render_report
 from repro.dirtbuster.sampling import SampleProfile, WRITE_INTENSIVE_APP_THRESHOLD
-from repro.dirtbuster.trace import AccessRecord, FullTracer, SamplingTracer
+from repro.dirtbuster.trace import FullTracer, SamplingTracer, Trace
 from repro.sim.event import Event
 from repro.sim.machine import MachineSpec, Tracer
 from repro.workloads.base import Workload
@@ -147,7 +147,7 @@ class DirtBuster:
 
     def sample(
         self, workload: Workload, spec: MachineSpec, seed: int = 1234
-    ) -> Tuple[SampleProfile, List[AccessRecord]]:
+    ) -> Tuple[SampleProfile, Trace]:
         """The perf pass, with the PIN pass riding the same run.
 
         Returns the sample profile and the unfiltered full trace.
@@ -157,23 +157,23 @@ class DirtBuster:
         workload.run(
             spec, patches=PatchConfig.baseline(), tracer=_Both(sampler, full), seed=seed
         )
-        return SampleProfile.from_tracer(sampler), full.records
+        return SampleProfile.from_tracer(sampler), full.trace
 
     # -- steps 2-3 ----------------------------------------------------------------
 
     def instrument(
-        self, records: Sequence[AccessRecord], functions: Sequence[str], line_size: int
+        self, trace: Trace, functions: Sequence[str], line_size: int
     ) -> List[FunctionPatterns]:
-        """The PIN pass's analysis of ``functions``' records + fences."""
+        """The PIN pass's analysis of ``functions``' accesses + fences."""
         instrumenter = Instrumenter(line_size, functions=functions)
-        instrumenter.feed(records)
+        instrumenter.feed(trace)
         return instrumenter.patterns()
 
     # -- the whole pipeline ------------------------------------------------------
 
     def analyze(self, workload: Workload, spec: MachineSpec, seed: int = 1234) -> DirtBusterReport:
         """Steps 1-3 end to end."""
-        profile, records = self.sample(workload, spec, seed=seed)
+        profile, trace = self.sample(workload, spec, seed=seed)
         write_intensive = profile.application_write_intensive(self.config.app_store_threshold)
         if not write_intensive:
             return DirtBusterReport(
@@ -196,7 +196,7 @@ class DirtBuster:
         functions = [c.function for c in candidates]
         # Every pattern belongs to a function selected in step 1: the
         # instrumenter attributes each write to one (owning_function).
-        patterns = self.instrument(records, functions, spec.line_size)
+        patterns = self.instrument(trace, functions, spec.line_size)
         recommendations = self.recommender.recommend_all(patterns)
         sequential = any(self.recommender.writes_sequentially(p) for p in patterns)
         fenced = any(self.recommender.writes_before_fence(p) for p in patterns)

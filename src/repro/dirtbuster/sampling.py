@@ -17,11 +17,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.errors import AnalysisError
-from repro.dirtbuster.trace import AccessRecord, SamplingTracer
-from repro.sim.event import EventKind
+from repro.dirtbuster.trace import SamplingTracer
 
 __all__ = ["FunctionProfile", "SampleProfile", "WRITE_INTENSIVE_APP_THRESHOLD"]
 
@@ -67,66 +66,41 @@ class FunctionProfile:
 class SampleProfile:
     """Aggregated view over one sampling run.
 
-    ``other_samples`` counts timer samples that landed on non-memory work
-    (arithmetic, fences): they dilute the store-time share exactly as
-    compute-bound phases dilute it under real ``perf`` sampling.
+    ``counts`` are :attr:`SamplingTracer.hits
+    <repro.dirtbuster.trace.SamplingTracer.hits>` entries, ``[site,
+    callchain, loads, stores, atomics]`` in first-sample order, so
+    functions and callchains are first seen in the order the samples
+    first reached them.  ``other_samples`` counts timer samples that
+    landed on non-memory work (arithmetic, fences): they dilute the
+    store-time share exactly as compute-bound phases dilute it under
+    real ``perf`` sampling.
     """
 
-    def __init__(self, samples: Sequence[AccessRecord], other_samples: int = 0) -> None:
-        if not samples and not other_samples:
+    def __init__(self, counts: Iterable[Sequence], other_samples: int = 0) -> None:
+        self.other_samples = other_samples
+        self.total_samples = other_samples
+        self.total_stores = 0
+        self._functions: Dict[str, FunctionProfile] = {}
+        for site, callchain, loads, stores, atomics in counts:
+            prof = self._functions.get(site.function)
+            if prof is None:
+                prof = FunctionProfile(function=site.function, file=site.file, line=site.line)
+                self._functions[site.function] = prof
+            prof.loads += loads
+            prof.stores += stores
+            prof.atomics += atomics
+            hits = loads + stores + atomics
+            prof.callchains[tuple(caller.function for caller in callchain)] += hits
+            self.total_samples += hits
+            self.total_stores += stores + atomics
+        if not self.total_samples:
             raise AnalysisError(
                 "no samples collected — run longer or lower the sampling period"
             )
-        self.other_samples = other_samples
-        self.total_samples = len(samples) + other_samples
-        self.total_stores = 0
-        self._functions: Dict[str, FunctionProfile] = {}
-        # A multi-hit event is one shared record repeated (SamplingTracer),
-        # so each run of one object becomes a single weighted update.
-        chains: dict = {}
-        run: Optional[AccessRecord] = None
-        weight = 0
-        for sample in samples:
-            if sample is run:
-                weight += 1
-                continue
-            if run is not None:
-                self._add(run, weight, chains)
-            run, weight = sample, 1
-        if run is not None:
-            self._add(run, weight, chains)
-
-    def _add(self, sample: AccessRecord, weight: int, chains: dict) -> None:
-        """Count ``weight`` hits on ``sample``.
-
-        ``chains`` memoises each callchain object's function names for one
-        profile build, holding the chain so its id stays unique.
-        """
-        site = sample.site
-        prof = self._functions.get(site.function)
-        if prof is None:
-            prof = FunctionProfile(function=site.function, file=site.file, line=site.line)
-            self._functions[site.function] = prof
-        kind = sample.kind
-        if kind is EventKind.ATOMIC:
-            self.total_stores += weight
-            prof.atomics += weight
-        elif kind is EventKind.WRITE:
-            self.total_stores += weight
-            prof.stores += weight
-        else:
-            prof.loads += weight
-        callchain = sample.callchain
-        entry = chains.get(id(callchain))
-        if entry is None:
-            entry = chains[id(callchain)] = (
-                tuple(caller.function for caller in callchain), callchain
-            )
-        prof.callchains[entry[0]] += weight
 
     @classmethod
     def from_tracer(cls, tracer: SamplingTracer) -> "SampleProfile":
-        return cls(tracer.samples, other_samples=tracer.other_samples)
+        return cls(tracer.hits.values(), other_samples=tracer.other_samples)
 
     # -- application-level classification ----------------------------------------
 

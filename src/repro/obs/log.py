@@ -26,6 +26,7 @@ dict and the span stack is a plain list; no thread-local machinery.
 from __future__ import annotations
 
 import logging
+import sys
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -101,6 +102,23 @@ def get_logger(name: str = "") -> logging.Logger:
     return logger
 
 
+class _StderrHandler(logging.StreamHandler):
+    """Writes to whatever ``sys.stderr`` is when a record is emitted.
+
+    A plain ``StreamHandler()`` keeps the ``sys.stderr`` object of the
+    moment it was built.  A CLI ``main`` run in-process (by a test, under
+    a capture that is later closed) would leave it writing to a closed
+    stream.
+    """
+
+    def __init__(self) -> None:
+        logging.Handler.__init__(self)
+
+    @property
+    def stream(self):
+        return sys.stderr
+
+
 def basic_config(level: int = logging.INFO) -> None:
     """Attach a stderr handler with the structured format (CLI use)."""
     root = logging.getLogger(_LOG_ROOT)
@@ -110,7 +128,7 @@ def basic_config(level: int = logging.INFO) -> None:
             handler, logging.NullHandler
         ):
             return
-    handler = logging.StreamHandler()
+    handler = _StderrHandler()
     handler.setFormatter(logging.Formatter(_FORMAT))
     root.addHandler(handler)
 

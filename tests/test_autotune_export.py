@@ -75,7 +75,7 @@ class TestTraceExport:
         tracer = FullTracer()
         workload = Listing1(element_size=256, num_elements=64, iterations=60)
         workload.run(machine_a(), tracer=tracer)
-        return tracer.records
+        return tracer.trace
 
     def test_roundtrip(self, tmp_path):
         records = self._trace()
@@ -90,7 +90,7 @@ class TestTraceExport:
             assert original.site.function == copy.site.function
 
     def test_roundtrip_via_file_object(self):
-        records = self._trace()[:10]
+        records = list(self._trace())[:10]
         buffer = io.StringIO()
         dump_records(records, buffer)
         buffer.seek(0)

@@ -52,7 +52,7 @@ def _two_runs(workload, spec, config, seed):
     full = FullTracer(functions=functions)
     workload.run(spec, patches=PatchConfig.baseline(), tracer=full, seed=seed)
     instrumenter = Instrumenter(spec.line_size, functions=functions)
-    instrumenter.feed(full.records)
+    instrumenter.feed(full.trace)
     patterns = [p for p in instrumenter.patterns() if p.function in functions]
     recommender = Recommender(config.thresholds)
     return DirtBusterReport(

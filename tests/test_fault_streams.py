@@ -145,4 +145,4 @@ def test_observed_fault_runs_match_unrolled():
     def key(record):
         return record.instr_index, record.core_id, record.kind, record.addr, record.size
 
-    assert [key(r) for r in tracers[True].records] == [key(r) for r in tracers[False].records]
+    assert [key(r) for r in tracers[True].trace] == [key(r) for r in tracers[False].trace]

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.dirtbuster.instrument import Instrumenter
-from repro.dirtbuster.trace import AccessRecord
+from repro.dirtbuster.trace import AccessRecord, Trace
 from repro.errors import AnalysisError, ReproError
 from repro.sim.event import CodeSite, EventKind
 
@@ -33,7 +33,7 @@ class TestInstrumenter:
         records = [
             _rec(EventKind.WRITE, addr=64 * i, size=64, idx=i) for i in range(32)
         ]
-        inst.feed(records)
+        inst.feed(Trace.from_records(records))
         patterns = {p.function: p for p in inst.patterns()}
         assert patterns["f"].pct_sequential == 1.0
         assert patterns["f"].buckets[0].size == 32 * 64
@@ -45,23 +45,25 @@ class TestInstrumenter:
             _rec(EventKind.WRITE, addr=64 * i, size=64, fn="memcpy", idx=i, chain=("put",))
             for i in range(8)
         ]
-        inst.feed(records)
+        inst.feed(Trace.from_records(records))
         patterns = {p.function: p for p in inst.patterns()}
         assert "put" in patterns and "memcpy" not in patterns
         assert patterns["put"].total_writes == 8
 
     def test_unselected_functions_ignored(self):
         inst = Instrumenter(line_size=64, functions={"hot"})
-        inst.feed([_rec(EventKind.WRITE, fn="cold", size=64)])
+        inst.feed(Trace.from_records([_rec(EventKind.WRITE, fn="cold", size=64)]))
         assert inst.patterns() == []
 
     def test_fence_distance_flows_through(self):
         inst = Instrumenter(line_size=64)
         inst.feed(
-            [
-                _rec(EventKind.WRITE, addr=0, size=64, idx=100),
-                _rec(EventKind.ATOMIC, addr=4096, size=8, fn="lock", idx=110),
-            ]
+            Trace.from_records(
+                [
+                    _rec(EventKind.WRITE, addr=0, size=64, idx=100),
+                    _rec(EventKind.ATOMIC, addr=4096, size=8, fn="lock", idx=110),
+                ]
+            )
         )
         patterns = {p.function: p for p in inst.patterns()}
         assert patterns["f"].fences.min_distance == 10
@@ -72,7 +74,7 @@ class TestInstrumenter:
         for i in range(8):
             records.append(_rec(EventKind.WRITE, addr=64 * i, size=64, idx=i))
         records.append(_rec(EventKind.READ, addr=0, size=8, idx=20))
-        inst.feed(records)
+        inst.feed(Trace.from_records(records))
         pattern = inst.patterns()[0]
         assert pattern.buckets[0].reread == 20  # first write at idx 0
         assert math.isinf(pattern.buckets[0].rewrite)
@@ -84,7 +86,7 @@ class TestInstrumenter:
             _rec(EventKind.WRITE, addr=100_000 + 64 * i, size=64, fn="small", idx=100 + i)
             for i in range(4)
         ]
-        inst.feed(records)
+        inst.feed(Trace.from_records(records))
         assert [p.function for p in inst.patterns()] == ["big", "small"]
 
 
@@ -164,14 +166,16 @@ class TestFeedMatchesPerRecordAttribution:
                 chain = tuple(_SITES[k] for k in chain)
             records.append(AccessRecord(3 * i, core, kind, 64 * line, size, _SITES[site], chain))
         got = Instrumenter(line_size=64, functions=functions)
-        got.feed(records)
+        got.feed(Trace.from_records(records))
         want = Instrumenter(line_size=64, functions=functions)
         _reference_feed(want, records)
         assert [repr(p) for p in got.patterns()] == [repr(p) for p in want.patterns()]
 
     def test_innermost_selected_caller_wins(self):
         inst = Instrumenter(line_size=64, functions={"main", "put"})
-        inst.feed([_rec(EventKind.WRITE, size=64, fn="memcpy", chain=("main", "put"))])
+        inst.feed(
+            Trace.from_records([_rec(EventKind.WRITE, size=64, fn="memcpy", chain=("main", "put"))])
+        )
         assert [p.function for p in inst.patterns()] == ["put"]
 
 

@@ -1,10 +1,13 @@
 """Structured logging context and the wall-clock span profiler."""
 
+import io
 import logging
+import sys
 import time
 
 from repro.obs.log import (
     SpanProfiler,
+    basic_config,
     current_context,
     get_logger,
     run_context,
@@ -71,6 +74,24 @@ class TestRunContext:
             isinstance(h, logging.NullHandler)
             for h in logging.getLogger("repro.obs").handlers
         )
+
+
+class TestBasicConfig:
+    def test_handler_follows_sys_stderr(self, monkeypatch):
+        # A CLI main run under a stderr capture that is later closed (as
+        # pytest closes its own) must not leave logging bound to it.
+        root = logging.getLogger("repro.obs")
+        monkeypatch.setattr(root, "handlers", [logging.NullHandler()])
+        monkeypatch.setattr(root, "level", root.level)
+        captured = io.StringIO()
+        monkeypatch.setattr(sys, "stderr", captured)
+        basic_config()
+        captured.close()
+        later = io.StringIO()
+        monkeypatch.setattr(sys, "stderr", later)
+        get_logger("test-stderr").warning("after the capture closed")
+        assert "after the capture closed" in later.getvalue()
+        assert "Logging error" not in later.getvalue()
 
 
 class TestSpanProfiler:

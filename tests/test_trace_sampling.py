@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from repro.dirtbuster.export import dump_records, load_records
 from repro.dirtbuster.runner import DirtBuster, DirtBusterConfig
 from repro.dirtbuster.sampling import SampleProfile
-from repro.dirtbuster.trace import AccessRecord, FullTracer, SamplingTracer
+from repro.dirtbuster.trace import AccessRecord, FullTracer, SamplingTracer, Trace
 from repro.errors import AnalysisError, TraceError
 from repro.sim.event import CodeSite, Event, EventKind
 from repro.workloads.microbench import Listing1
@@ -42,12 +42,13 @@ class TestSamplingTracer:
     def test_expensive_event_can_take_multiple_samples(self):
         tracer = SamplingTracer(period=10)
         tracer.record(0, _write(), 0, cycles=55.0)
-        assert len(tracer.samples) == 5
-        # One shared frozen record per event, repeated once per hit.
-        assert all(s is tracer.samples[0] for s in tracer.samples)
-        tracer.record(0, _write(), 1, cycles=10.0)
-        assert len(tracer.samples) == 6
-        assert tracer.samples[5] is not tracer.samples[0]
+        # One sample per event, weighted by its timer hits.
+        assert list(tracer.sample_weight) == [5]
+        tracer.record(1, _write(), 1, cycles=10.0)
+        assert list(tracer.sample_weight) == [5, 1]
+        assert list(tracer.sample_index) == [0, 1]
+        assert list(tracer.sample_core) == [0, 1]
+        assert len(tracer) == 6
 
     def test_zero_cycle_events_unsampled(self):
         tracer = SamplingTracer(period=10)
@@ -61,8 +62,8 @@ class TestFullTracer:
         tracer = FullTracer(functions={"hot"})
         tracer.record(0, _write("hot"), 0)
         tracer.record(0, _write("cold"), 1)
-        assert len(tracer.records) == 1
-        assert tracer.records[0].function == "hot"
+        assert len(tracer.trace) == 1
+        assert tracer.trace[0].function == "hot"
 
     def test_callchain_selection(self):
         tracer = FullTracer(functions={"caller"})
@@ -74,26 +75,18 @@ class TestFullTracer:
             callchain=(CodeSite(function="caller"),),
         )
         tracer.record(0, ev, 0)
-        assert len(tracer.records) == 1
+        assert len(tracer.trace) == 1
 
     def test_fences_always_recorded(self):
         tracer = FullTracer(functions={"hot"})
         tracer.record(0, Event(EventKind.FENCE, site=CodeSite(function="pthread_lock")), 0)
         tracer.record(0, Event(EventKind.ATOMIC, addr=0, size=8, site=CodeSite(function="x")), 1)
-        assert len(tracer.records) == 2
+        assert [r.kind for r in tracer.trace] == [EventKind.FENCE, EventKind.ATOMIC]
 
     def test_compute_never_recorded(self):
         tracer = FullTracer()
         tracer.record(0, Event(EventKind.COMPUTE, size=5), 0)
-        assert len(tracer.records) == 0
-
-    def test_per_core_grouping(self):
-        tracer = FullTracer()
-        tracer.record(0, _write(), 0)
-        tracer.record(1, _write(), 1)
-        tracer.record(0, _read(), 2)
-        groups = tracer.per_core()
-        assert len(groups[0]) == 2 and len(groups[1]) == 1
+        assert len(tracer.trace) == 0
 
 
 class TestAccessRecordIsAValue:
@@ -131,7 +124,7 @@ class TestAccessRecordIsAValue:
         buffer = io.StringIO()
         assert dump_records(records, buffer) == len(records)
         buffer.seek(0)
-        assert load_records(buffer) == records
+        assert list(load_records(buffer)) == records
 
     def test_fields_cannot_be_assigned(self):
         record = self._records()[0]
@@ -145,6 +138,59 @@ class TestAccessRecordIsAValue:
         for record in self._records():
             assert AccessRecord(**record._asdict()) == record
             assert AccessRecord(*record) == record
+
+
+_SITE_POOL = [
+    CodeSite("memcpy", "lib.c", 9, 0x10),
+    CodeSite("put", "kv.c", 70, 0x80),
+    CodeSite("main", "m.c", 3, 0x40),
+]
+#: A pool site, or a fresh site equal in value to one: the pair table is
+#: keyed by object, so equal sites must still come back as themselves.
+_SITES = st.one_of(
+    st.sampled_from(_SITE_POOL),
+    st.sampled_from(_SITE_POOL).map(lambda s: CodeSite(s.function, s.file, s.line, s.ip)),
+)
+_RECORDS = st.lists(
+    st.builds(
+        AccessRecord,
+        instr_index=st.integers(0, 2**62),
+        core_id=st.integers(0, 2**16 - 1),
+        kind=st.sampled_from(list(EventKind)),
+        addr=st.integers(0, 2**62),
+        size=st.integers(0, 2**40),
+        site=_SITES,
+        callchain=st.lists(_SITES, max_size=3).map(tuple),
+    ),
+    max_size=40,
+)
+
+
+class TestTraceColumns:
+    """A ``Trace`` gives back exactly the records it was built from."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(records=_RECORDS)
+    def test_from_records_round_trips(self, records):
+        trace = Trace.from_records(records)
+        assert len(trace) == len(records)
+        assert list(trace) == records
+        assert [trace[i] for i in range(len(records))] == records
+        for got, want in zip(trace, records):
+            assert got.site is want.site and got.callchain is want.callchain
+        if records:
+            assert trace[-1] == records[-1]
+        buffer = io.StringIO()
+        assert dump_records(trace, buffer) == len(records)
+        buffer.seek(0)
+        loaded = load_records(buffer)
+        assert isinstance(loaded, Trace)
+        assert len(loaded) == len(records)
+        assert list(loaded) == records
+
+    def test_index_out_of_range(self):
+        with pytest.raises(IndexError):
+            Trace()[0]
 
 
 class TestSampleProfile:
@@ -207,6 +253,7 @@ class TestSampleProfile:
 
 _KINDS = [EventKind.WRITE, EventKind.READ, EventKind.ATOMIC, EventKind.COMPUTE, EventKind.FENCE]
 _CHAINS = [(), ("put",), ("put", "main")]
+_SLOTS = {EventKind.WRITE: 0, EventKind.READ: 1, EventKind.ATOMIC: 2}
 
 
 def _profile_fields(profile):
@@ -215,14 +262,32 @@ def _profile_fields(profile):
         profile.total_stores,
         profile.application_store_fraction,
         [
-            (p.function, p.stores, p.loads, p.atomics, dict(p.callchains))
+            (p.function, p.stores, p.loads, p.atomics, list(p.callchains.items()))
             for p in profile.functions()
         ],
     )
 
 
-class TestSharedRecordFolding:
-    """Folding runs of one shared record equals counting per-hit records."""
+def _per_hit_fields(hits, other_samples):
+    """``_profile_fields`` counted one timer hit at a time, in hit order."""
+    functions = {}
+    for event in hits:
+        entry = functions.setdefault(event.site.function, [0, 0, 0, {}])
+        entry[_SLOTS[event.kind]] += 1
+        chain = tuple(site.function for site in event.callchain)
+        entry[3][chain] = entry[3].get(chain, 0) + 1
+    stores = sum(e[0] + e[2] for e in functions.values())
+    ranked = sorted(functions.items(), key=lambda item: item[1][0], reverse=True)
+    return (
+        len(hits) + other_samples,
+        stores,
+        stores / (len(hits) + other_samples),
+        [(f, e[0], e[1], e[2], list(e[3].items())) for f, e in ranked],
+    )
+
+
+class TestFoldedCounts:
+    """Folding each timer hit into per-site counts equals counting per hit."""
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -238,10 +303,12 @@ class TestSharedRecordFolding:
             max_size=60,
         ),
     )
-    def test_shared_records_profile_like_distinct_ones(self, period, events):
+    def test_profile_matches_per_hit_count(self, period, events):
         tracer = SamplingTracer(period=period)
+        countdown = {}
+        samples, hits, other = [], [], 0
         for i, (kind, function, chain, cycles) in enumerate(events):
-            memory = kind in (EventKind.WRITE, EventKind.READ, EventKind.ATOMIC)
+            memory = kind in _SLOTS
             event = Event(
                 kind,
                 addr=64 * i if memory else 0,
@@ -250,43 +317,53 @@ class TestSharedRecordFolding:
                 callchain=tuple(CodeSite(function=name) for name in chain),
             )
             tracer.record(i % 2, event, i, cycles=cycles)
-        if not len(tracer):
+            # The countdown, replayed: one hit per period boundary crossed.
+            remaining = countdown.get(i % 2, float(period)) - cycles
+            weight = 0
+            while remaining <= 0:
+                weight += 1
+                remaining += period
+            countdown[i % 2] = remaining
+            if weight and memory:
+                samples.append((i % 2, i, weight))
+                hits += [event] * weight
+            else:
+                other += weight
+        assert list(zip(tracer.sample_core, tracer.sample_index, tracer.sample_weight)) == samples
+        assert tracer.other_samples == other
+        if not hits and not other:
+            with pytest.raises(AnalysisError):
+                SampleProfile.from_tracer(tracer)
             return
-        distinct = [s._replace() for s in tracer.samples]
-        shared = SampleProfile(tracer.samples, other_samples=tracer.other_samples)
-        per_hit = SampleProfile(distinct, other_samples=tracer.other_samples)
-        assert _profile_fields(shared) == _profile_fields(per_hit)
-
-    @staticmethod
-    def _per_hit(samples):
-        """Each sample counted on its own: function -> [stores, loads, atomics, chains]."""
-        counts = {}
-        for s in samples:
-            entry = counts.setdefault(s.site.function, [0, 0, 0, {}])
-            entry[{EventKind.WRITE: 0, EventKind.READ: 1, EventKind.ATOMIC: 2}[s.kind]] += 1
-            chain = tuple(site.function for site in s.callchain)
-            entry[3][chain] = entry[3].get(chain, 0) + 1
-        return counts
+        assert _profile_fields(SampleProfile.from_tracer(tracer)) == _per_hit_fields(hits, other)
 
     @pytest.mark.parametrize("shape", ["AABA-shared", "AABA-copies", "single"])
-    def test_fold_matches_per_hit_count(self, shape):
+    def test_sites_fold_by_function(self, shape):
+        # Equal sites that are distinct objects are separate entries of
+        # the tracer's counts, and one function in the profile.
         chain = (CodeSite("main"), CodeSite("put"))
-        a = AccessRecord(0, 0, EventKind.WRITE, 0, 8, CodeSite("memcpy"), chain)
+        a = Event(EventKind.WRITE, addr=0, size=8, site=CodeSite("memcpy"), callchain=chain)
         # B shares A's site object but not its callchain.
-        b = AccessRecord(1, 0, EventKind.READ, 64, 8, a.site, chain[:1])
-        samples = {
+        b = Event(EventKind.READ, addr=64, size=8, site=a.site, callchain=chain[:1])
+
+        def copy(event):
+            site = event.site
+            return Event(event.kind, addr=event.addr, size=event.size,
+                         site=CodeSite(site.function, site.file, site.line, site.ip),
+                         callchain=tuple(event.callchain))
+
+        events = {
             "AABA-shared": [a, a, b, a],
-            "AABA-copies": [a, a._replace(), b, a._replace()],
+            "AABA-copies": [a, copy(a), b, copy(a)],
             "single": [a],
         }[shape]
-        profile = SampleProfile(samples, other_samples=2)
-        got = {
-            p.function: [p.stores, p.loads, p.atomics, dict(p.callchains)]
-            for p in profile.functions()
-        }
-        assert got == self._per_hit(samples)
-        assert profile.total_samples == len(samples) + 2
-        assert profile.total_stores == sum(s.kind is EventKind.WRITE for s in samples)
+        tracer = SamplingTracer(period=1)
+        for i, event in enumerate(events):
+            tracer.record(0, event, i, cycles=1.0)
+        tracer.other_samples = 2
+        profile = SampleProfile.from_tracer(tracer)
+        assert _profile_fields(profile) == _per_hit_fields(events, 2)
+        assert len(tracer.hits) == len({(id(e.site), id(e.callchain)) for e in events})
 
     def test_atomic_runs_count_as_store_time_only(self):
         tracer = SamplingTracer(period=10)
@@ -294,7 +371,7 @@ class TestSharedRecordFolding:
         tracer.record(0, atomic, 0, cycles=40.0)
         tracer.record(0, _write("writer"), 1, cycles=30.0)
         tracer.record(0, _read("writer"), 2, cycles=20.0)
-        assert len(tracer.samples) == 9
+        assert len(tracer) == 9
         profile = SampleProfile.from_tracer(tracer)
         assert profile.total_stores == 7
         assert profile.function("lock").atomics == 4

@@ -4,8 +4,9 @@ Both tracers define ``record_stream``, so a traced run keeps the fused
 stream loops and gets each run's accesses in bulk (DESIGN.md §18,
 "Observed streams").  The oracle is the same tracer behind a wrapper
 that forwards only ``record``: the machine must then unroll every stream
-through ``step``.  Samples, ``other_samples``, instrumented records and
-the RunResult bytes must be identical either way.
+through ``step``.  The sampled ``(core, index, weight)`` columns, the
+folded per-site counts, ``other_samples``, every record of the full
+trace and the RunResult bytes must be identical either way.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -112,10 +113,23 @@ def _key(record):
             where(record.site), tuple(where(s) for s in record.callchain))
 
 
+def _samples(tracer):
+    return list(zip(tracer.sample_core, tracer.sample_index, tracer.sample_weight))
+
+
 def _observed(tracer):
     if isinstance(tracer, SamplingTracer):
-        return [_key(r) for r in tracer.samples], tracer.other_samples
-    return [_key(r) for r in tracer.records]
+        counts = [
+            (site.function, site.file, site.line, tuple(c.function for c in chain), *hits)
+            for site, chain, *hits in tracer.hits.values()
+        ]
+        return _samples(tracer), counts, tracer.other_samples
+    return [_key(r) for r in tracer.trace]
+
+
+def _recorded(tracer):
+    """How many accesses the tracer kept, so a comparison cannot pass empty."""
+    return len(tracer.sample_index) if isinstance(tracer, SamplingTracer) else len(tracer)
 
 
 @settings(max_examples=40, deadline=None)
@@ -150,6 +164,7 @@ def test_bulk_tracer_records_split_runs():
             _small_a, programs, unrolled, True
         )[0], name
         assert _observed(bulk) == _observed(unrolled), name
+        assert _recorded(bulk) > 0, name
 
 
 def test_nontemporal_runs_traced_in_bulk():
@@ -167,6 +182,7 @@ def test_nontemporal_runs_traced_in_bulk():
         ref_json, ref_paths = _run(_small_b, programs, unrolled, True)
         assert bulk_json == ref_json, name
         assert _observed(bulk) == _observed(unrolled), name
+        assert _recorded(bulk) > 0, name
         assert bulk_paths["unrolled"] == ref_paths["fused"] == 0, name
         assert bulk_paths["fused"] == ref_paths["unrolled"] > 0, name
 
@@ -197,7 +213,8 @@ def test_sampling_countdown_replays_each_delta(deltas, period, start):
     # One more access shows whether the countdowns agree to the last bit.
     for tracer in (bulk, unrolled):
         tracer.record(0, Event.fast_access(WRITE, 0, 8, False, False, _SITE, ()), 99, period)
-    assert bulk.samples == unrolled.samples
+    assert _samples(bulk) == _samples(unrolled)
+    assert bulk.hits == unrolled.hits
     assert bulk._countdown == unrolled._countdown
 
 
