@@ -25,8 +25,8 @@ Two cooperating pieces realise a :class:`~repro.faults.plan.FaultPlan`:
 
 Timing side effects of the tracking itself are zero: the device delegates
 all accounting to the base class and only adds bookkeeping (the fused
-loops inline device bodies only for the base class itself), so a run
-under an *empty* plan never constructs these objects at all and stays
+loops reach it through the same bound methods as the base device), so a
+run under an *empty* plan never constructs these objects at all and stays
 bit-identical to a plain run.
 """
 

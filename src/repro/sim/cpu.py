@@ -37,7 +37,6 @@ from repro.sim.event import (
     WRITE,
     Event,
 )
-from repro.sim.memory import MemoryDevice
 from repro.sim.replacement import _PLRU_LUT_MAX_WAYS, IntelLikePolicy, _plru_lut
 from repro.sim.stats import CoreStats
 from repro.sim.store_buffer import StoreBuffer
@@ -376,42 +375,12 @@ class Core:
         capacity = sb.capacity
         tso = sb.model == "tso"
         vis_cached = self._vis_cached
+        # The device methods' completion times are unused here:
+        # visibility is the hoisted ``vis_uncached`` constant.
         device = machine.device
         device_read = device.read
         device_write_back = device.write_back
-        # Device state as loop locals (DESIGN.md §15): the bus/media
-        # horizons are read by the per-store backpressure check and
-        # advanced by every cold fill, so holding them in locals — synced
-        # around the rare out-of-line calls — removes the device's
-        # attribute traffic from the loop.  The inline read/write-back
-        # bodies below replicate MemoryDevice.read/write_back
-        # float-for-float; their returned completion times are unused on
-        # this path (visibility is the hoisted ``vis_uncached`` constant),
-        # so the trailing latency adds are dropped.
-        dstats = device.stats
-        combiner = device.combiner
-        c_open = combiner._open
-        c_cap = combiner.capacity
-        c_on_close = combiner.on_close
-        read_buf = device._read_buffer
-        rb_cap = device._combiner_entries
-        d_bw = device._bw
-        d_read_bw = device._read_bw
-        d_gran = device._gran
-        # Line-aligned, line-sized traffic stays within one internal
-        # block whenever lines are no wider than the device granularity
-        # (true for every preset); otherwise fall back to the bound
-        # methods, re-synced per call.  The inline bodies are
-        # MemoryDevice's own, so a subclass (the fault-tracking device
-        # overrides read, write_back and _media_occupancy_bytes) takes
-        # the bound methods too.
-        inline_dev = line_size <= d_gran and type(device) is MemoryDevice
-        bus_nf = device._bus_next_free
-        media_nf = device._media_next_free
-        rr_nf = device._read_return_next_free
-        n_wb = 0  # inline writebacks since the last flush
-        n_cmerge = 0  # combiner merges since the last flush
-        n_cclose = 0  # combiner closes (= media writes) since the last flush
+        device_backlog = device.backlog
         backlog_limit = machine.spec.backlog_limit_cycles
         line_owner = machine.line_owner
         cid = self.stats.core_id
@@ -427,6 +396,9 @@ class Core:
         n_coalesced = 0
         n_hits = 0  # L1 hit delta since the last flush
         n_miss = 0  # fused miss-everywhere fills since the last flush
+        # False once a backpressure check found no excess; device work
+        # queued after that sets it again (see MemoryDevice.backlog).
+        check_backlog = True
 
         seq = chunk == line_size and stride == chunk and addr % line_size == 0
         line = addr // line_size - 1
@@ -462,25 +434,7 @@ class Core:
                     if n_miss:
                         for lstats in level_stats:
                             lstats.misses += n_miss
-                        if inline_dev:
-                            dstats.reads += n_miss
-                            dstats.bytes_read += n_miss * line_size
                         n_miss = 0
-                    if n_wb:
-                        dstats.writebacks_received += n_wb
-                        dstats.bytes_received += n_wb * line_size
-                        n_wb = 0
-                    if n_cmerge:
-                        combiner.merges += n_cmerge
-                        n_cmerge = 0
-                    if n_cclose:
-                        combiner.closes += n_cclose
-                        dstats.media_writes += n_cclose
-                        dstats.media_bytes_written += n_cclose * d_gran
-                        n_cclose = 0
-                    device._bus_next_free = bus_nf
-                    device._media_next_free = media_nf
-                    device._read_return_next_free = rr_nf
                     self.execute(
                         Event.fast_access(
                             WRITE, a, length, False, relaxed, site, chain
@@ -488,9 +442,7 @@ class Core:
                     )
                     clock = self.clock
                     tail = sb._pipeline_tail
-                    bus_nf = device._bus_next_free
-                    media_nf = device._media_next_free
-                    rr_nf = device._read_return_next_free
+                    check_backlog = True
                     offset += stride
                     continue
             n_fast += 1
@@ -562,11 +514,6 @@ class Core:
                                 if oline in idx:
                                     ocached = True
                                     break
-                            # Both arms run out-of-line device traffic:
-                            # sync the horizon locals around the call.
-                            device._bus_next_free = bus_nf
-                            device._media_next_free = media_nf
-                            device._read_return_next_free = rr_nf
                             if ocached:
                                 # Cached in an outer level: the round
                                 # trip runs the real callback (promote
@@ -580,9 +527,7 @@ class Core:
                                 # write-allocate miss.
                                 ovt = self._fused_store_miss_vis(oline, now, now, tail)
                                 tail = ovt
-                            bus_nf = device._bus_next_free
-                            media_nf = device._media_next_free
-                            rr_nf = device._read_return_next_free
+                            check_backlog = True
                     stall = ovt - now
                     if stall < 0.0:
                         stall = 0.0
@@ -616,7 +561,8 @@ class Core:
                         # Uncached: inline _fused_store_miss_vis — the
                         # write-allocate fill walk, the read-for-
                         # ownership, and the dirty writebacks the fills
-                        # push out (miss counters batched in n_miss).
+                        # push out (level miss counters batched in
+                        # n_miss).
                         loc = fill_all(line, wb)
                         n_miss += 1
                         if l1_touch is None:
@@ -625,85 +571,13 @@ class Core:
                         # (LUT policies: the dirty-mark touch repeats the
                         # install touch bit-for-bit, so it is skipped.)
                         l1_dirty[loc] = 1
-                        if inline_dev:
-                            # Inline MemoryDevice.read (stats batched in
-                            # n_miss): the read-for-ownership occupies
-                            # the media unless the block was just read,
-                            # then returns over the shared link.
-                            block = line * line_size // d_gran
-                            if block in read_buf:
-                                del read_buf[block]  # refresh LRU position
-                                read_buf[block] = True
-                                media_bytes = 0
-                            else:
-                                media_bytes = d_gran
-                                read_buf[block] = True
-                                if len(read_buf) > rb_cap:
-                                    del read_buf[next(iter(read_buf))]
-                            start = now if now >= media_nf else media_nf
-                            media_nf = start + media_bytes / d_read_bw
-                            start = media_nf
-                            if bus_nf > start:
-                                start = bus_nf
-                            if rr_nf > start:
-                                start = rr_nf
-                            rr_nf = start + line_size / d_bw
-                        else:
-                            device._bus_next_free = bus_nf
-                            device._media_next_free = media_nf
-                            device._read_return_next_free = rr_nf
-                            device_read(line * line_size, line_size, now)
-                            bus_nf = device._bus_next_free
-                            media_nf = device._media_next_free
-                            rr_nf = device._read_return_next_free
+                        device_read(line * line_size, line_size, now)
+                        check_backlog = True
                         line_owner[line] = cid
                         if wb:
-                            if inline_dev:
-                                for w in wb:
-                                    # Inline MemoryDevice.write_back +
-                                    # the single-block combiner add
-                                    # (stats batched in n_wb/n_cmerge/
-                                    # n_cclose).
-                                    n_wb += 1
-                                    start = now if now >= bus_nf else bus_nf
-                                    bus_done = start + line_size / d_bw
-                                    bus_nf = bus_done
-                                    block = w * line_size // d_gran
-                                    if block in c_open:
-                                        merged = c_open[block] + line_size
-                                        del c_open[block]  # refresh LRU
-                                        c_open[block] = (
-                                            d_gran if merged > d_gran else merged
-                                        )
-                                        n_cmerge += 1
-                                    else:
-                                        if len(c_open) >= c_cap:
-                                            evicted = next(iter(c_open))
-                                            del c_open[evicted]
-                                            n_cclose += 1
-                                            if c_on_close is not None:
-                                                c_on_close(evicted)
-                                            # The closed entry's media
-                                            # write queues behind the
-                                            # payload delivery.
-                                            start = (
-                                                bus_done
-                                                if bus_done >= media_nf
-                                                else media_nf
-                                            )
-                                            media_nf = start + d_gran / d_bw
-                                        c_open[block] = line_size
-                                    pending.pop(w, None)
-                            else:
-                                device._bus_next_free = bus_nf
-                                device._media_next_free = media_nf
-                                device._read_return_next_free = rr_nf
-                                for w in wb:
-                                    device_write_back(w * line_size, line_size, now)
-                                    pending.pop(w, None)
-                                bus_nf = device._bus_next_free
-                                media_nf = device._media_next_free
-                                rr_nf = device._read_return_next_free
+                            for w in wb:
+                                device_write_back(w * line_size, line_size, now)
+                                pending.pop(w, None)
                             del wb[:]
                         vt = now + stall + vis_uncached
                         if vt < tail:
@@ -714,19 +588,17 @@ class Core:
                     clock += stall
                     stats.store_buffer_stall_cycles += stall
             # Inline _apply_backpressure().
-            horizon = bus_nf if bus_nf > media_nf else media_nf
-            if horizon > clock:
-                excess = (horizon - clock) - backlog_limit
+            if check_backlog:
+                excess = device_backlog(clock) - backlog_limit
                 if excess > 0:
                     clock += excess
                     stats.backpressure_stall_cycles += excess
+                else:
+                    check_backlog = False
             offset += stride
 
         self.clock = clock
         sb._pipeline_tail = tail
-        device._bus_next_free = bus_nf
-        device._media_next_free = media_nf
-        device._read_return_next_free = rr_nf
         if n_fast:
             stats.instructions += n_fast
             stats.writes += n_fast
@@ -738,18 +610,6 @@ class Core:
         if n_miss:
             for lstats in level_stats:
                 lstats.misses += n_miss
-            if inline_dev:
-                dstats.reads += n_miss
-                dstats.bytes_read += n_miss * line_size
-        if n_wb:
-            dstats.writebacks_received += n_wb
-            dstats.bytes_received += n_wb * line_size
-        if n_cmerge:
-            combiner.merges += n_cmerge
-        if n_cclose:
-            combiner.closes += n_cclose
-            dstats.media_writes += n_cclose
-            dstats.media_bytes_written += n_cclose * d_gran
         if offset < size:
             event.addr = addr + offset
             event.size = size - offset
@@ -924,29 +784,18 @@ class Core:
         and the drop of its owner and store-buffer entries; the device
         writeback; and ``_apply_backpressure``.  NT stores touch no
         replacement state, so the loop runs under any policy, and
-        line-straddling chunks need no fallback.  The writeback body is
-        inlined for the base device when the access lands in one
-        internal block; otherwise ``device.write_back`` runs with the
-        device horizons synced around it.  Contending cores preempt NT
-        streams after one or two accesses, so the loop binds only what
-        every access uses.
+        line-straddling chunks need no fallback.  Contending cores
+        preempt NT streams after one or two accesses, so the loop binds
+        only what every access uses.
         """
         line_size = self._line_size
         invalidators = self._invalidators
         line_owner = self._line_owner
         pending = self._pending
         device = self.machine.device
-        inline_dev = type(device) is MemoryDevice
-        c_open = device.combiner._open
-        d_bw = device._bw
-        d_gran = device._gran
-        bus_nf = device._bus_next_free
-        media_nf = device._media_next_free
+        device_write_back = device.write_back
+        device_backlog = device.backlog
         backlog_limit = self.machine.spec.backlog_limit_cycles
-        n_wb = 0  # inline writebacks since the last flush
-        n_bytes = 0  # their payload bytes
-        n_cmerge = 0  # combiner merges since the last flush
-        n_cclose = 0  # combiner closes (= media writes) since the last flush
 
         addr, size, chunk, stride = event.addr, event.size, event.chunk, event.stride
         offset = 0
@@ -969,67 +818,20 @@ class Core:
                 line_owner.pop(line, None)
                 pending.pop(line, None)
                 line += 1
-            block = a // d_gran
-            if inline_dev and end // d_gran == block:
-                # Inline MemoryDevice.write_back + the single-block
-                # combiner add (stats batched in n_wb/n_bytes/n_cmerge/
-                # n_cclose).
-                n_wb += 1
-                n_bytes += length
-                start = clock if clock >= bus_nf else bus_nf
-                bus_done = start + length / d_bw
-                bus_nf = bus_done
-                if block in c_open:
-                    merged = c_open[block] + length
-                    del c_open[block]  # refresh LRU
-                    c_open[block] = d_gran if merged > d_gran else merged
-                    n_cmerge += 1
-                else:
-                    combiner = device.combiner
-                    if len(c_open) >= combiner.capacity:
-                        evicted = next(iter(c_open))
-                        del c_open[evicted]
-                        n_cclose += 1
-                        if combiner.on_close is not None:
-                            combiner.on_close(evicted)
-                        # The closed entry's media write queues behind
-                        # the payload delivery.
-                        start = bus_done if bus_done >= media_nf else media_nf
-                        media_nf = start + d_gran / d_bw
-                    c_open[block] = length
-            else:
-                device._bus_next_free = bus_nf
-                device._media_next_free = media_nf
-                device.write_back(a, length, clock)
-                bus_nf = device._bus_next_free
-                media_nf = device._media_next_free
+            device_write_back(a, length, clock)
             # Inline _apply_backpressure().
-            horizon = bus_nf if bus_nf > media_nf else media_nf
-            if horizon > clock:
-                excess = (horizon - clock) - backlog_limit
-                if excess > 0:
-                    clock += excess
-                    self.stats.backpressure_stall_cycles += excess
+            excess = device_backlog(clock) - backlog_limit
+            if excess > 0:
+                clock += excess
+                self.stats.backpressure_stall_cycles += excess
             offset += stride
 
         self.clock = clock
-        device._bus_next_free = bus_nf
-        device._media_next_free = media_nf
         stats = self.stats
         executed = offset // stride
         stats.instructions += executed
         stats.writes += executed
         stats.nontemporal_writes += executed
-        if n_wb:
-            dstats = device.stats
-            dstats.writebacks_received += n_wb
-            dstats.bytes_received += n_bytes
-            combiner = device.combiner
-            combiner.merges += n_cmerge
-            if n_cclose:
-                combiner.closes += n_cclose
-                dstats.media_writes += n_cclose
-                dstats.media_bytes_written += n_cclose * d_gran
         if offset < size:
             event.addr = addr + offset
             event.size = size - offset

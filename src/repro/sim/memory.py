@@ -211,12 +211,23 @@ class WriteCombiner:
 
 
 class MemoryDevice:
-    """A memory device with a shared bandwidth queue and write combining.
+    """A memory device with a shared link, a media queue and write combining.
 
-    Time is passed in by callers (the CPU clocks); the device keeps a
-    single ``next_free`` horizon modelling its serial internal bandwidth.
-    ``backlog(now)`` tells callers how many cycles of work are queued —
-    the CPU uses it to apply store backpressure.
+    Time is passed in by callers (the CPU clocks).  The device keeps three
+    horizons, each the cycle its resource next falls idle:
+
+    * the *bus* (``_bus_next_free``): every writeback payload crossing the
+      link advances it, in :meth:`write_back`;
+    * *read returns* (``_read_return_next_free``): every line fill in
+      :meth:`read` advances it, queued behind the bus;
+    * the *media* (``_media_next_free``): media reads in :meth:`read`,
+      combiner entries closed by :meth:`write_back` and the end-of-run
+      :meth:`flush` advance it.
+
+    Only these three methods move the horizons, and callers never read
+    them: ``backlog(now)`` tells them how many cycles of bus or media work
+    are queued — the CPU uses it to apply store backpressure — and
+    ``quiesce_time(now)`` when all of it is done.
     """
 
     def __init__(self, spec: DeviceSpec) -> None:
@@ -259,40 +270,22 @@ class MemoryDevice:
         """Cycles of queued work not yet started at ``now``.
 
         The bus and the media pipeline in parallel; the backlog seen by a
-        writer is whichever stage is further behind.
+        writer is whichever stage is further behind.  Only :meth:`read`,
+        :meth:`write_back` and :meth:`flush` move the horizons, so between
+        their calls the backlog can only shrink as ``now`` advances: a
+        caller that found it within bounds need not ask again until it
+        has sent the device more work.
         """
-        return max(0.0, self._bus_next_free - now, self._media_next_free - now)
-
-    def _consume_bus(self, now: float, nbytes: int, read_return: bool = False) -> float:
-        """Occupy the shared link for ``nbytes``; returns the finish time.
-
-        Writeback payloads advance ``_bus_next_free``.  Read returns
-        (``read_return=True``) wait behind it — a writeback backlog
-        delays line fills — but only advance their own horizon, so a
-        read-heavy phase never inflates store backpressure.
-        """
-        if read_return:
-            start = max(now, self._bus_next_free, self._read_return_next_free)
-            self._read_return_next_free = start + nbytes / self.spec.bandwidth_bytes_per_cycle
-            return self._read_return_next_free
-        start = max(now, self._bus_next_free)
-        self._bus_next_free = start + nbytes / self.spec.bandwidth_bytes_per_cycle
-        return self._bus_next_free
-
-    def _consume_media(self, now: float, nbytes: int) -> float:
-        start = max(now, self._media_next_free)
-        self._media_next_free = start + nbytes / self.spec.bandwidth_bytes_per_cycle
-        return self._media_next_free
+        bus = self._bus_next_free
+        media = self._media_next_free
+        horizon = bus if bus > media else media
+        return horizon - now if horizon > now else 0.0
 
     def _media_occupancy_bytes(self, now: float, nbytes: int) -> int:
         """Fault-injection seam: the media work one access costs at ``now``.
 
-        The base device returns ``nbytes`` unchanged (the fused stream
-        loops inline exactly this identity arithmetic); the
-        fault-tracking device multiplies it inside degraded-bandwidth
-        phases, which is safe because the fused loops inline device
-        bodies only when the device is exactly a ``MemoryDevice`` and
-        call the out-of-line methods on any subclass."""
+        The base device returns ``nbytes`` unchanged; the fault-tracking
+        device multiplies it inside degraded-bandwidth phases."""
         return nbytes
 
     # -- CPU-visible operations ---------------------------------------------
@@ -316,31 +309,31 @@ class MemoryDevice:
         stats.bytes_read += size
         gran = self._gran
         media_bytes = 0
-        first = addr // gran
+        block = addr // gran
         last = (addr + (size if size > 1 else 1) - 1) // gran
-        # Line fills rarely straddle an internal-granularity block; walk
-        # the single-block case without building a range object.
-        blocks = (first,) if first == last else range(first, last + 1)
         read_buffer = self._read_buffer
-        for block in blocks:
+        # A line fill covers one internal-granularity block, so this walk
+        # runs its body once and builds no range.
+        while True:
             if block in read_buffer:
                 del read_buffer[block]  # re-insert to refresh LRU position
                 read_buffer[block] = True
-                continue
-            media_bytes += gran
-            read_buffer[block] = True
-            if len(read_buffer) > self._combiner_entries:
-                del read_buffer[next(iter(read_buffer))]
+            else:
+                media_bytes += gran
+                read_buffer[block] = True
+                if len(read_buffer) > self._combiner_entries:
+                    del read_buffer[next(iter(read_buffer))]
+            if block == last:
+                break
+            block += 1
         if media_bytes:
             media_bytes = self._media_occupancy_bytes(now, media_bytes)
-        occupancy = media_bytes / self._read_bw
         media = self._media_next_free
         start = now if now >= media else media
-        media_done = start + occupancy
+        media_done = start + media_bytes / self._read_bw
         self._media_next_free = media_done
         # The line fill is delivered over the same link writeback payloads
         # arrive on; it cannot start before the media produced the data.
-        # (Inline of _consume_bus(media_done, size, read_return=True).)
         start = media_done
         bus = self._bus_next_free
         if bus > start:
@@ -386,17 +379,20 @@ class MemoryDevice:
     def flush(self, now: float) -> float:
         """Close every open combiner entry (end of run / ``wbinvd``)."""
         closed = self.combiner.flush()
-        done = float(now)
+        if not closed:
+            return float(now)
+        gran = self._gran
+        stats = self.stats
+        stats.media_writes += closed
+        stats.media_bytes_written += gran * closed
+        # Each closed entry is one media write, serialised on the media
+        # horizon, so the last one dominates.
+        media = self._media_next_free
         for _ in range(closed):
-            self.stats.media_writes += 1
-            self.stats.media_bytes_written += self.spec.internal_granularity
-            done = max(
-                done,
-                self._consume_media(
-                    now, self._media_occupancy_bytes(now, self.spec.internal_granularity)
-                ),
-            )
-        return done
+            start = now if now >= media else media
+            media = start + self._media_occupancy_bytes(now, gran) / self._bw
+        self._media_next_free = media
+        return media
 
     def quiesce_time(self, now: float) -> float:
         """When all queued bus/media work will have finished."""
