@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint sanitize obs-demo serve-smoke faults crashcheck dirtbuster-smoke experiments-smoke experiments-ratchet
+.PHONY: test lint sanitize obs-demo serve-smoke faults crashcheck dirtbuster-smoke experiments-smoke experiments-ratchet examples-smoke
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -89,6 +89,15 @@ experiments-ratchet:
 	$(PYTHON) -m repro.experiments.cli --all --full --workers 2 --markdown build/all-full.md \
 		|| [ $$? -eq 3 ]
 	$(PYTHON) ci/shape_ratchet.py build/all-full.md ci/shape-failures-full.txt
+
+# Examples smoke: run every examples/*.py script and fail on the first
+# non-zero exit.  examples/autotune_pass.py is the AutoTuner's one caller
+# outside the tests.  About 11 s on two cores (CI's examples-smoke job).
+examples-smoke:
+	@for script in examples/*.py; do \
+		echo "== $$script"; \
+		$(PYTHON) $$script || exit 1; \
+	done
 
 # Crash-consistency self-check: seeded crash/fault matrix on machine A
 # and B-slow, asserting protocol durability, baseline vulnerability,

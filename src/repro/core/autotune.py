@@ -10,17 +10,19 @@ skip→clean fallback the paper's Fortran ports needed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, Optional
 
 from repro.core.prestore import PatchConfig, PrestoreMode
 from repro.dirtbuster.runner import DirtBuster, DirtBusterReport
-from repro.errors import AnalysisError, Diagnostic
 from repro.sim.machine import MachineSpec
 from repro.sim.stats import RunResult
 from repro.workloads.base import Workload
 
-__all__ = ["AutoTuneResult", "AutoTuner"]
+__all__ = ["AutoTuneResult", "AutoTuner", "MIN_SPEEDUP"]
+
+#: Drained speedup the patched run must reach for the patches to be kept.
+MIN_SPEEDUP = 1.01
 
 
 @dataclass
@@ -38,17 +40,6 @@ class AutoTuneResult:
     patched: Optional[RunResult]
     #: True when the patches were kept (they helped).
     kept: bool
-    #: Findings that vetoed the patches regardless of speedup: sanitizer
-    #: diagnostics the patched run added over the baseline (with
-    #: ``AutoTuner(sanitize=True)``), or static crash-consistency errors
-    #: the candidate configuration added (with ``AutoTuner(crashcheck=True)``
-    #: — those reject the patches before the patched run is even spent).
-    new_diagnostics: List[Diagnostic] = field(default_factory=list)
-    #: Per-candidate timeline aggregates keyed "baseline"/"patched"
-    #: (only populated with ``AutoTuner(obs=True)``): mean/peak write
-    #: bandwidth, store-buffer occupancy, hit rate, stall totals — the
-    #: *why* behind the speedup verdict (see ``Timeline.summary``).
-    candidate_metrics: Dict[str, Dict[str, float]] = field(default_factory=dict)
 
     @property
     def speedup(self) -> float:
@@ -57,17 +48,12 @@ class AutoTuneResult:
         return self.patched.drained_speedup_over(self.baseline)
 
     def summary(self) -> str:
-        if not self.adopted and not self.new_diagnostics:
+        if self.patched is None:
             return f"{self.workload}: no pre-store opportunities found"
+        if not self.kept:
+            return f"{self.workload}: candidate patches -> {self.speedup:.2f}x (reverted, no gain)"
         sites = ", ".join(f"{s}={m}" for s, m in sorted(self.adopted.items()))
-        if self.kept:
-            verdict = "kept"
-        elif self.new_diagnostics:
-            verdict = f"reverted ({len(self.new_diagnostics)} new sanitizer finding(s))"
-            sites = sites or "candidate patches"
-        else:
-            verdict = "reverted (no gain)"
-        return f"{self.workload}: {sites} -> {self.speedup:.2f}x ({verdict})"
+        return f"{self.workload}: {sites} -> {self.speedup:.2f}x (kept)"
 
 
 class AutoTuner:
@@ -75,44 +61,14 @@ class AutoTuner:
 
     ``allow_skip=False`` applies the paper's Fortran situation: wherever
     DirtBuster says *skip* but non-temporal stores are impractical, the
-    recommended fallback (*clean*) is used instead.
+    recommended fallback (*clean*) is used instead.  The measurement runs
+    go through :func:`~repro.runner.execute_cells`, so an ambient
+    :func:`~repro.runner.runner_session` supplies their workers.
     """
 
-    def __init__(
-        self,
-        dirtbuster: Optional[DirtBuster] = None,
-        allow_skip: bool = True,
-        min_speedup: float = 1.01,
-        sanitize: bool = False,
-        obs: bool = False,
-        workers: Optional[int] = None,
-        crashcheck: bool = False,
-    ) -> None:
-        if min_speedup <= 0:
-            raise AnalysisError(f"min_speedup must be positive, got {min_speedup}")
+    def __init__(self, dirtbuster: Optional[DirtBuster] = None, allow_skip: bool = True) -> None:
         self.dirtbuster = dirtbuster or DirtBuster()
         self.allow_skip = allow_skip
-        self.min_speedup = min_speedup
-        #: Candidate measurement runs (baseline + patched) go through the
-        #: :mod:`repro.runner` pool; None inherits the ambient
-        #: :func:`~repro.runner.runner_session` (serial without one).
-        self.workers = workers
-        #: Run both measurement runs under :mod:`repro.sanitize`; candidate
-        #: patches introducing diagnostics absent from the baseline are
-        #: rejected even when they measure faster (a pre-store that breaks
-        #: consistency or recreates the Listing 3 pathology is not a win).
-        self.sanitize = sanitize
-        #: Run both measurement runs under :mod:`repro.obs`; each
-        #: candidate's timeline summary lands in
-        #: :attr:`AutoTuneResult.candidate_metrics` and the timelines on
-        #: the ``RunResult``\ s, so a rejected patch can be diagnosed.
-        self.obs = obs
-        #: Statically verify crash consistency (:mod:`repro.crashcheck`)
-        #: before measuring: candidate patches whose static report carries
-        #: error-severity diagnostics absent from the baseline's are
-        #: rejected without spending the patched measurement run at all —
-        #: a ``demote`` that drops durability loses before it races.
-        self.crashcheck = crashcheck
 
     # -- advice translation -----------------------------------------------
 
@@ -155,49 +111,18 @@ class AutoTuner:
         patches = self.patches_for(probe, report)
         adopted = dict(patches.enabled_sites())
 
-        def cell(config: PatchConfig) -> Cell:
-            return Cell(
-                make_workload=workload_factory,
-                spec=spec,
-                mode=None,
-                seed=seed,
-                sanitize=self.sanitize,
-                obs=self.obs,
-                patches=config,
-            )
-
-        gate: List[Diagnostic] = []
-        if adopted and self.crashcheck:
-            gate = self.crashcheck_gate(workload_factory, spec, patches, seed=seed)
-
-        if not adopted or gate:
-            (outcome,) = execute_cells(
-                [cell(PatchConfig.baseline())], workers=self.workers, on_error="raise"
-            )
-            baseline = outcome.result
-            return AutoTuneResult(
-                workload=probe.name,
-                report=report,
-                patches=PatchConfig.baseline(),
-                adopted={},
-                baseline=baseline,
-                patched=None,
-                kept=False,
-                new_diagnostics=gate,
-                candidate_metrics=self._candidate_metrics(baseline, None),
-            )
         # Baseline and candidate are independent runs: one pool round trip.
-        base_out, patched_out = execute_cells(
-            [cell(PatchConfig.baseline()), cell(patches)],
-            workers=self.workers,
+        configs = [PatchConfig.baseline()] + ([patches] if adopted else [])
+        outcomes = execute_cells(
+            [
+                Cell(make_workload=workload_factory, spec=spec, mode=None, seed=seed, patches=c)
+                for c in configs
+            ],
             on_error="raise",
         )
-        baseline, patched = base_out.result, patched_out.result
-        new_diagnostics = self._new_diagnostics(baseline, patched) if self.sanitize else []
-        kept = (
-            not new_diagnostics
-            and patched.drained_speedup_over(baseline) >= self.min_speedup
-        )
+        baseline = outcomes[0].result
+        patched = outcomes[1].result if adopted else None
+        kept = patched is not None and patched.drained_speedup_over(baseline) >= MIN_SPEEDUP
         return AutoTuneResult(
             workload=probe.name,
             report=report,
@@ -206,50 +131,4 @@ class AutoTuner:
             baseline=baseline,
             patched=patched,
             kept=kept,
-            new_diagnostics=new_diagnostics,
-            candidate_metrics=self._candidate_metrics(baseline, patched),
         )
-
-    def crashcheck_gate(
-        self,
-        workload_factory,
-        spec: MachineSpec,
-        patches: PatchConfig,
-        seed: int = 1234,
-    ) -> List[Diagnostic]:
-        """Error-severity crashcheck findings the candidate patches add.
-
-        Statically verifies fresh workload instances under the baseline
-        and the candidate configuration; returns the candidate's
-        error-severity diagnostics whose (rule, site) key the baseline
-        does not already carry.  Any entry vetoes the patches before the
-        patched measurement run is spent.
-        """
-        from repro.crashcheck import check_workload
-
-        base = check_workload(
-            workload_factory(), spec, patches=PatchConfig.baseline(), seed=seed
-        )
-        candidate = check_workload(workload_factory(), spec, patches=patches, seed=seed)
-        known = {d.key for d in base.diagnostics}
-        return [
-            d for d in candidate.diagnostics if d.severity == "error" and d.key not in known
-        ]
-
-    @staticmethod
-    def _candidate_metrics(
-        baseline: RunResult, patched: Optional[RunResult]
-    ) -> Dict[str, Dict[str, float]]:
-        """Timeline summaries per candidate (empty without ``obs=True``)."""
-        metrics: Dict[str, Dict[str, float]] = {}
-        if baseline.timeline is not None:
-            metrics["baseline"] = baseline.timeline.summary()
-        if patched is not None and patched.timeline is not None:
-            metrics["patched"] = patched.timeline.summary()
-        return metrics
-
-    @staticmethod
-    def _new_diagnostics(baseline: RunResult, patched: RunResult) -> List[Diagnostic]:
-        """Findings of the patched run whose (rule, site) key is new."""
-        known = {d.key for d in baseline.diagnostics}
-        return [d for d in patched.diagnostics if d.key not in known]

@@ -21,6 +21,7 @@ path included.
 from __future__ import annotations
 
 import json
+import logging
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
@@ -203,7 +204,7 @@ def run_with_faults(
         result=result,
         path_counts=machine.path_counts(),
     )
-    if crash is not None and image is not None:
+    if crash is not None and image is not None and _log.isEnabledFor(logging.INFO):
         _log.info(
             "crash at cycle %.0f (instr %d): %d/%d written lines durable, recovery %s",
             crash.cycle,

@@ -139,14 +139,14 @@ class PersistentImage:
 
     def summary(self) -> Dict[str, object]:
         """Small human/report-facing digest of the image."""
-        lost = self.lost_lines()
+        lost = len(self.lost_lines())
         return {
             "crashed": self.crashed,
             "adr": self.adr,
             "written_lines": len(self.line_versions),
-            "durable_lines": len(self.line_versions) - len(lost),
-            "lost_lines": len(lost),
-            "vulnerable_bytes": self.vulnerable_bytes(),
+            "durable_lines": len(self.line_versions) - lost,
+            "lost_lines": lost,
+            "vulnerable_bytes": lost * self.line_size,
             "store_buffer_parked": sum(len(lines) for lines in self.store_buffer_lines),
             "dirty_cache_lines": len(self.dirty_cache_lines),
             "combiner_open_entries": len(self.combiner_pending),

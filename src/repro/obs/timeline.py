@@ -179,7 +179,7 @@ class Timeline:
         return max(values) if values else float("nan")
 
     def summary(self) -> Dict[str, float]:
-        """Aggregate metrics experiments and the AutoTuner report."""
+        """Aggregate metrics over the whole timeline (empty without samples)."""
         if not self._samples:
             return {}
         span = self._samples[-1].t - self._samples[0].t + self._samples[0].dt

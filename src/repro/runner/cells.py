@@ -2,10 +2,10 @@
 
 A :class:`Cell` is one fully-specified simulation — workload factory,
 machine spec, pre-store mode (or an explicit :class:`PatchConfig`),
-seed, and the opt-in telemetry/sanitizer flags.  Cells are plain
-picklable data: the workload itself is constructed *inside* the worker
-(:func:`run_cell`), never shipped across the process boundary, which is
-what makes results bit-identical regardless of worker count — every
+seed and an optional fault plan.  Cells are plain picklable data: the
+workload itself is constructed *inside* the worker (:func:`run_cell`),
+never shipped across the process boundary, which is what makes
+results bit-identical regardless of worker count — every
 cell starts from a fresh workload and a fresh per-cell seeded machine,
 exactly as the serial path does.
 
@@ -50,16 +50,9 @@ class Cell:
     mode: Optional[PrestoreMode] = PrestoreMode.NONE
     seed: int = 1234
     endorsed_only: bool = True
-    obs: bool = False
-    sanitize: bool = False
     #: Explicit patch configuration (the AutoTuner path); overrides
     #: the mode-derived config.
     patches: Optional[PatchConfig] = field(default=None, compare=False)
-    #: Statically verify crash consistency (:mod:`repro.crashcheck`) on a
-    #: fresh workload instance before the run; the report lands in
-    #: ``result.extra["crashcheck_report"]``.  The persistence domain
-    #: follows the fault plan's (ADR without one).
-    crashcheck: bool = False
     #: Deterministic fault plan; a non-empty plan routes the cell through
     #: :func:`repro.faults.run_with_faults` and lands the crash report in
     #: ``result.extra["fault_report"]``.  None (or an empty plan) is the
@@ -119,49 +112,25 @@ def run_cell(cell: Cell) -> CellRun:
     config = _derive_config(cell, workload)
     run_id = cell_run_id(cell, workload.name)
     worker = f"pid{os.getpid()}"
-    crashcheck_doc = None
-    if cell.crashcheck:
-        from repro.crashcheck import check_workload
-
-        # Extraction consumes generators and appends to the durability
-        # log, so the static pass gets its own fresh instance.
-        adr = cell.fault_plan.combiner_persistent if cell.fault_plan is not None else True
-        crashcheck_doc = check_workload(
-            cell.make_workload(),
-            cell.spec,
-            patches=_derive_config(cell, workload),
-            adr=adr,
-            seed=cell.seed,
-        ).to_dict()
     with run_context(run_id=run_id, worker=worker):
         if cell.fault_plan is not None and not cell.fault_plan.is_empty():
             from repro.faults.harness import run_with_faults
 
             report = run_with_faults(
-                workload,
-                cell.spec,
-                cell.fault_plan,
-                patches=config,
-                seed=cell.seed,
-                sanitize=cell.sanitize,
-                obs=cell.obs,
+                workload, cell.spec, cell.fault_plan, patches=config, seed=cell.seed
             )
             result = report.result
             # The report (image digest included) rides inside the
             # RunResult, so caching and determinism checks cover it.
             doc = report.to_dict(include_image=False)
             if report.image is not None:
-                doc["image_digest"] = report.image.digest()
+                doc["image_digest"] = doc["image_summary"]["digest"]
             result.extra["fault_report"] = doc
             path_counts = report.path_counts
         else:
-            ran = workload.run(
-                cell.spec, config, seed=cell.seed, sanitize=cell.sanitize, obs=cell.obs
-            )
+            ran = workload.run(cell.spec, config, seed=cell.seed)
             result = ran.run
             path_counts = ran.path_counts
-        if crashcheck_doc is not None:
-            result.extra["crashcheck_report"] = crashcheck_doc
     return CellRun(
         result_json=result.to_json(),
         workload=workload.name,
@@ -223,7 +192,7 @@ def cache_key(cell: Cell) -> Optional[str]:
     """Content-addressed key for a cell, or None when uncacheable.
 
     Covers everything that determines the result: the factory identity,
-    the full machine spec, mode/patches, seed, the opt-in flags, and the
+    the full machine spec, mode/patches, seed, the fault plan, and the
     :func:`code_fingerprint` of the simulator sources.
     """
     import dataclasses
@@ -243,10 +212,7 @@ def cache_key(cell: Cell) -> Optional[str]:
         "patches": patches,
         "seed": cell.seed,
         "endorsed_only": cell.endorsed_only,
-        "obs": bool(cell.obs),
-        "sanitize": bool(cell.sanitize),
         "faults": None if cell.fault_plan is None else cell.fault_plan.to_dict(),
-        "crashcheck": bool(cell.crashcheck),
         "code": code_fingerprint(),
     }
     payload = json.dumps(doc, sort_keys=True, default=repr)

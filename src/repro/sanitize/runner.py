@@ -5,8 +5,8 @@
 ``Machine(..., sanitizer=Sanitizer())`` and it observes the run at zero
 cost to the simulation's timing (observers never touch core clocks).
 
-:func:`sanitize` is the everything-in-one-call entry point the CLI and
-AutoTuner use: static-lint source paths, run a workload or program
+:func:`sanitize` is the everything-in-one-call entry point the CLI
+uses: static-lint source paths, run a workload or program
 factory under the dynamic passes, and return the merged diagnostics.
 """
 

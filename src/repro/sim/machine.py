@@ -180,6 +180,10 @@ class MachineSpec:
             raise ConfigurationError("a machine needs at least one cache level")
         if self.num_cores <= 0:
             raise ConfigurationError("a machine needs at least one core")
+        if self.backlog_limit_cycles < 0:
+            raise ConfigurationError(
+                f"backlog limit must be non-negative, got {self.backlog_limit_cycles}"
+            )
         for spec in self.cache_levels:
             spec.validate(self.line_size)
         self.device.validate()

@@ -1,10 +1,11 @@
 """Tests for the auto-tuner and trace export extensions."""
 
 import io
+import types
 
 import pytest
 
-from repro.core.autotune import AutoTuner
+from repro.core.autotune import MIN_SPEEDUP, AutoTuner
 from repro.core.prestore import PrestoreMode
 from repro.dirtbuster.export import dump_records, load_records, loads_record
 from repro.dirtbuster.runner import DirtBuster, DirtBusterConfig
@@ -14,6 +15,16 @@ from repro.sim.machine import machine_a, machine_b_fast
 from repro.workloads.microbench import Listing1, Listing3
 from repro.workloads.phoronix import ReadMostlyWorkload
 from repro.workloads.x9 import X9Workload
+
+
+class _CleanEverything(DirtBuster):
+    """Recommends *clean* for every function, Listing 3's hot loop included."""
+
+    def analyze(self, workload, spec, seed=1234):
+        recommendation = types.SimpleNamespace(
+            choice=PrestoreMode.CLEAN, fallback=None, wants_prestore=True
+        )
+        return types.SimpleNamespace(recommendation_for=lambda function: recommendation)
 
 
 @pytest.fixture(scope="module")
@@ -50,6 +61,16 @@ class TestAutoTuner:
             lambda: ReadMostlyWorkload("pytorch", "stream", scale=300), machine_a()
         )
         assert result.adopted == {}
+
+    def test_misadvice_reverted_without_gain(self):
+        """Cleaning Listing 3's hot line measures slower: the patch is reverted."""
+        tuner = AutoTuner(dirtbuster=_CleanEverything())
+        result = tuner.tune(lambda: Listing3(iterations=1500), machine_a())
+        assert result.patched is not None
+        assert result.speedup < MIN_SPEEDUP
+        assert not result.kept
+        assert result.adopted == {}
+        assert "reverted" in result.summary()
 
     def test_skip_fallback_to_clean(self):
         """allow_skip=False models the Fortran case: skip -> clean."""

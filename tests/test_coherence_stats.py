@@ -93,6 +93,20 @@ class TestMachinePresets:
             spec = factory()
             spec.validate()
 
+    def test_negative_backlog_limit_rejected(self):
+        """A negative limit stalls every store that finds any backlog."""
+        import dataclasses
+
+        from repro.errors import ConfigurationError
+        from repro.sim.machine import Machine, machine_a
+
+        spec = dataclasses.replace(machine_a(), backlog_limit_cycles=-10.0)
+        with pytest.raises(ConfigurationError, match="backlog limit"):
+            spec.validate()
+        with pytest.raises(ConfigurationError):
+            Machine(spec)
+        dataclasses.replace(machine_a(), backlog_limit_cycles=0.0).validate()
+
     def test_machine_a_matches_paper(self):
         from repro.sim.machine import machine_a
 

@@ -1,18 +1,18 @@
-"""Cross-validation harness + the AutoTuner / runner integrations."""
+"""Cross-validation harness, the static check of a tuner candidate, and the
+AutoTuner on a statically unsafe candidate."""
 
 from __future__ import annotations
 
-import functools
 import json
 
 import pytest
 
-from repro.core.autotune import AutoTuner
-from repro.core.prestore import PrestoreMode
-from repro.crashcheck import cross_validate, patches_for
+from repro.core.autotune import MIN_SPEEDUP, AutoTuner
+from repro.core.prestore import PatchConfig, PrestoreMode
+from repro.crashcheck import check_workload, cross_validate
 from repro.crashcheck.cli import run_self_check
 from repro.faults.workloads import KVPersistWorkload
-from repro.runner.cells import Cell, cache_key, run_cell
+from repro.runner.cells import Cell, run_cell
 
 
 def _kv_factory():
@@ -50,7 +50,7 @@ def test_fast_self_check_passes() -> None:
     assert run_self_check(fast=True) == 0
 
 
-# -- AutoTuner pre-gate -------------------------------------------------------------
+# -- AutoTuner --------------------------------------------------------------------
 
 
 class _FakeRecommendation:
@@ -80,72 +80,63 @@ class _FakeDirtBuster:
         return _FakeReport(self._choice)
 
 
+def _new_errors(spec, patches):
+    """Error-severity findings of ``patches`` whose (rule, site) the baseline lacks."""
+    base = check_workload(_kv_factory(), spec, patches=PatchConfig.baseline())
+    candidate = check_workload(_kv_factory(), spec, patches=patches)
+    known = {d.key for d in base.diagnostics}
+    return [d for d in candidate.diagnostics if d.severity == "error" and d.key not in known]
+
+
 def test_gate_rejects_durability_regressions(tiny_machine_a) -> None:
-    tuner = AutoTuner(crashcheck=True)
-    demote = tuner.crashcheck_gate(
-        _kv_factory, tiny_machine_a, patches_for(_kv_factory(), PrestoreMode.DEMOTE)
+    """The static check tells a candidate that drops durability from one that keeps it."""
+    tuner = AutoTuner()
+    probe = _kv_factory()
+    demote = _new_errors(
+        tiny_machine_a, tuner.patches_for(probe, _FakeReport(PrestoreMode.DEMOTE))
     )
     assert demote
-    assert all(d.severity == "error" for d in demote)
     assert {d.rule for d in demote} >= {"crashcheck.missing-clwb"}
-    clean = tuner.crashcheck_gate(
-        _kv_factory, tiny_machine_a, patches_for(_kv_factory(), PrestoreMode.CLEAN)
-    )
+    clean = _new_errors(tiny_machine_a, tuner.patches_for(probe, _FakeReport(PrestoreMode.CLEAN)))
     assert clean == []
 
 
-def test_tune_vetoes_before_measuring(tiny_machine_a) -> None:
-    """A statically unsafe candidate never gets its measurement run."""
-    tuner = AutoTuner(dirtbuster=_FakeDirtBuster(PrestoreMode.DEMOTE), crashcheck=True)
+def test_gate_allows_safe_candidate_through(tiny_machine_a) -> None:
+    """A statically clean candidate is measured and judged on speed."""
+    tuner = AutoTuner(dirtbuster=_FakeDirtBuster(PrestoreMode.CLEAN))
     result = tuner.tune(_kv_factory, tiny_machine_a)
-    assert not result.kept
-    assert result.patched is None  # the patched cell was never spent
-    assert result.adopted == {}
-    assert result.new_diagnostics
-    assert all(d.rule.startswith("crashcheck.") for d in result.new_diagnostics)
+    assert result.patched is not None
+    assert result.kept == (result.speedup >= MIN_SPEEDUP)
+    candidate = tuner.patches_for(_kv_factory(), _FakeReport(PrestoreMode.CLEAN))
+    assert _new_errors(tiny_machine_a, candidate) == []
 
 
 def test_tune_without_gate_still_measures(tiny_machine_a) -> None:
-    tuner = AutoTuner(dirtbuster=_FakeDirtBuster(PrestoreMode.DEMOTE), crashcheck=False)
+    """The tuner measures a candidate that drops durability; speed alone decides."""
+    tuner = AutoTuner(dirtbuster=_FakeDirtBuster(PrestoreMode.DEMOTE))
     result = tuner.tune(_kv_factory, tiny_machine_a)
     assert result.patched is not None
-    assert result.new_diagnostics == []
+    assert result.kept == (result.speedup >= MIN_SPEEDUP)
 
 
-def test_gate_allows_safe_candidate_through(tiny_machine_a) -> None:
-    tuner = AutoTuner(dirtbuster=_FakeDirtBuster(PrestoreMode.CLEAN), crashcheck=True)
-    result = tuner.tune(_kv_factory, tiny_machine_a)
-    assert result.patched is not None  # gate passed, measurement happened
-    assert result.new_diagnostics == []
-
-
-# -- Cell opt-in --------------------------------------------------------------------
+# -- crash-check report beside a cell ----------------------------------------------
 
 
 def test_cell_crashcheck_report(tiny_machine_a) -> None:
+    """The static report for a cell's configuration comes from a fresh instance."""
     cell = Cell(
         make_workload=_kv_factory,
         spec=tiny_machine_a,
         mode=PrestoreMode.CLEAN,
         endorsed_only=False,
-        crashcheck=True,
     )
-    run = run_cell(cell)
-    doc = json.loads(run.result_json)
-    report = doc["extra"]["crashcheck_report"]
-    assert report["counts"]["guaranteed-durable"] == len(report["acks"]) > 0
-    assert report["adr"] is True
+    report = check_workload(cell.make_workload(), cell.spec, mode=cell.mode, seed=cell.seed)
+    doc = report.to_dict()
+    assert doc["counts"]["guaranteed-durable"] == len(doc["acks"]) > 0
+    assert doc["adr"] is True
 
 
 def test_cell_without_crashcheck_has_no_report(tiny_machine_a) -> None:
     cell = Cell(make_workload=_kv_factory, spec=tiny_machine_a, mode=PrestoreMode.CLEAN)
     doc = json.loads(run_cell(cell).result_json)
     assert "crashcheck_report" not in doc.get("extra", {})
-
-
-def test_cache_key_covers_crashcheck_flag(tiny_machine_a) -> None:
-    factory = functools.partial(KVPersistWorkload, keys=8, value_size=256, operations=10)
-    on = cache_key(Cell(make_workload=factory, spec=tiny_machine_a, crashcheck=True))
-    off = cache_key(Cell(make_workload=factory, spec=tiny_machine_a, crashcheck=False))
-    assert on is not None and off is not None
-    assert on != off

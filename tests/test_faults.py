@@ -2,6 +2,7 @@
 
 import functools
 import json
+import logging
 
 import pytest
 
@@ -98,6 +99,24 @@ class TestCrashDeterminism:
         report = ref.result.extra["fault_report"]
         assert report["crashed"] is True
         assert report["image_digest"]
+
+    def test_run_cell_does_the_image_work_once(self, monkeypatch, caplog):
+        """One crash cell serialises its image and finds its lost lines once."""
+        from repro.runner.cells import run_cell
+
+        caplog.set_level(logging.WARNING, logger="repro.obs")
+        calls = {"to_json": 0, "lost_lines": 0}
+        for name in calls:
+
+            def counted(self, _original=getattr(PersistentImage, name), _name=name):
+                calls[_name] += 1
+                return _original(self)
+
+            monkeypatch.setattr(PersistentImage, name, counted)
+        report = json.loads(run_cell(self._cell()).result_json)["extra"]["fault_report"]
+        assert report["crashed"] is True
+        assert report["image_digest"] == report["image_summary"]["digest"]
+        assert calls == {"to_json": 1, "lost_lines": 1}
 
     def test_harness_report_json_is_stable(self):
         kwargs = dict(seed=9, patches=_clean_patches(KVPersistWorkload()))

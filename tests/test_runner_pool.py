@@ -147,7 +147,8 @@ class TestIntegration:
     def test_autotuner_through_pool_matches_serial(self, tiny_machine_a):
         factory = functools.partial(Listing1, element_size=1024, num_elements=128, iterations=300)
         serial = AutoTuner().tune(factory, tiny_machine_a, seed=7)
-        pooled = AutoTuner(workers=2).tune(factory, tiny_machine_a, seed=7)
+        with runner_session(workers=2):
+            pooled = AutoTuner().tune(factory, tiny_machine_a, seed=7)
         assert pooled.kept == serial.kept
         assert pooled.adopted == serial.adopted
         assert pooled.baseline.to_json() == serial.baseline.to_json()

@@ -1,4 +1,4 @@
-"""Import surface, CLI smoke, and the AutoTuner sanitizer gate."""
+"""Import surface, CLI smoke, and the AutoTuner without a sanitizer gate."""
 
 import os
 import types
@@ -7,14 +7,14 @@ import pytest
 
 import repro
 import repro.sanitize
-from repro.core.autotune import AutoTuner
+from repro.core.autotune import MIN_SPEEDUP, AutoTuner
 from repro.core.prestore import PrestoreMode
 from repro.dirtbuster.runner import DirtBuster
 from repro.errors import Diagnostic, SanitizerError
 from repro.sanitize.cli import main as sanitize_cli
 from repro.sim.event import CodeSite
 from repro.sim.machine import machine_a
-from repro.workloads.microbench import Listing3
+from repro.workloads.microbench import Listing1, Listing3
 
 _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -72,39 +72,40 @@ class TestCliSmoke:
             sanitize_cli([])
 
 
-class _FakeDirtBuster(DirtBuster):
-    """Always recommends cleaning ``listing3_loop`` — the misadvice the
-    sanitizer gate exists to catch."""
+class _CleanEverything(DirtBuster):
+    """Recommends *clean* for every function, hot lines included."""
 
     def analyze(self, workload, spec, seed=1234):
         recommendation = types.SimpleNamespace(
-            patterns=types.SimpleNamespace(function="listing3_loop"),
-            function="listing3_loop",
-            choice=PrestoreMode.CLEAN,
-            fallback=None,
-            wants_prestore=True,
+            choice=PrestoreMode.CLEAN, fallback=None, wants_prestore=True
         )
-        return types.SimpleNamespace(
-            recommendation_for=lambda function: (
-                recommendation if function == "listing3_loop" else None
-            )
-        )
+        return types.SimpleNamespace(recommendation_for=lambda function: recommendation)
 
 
 class TestAutoTunerGate:
-    def test_new_diagnostics_veto_the_patches(self):
-        tuner = AutoTuner(dirtbuster=_FakeDirtBuster(), min_speedup=1e-9, sanitize=True)
-        result = tuner.tune(lambda: Listing3(iterations=1500), machine_a())
-        assert not result.kept
-        assert result.new_diagnostics, "hot-rewrite finding must veto the patch"
-        assert any(d.rule == "prestore.hot-rewrite" for d in result.new_diagnostics)
-        assert result.adopted == {}
-        assert "sanitizer finding" in result.summary()
-
     def test_gate_off_keeps_fast_enough_patches(self):
-        # Without sanitize=True the same misadvice is only speed-gated:
-        # min_speedup=1e-9 accepts any ratio, so the patch is kept.
-        tuner = AutoTuner(dirtbuster=_FakeDirtBuster(), min_speedup=1e-9, sanitize=False)
-        result = tuner.tune(lambda: Listing3(iterations=1500), machine_a())
-        assert result.kept
-        assert result.new_diagnostics == []
+        """Speed alone decides: the tuner's runs are unsanitised, and findings
+        the sanitize opt-in reports never reach its verdict."""
+        tuner = AutoTuner(dirtbuster=_CleanEverything())
+
+        def listing1():
+            return Listing1(
+                element_size=1024, num_elements=1024, iterations=1200, compute_per_iter=4096
+            )
+
+        fast = tuner.tune(listing1, machine_a())
+        assert fast.kept
+        assert fast.speedup >= MIN_SPEEDUP
+        assert fast.baseline.diagnostics == fast.patched.diagnostics == []
+        rerun = listing1().run(machine_a(), patches=fast.patches, sanitize=True)
+        assert rerun.run.diagnostics == []
+
+        # Cleaning Listing 3's hot line is the sanitizer's hot-rewrite case:
+        # the opt-in flags it, the tuner never sees the finding.
+        slow = tuner.tune(lambda: Listing3(iterations=1500), machine_a())
+        assert slow.patched is not None
+        assert slow.patched.diagnostics == []
+        advice = tuner.dirtbuster.analyze(Listing3(iterations=1500), machine_a())
+        candidate = tuner.patches_for(Listing3(iterations=1500), advice)
+        flagged = Listing3(iterations=1500).run(machine_a(), patches=candidate, sanitize=True)
+        assert "prestore.hot-rewrite" in {d.rule for d in flagged.run.diagnostics}
