@@ -50,13 +50,14 @@ dirtbuster-smoke:
 	$(PYTHON) -m repro.dirtbuster tensorflow > build/dirtbuster-tensorflow.txt
 	grep -E '^tensorflow +yes +yes +-$$' build/dirtbuster-tensorflow.txt
 
-# Shape-check gate for the single-event experiments (fig5, x9,
+# Shape-check gate for the Machine B fence experiments (fig5, x9,
 # listing3) and the fault-plan ones (serve, faults-window): the five
 # run in fast mode and the CLI exits 3 when any of them prints SHAPE
 # CHECK FAILED.  The five run again as one pooled sweep (--workers 2),
-# and fig5 runs again in the per-access reference vocabulary
-# (REPRO_SIM_REFERENCE=1); both must match the serial batched run byte
-# for byte.  Last, ci/kill_resume.py runs the pooled sweep with a
+# which must match the serial run byte for byte, and fig5 and x9 (the
+# Machine B read streams) run again in the per-access reference
+# vocabulary (REPRO_SIM_REFERENCE=1), which must match their batched
+# run.  Last, ci/kill_resume.py runs the pooled sweep with a
 # --cache-dir, sends the CLI alone SIGKILL after its first stored cell,
 # requires its pool workers to exit on their own within 5 s, and re-runs
 # it: the re-run must store exactly the cells the kill lost and write the
@@ -64,12 +65,12 @@ dirtbuster-smoke:
 # timeout.
 experiments-smoke:
 	@mkdir -p build
-	$(PYTHON) -m repro.experiments.cli fig5 --markdown build/fig5-streams.md
+	$(PYTHON) -m repro.experiments.cli fig5 x9 --markdown build/streams.md
 	$(PYTHON) -m repro.experiments.cli fig5 x9 listing3 serve faults-window --markdown build/smoke-serial.md
 	$(PYTHON) -m repro.experiments.cli fig5 x9 listing3 serve faults-window --workers 2 --markdown build/smoke-pooled.md
 	diff build/smoke-serial.md build/smoke-pooled.md
-	REPRO_SIM_REFERENCE=1 $(PYTHON) -m repro.experiments.cli fig5 --markdown build/fig5-reference.md
-	diff build/fig5-streams.md build/fig5-reference.md
+	REPRO_SIM_REFERENCE=1 $(PYTHON) -m repro.experiments.cli fig5 x9 --markdown build/reference.md
+	diff build/streams.md build/reference.md
 	$(PYTHON) ci/kill_resume.py build/smoke-serial.md build/smoke-resumed.md build/smoke-cache \
 		fig5 x9 listing3 serve faults-window
 

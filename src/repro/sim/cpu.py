@@ -21,7 +21,9 @@ implement the paper's cost model:
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Callable, Iterable, Optional
+from bisect import bisect_left, bisect_right
+from itertools import accumulate, repeat
+from typing import TYPE_CHECKING, Callable, Iterable, Optional, Tuple
 
 from repro.core.prestore import CYCLES_PER_PRESTORE, PrestoreOp
 from repro.errors import SimulationError
@@ -80,6 +82,7 @@ class Core:
         self._l1_stats = l1.stats
         self._l1_pstate = l1._policy_state
         self._l1_on_access = l1.policy.on_access
+        self._l1_touch_slots = l1.policy.touch_slots
         self._dir_latency = machine.device.directory_latency or machine.visibility.sram_directory_latency
         self._vis_cached = machine.visibility.visibility_latency(machine.device, True)
         self._vis_uncached = machine.visibility.visibility_latency(machine.device, False)
@@ -136,15 +139,21 @@ class Core:
         is charged like any other fill.
         """
         machine = self.machine
-        cached = machine.hierarchy.contains(line)
-        latency = machine.visibility.visibility_latency(machine.device, cached)
+        if line in self._l1_index:
+            latency = self._vis_cached
+        else:
+            latency = self._vis_uncached
+            for idx in self._other_indexes:
+                if line in idx:
+                    latency = self._vis_cached
+                    break
         result = machine.hierarchy.access_line(line, is_write=True)
         if result.memory_access:
             # The read-for-ownership really fetches the line from the
             # device: it occupies media bandwidth (in the background, so
             # no core stall here) — the traffic non-temporal stores avoid.
             machine.device.read(line * machine.line_size, machine.line_size, self.clock)
-        machine.line_owner[line] = self.core_id
+        machine.line_owner[line] = self.stats.core_id
         self._emit_writebacks(result.writebacks)
         return latency
 
@@ -631,10 +640,35 @@ class Core:
         fill kernels) and issue the device read and the writebacks it
         pushes out without the per-event dispatch.  Only line-straddling
         chunks fall back to the reference per-event path.  Accesses
-        advance by ``stride``.
+        advance by ``stride``.  When no ``note`` hook runs and no access
+        can straddle a line, runs of L1 hits (at the start and after each
+        L1 hit) are resolved in one step by :meth:`_l1_hit_run`.
         """
+        line_size = self._line_size
+        addr, size, chunk, stride = event.addr, event.size, event.chunk, event.stride
+        offset = 0
+        clock = self.clock
+        # The line the loop's last access hit in L1 (-1: none since the
+        # last fill or fallback).  Only loads run in between, so another
+        # load of it is an L1 hit again: not buffered, its owner
+        # transfer already paid, and its policy touch a repeat, which
+        # the idempotent policies fused loops require make a no-op.
+        hit_line = -1
+        # Access offsets within a line are congruent modulo
+        # gcd(stride, line_size), so this bounds every access's end.
+        align = math.gcd(stride, line_size)
+        bulk = note is None and addr % align + chunk <= align
+        hit_run = self._l1_hit_run
+        if bulk and addr // line_size in self._l1_index:
+            run, clock = hit_run(addr, size, stride, clock, strict_limit, loose_limit)
+            if run:
+                offset = run * stride
+                if offset >= size:
+                    self.clock = clock
+                    return None
+                hit_line = (addr + offset - stride) // line_size
+
         machine = self.machine
-        line_size = machine.line_size
         l1 = self._l1
         l1_index = l1._index
         l1_ways = l1._ways
@@ -657,19 +691,9 @@ class Core:
         line_owner = machine.line_owner
         cid = self.stats.core_id
         stats = self.stats
-
-        addr, size, chunk, stride = event.addr, event.size, event.chunk, event.stride
         relaxed, site, chain = event.relaxed, event.site, event.callchain
-        offset = 0
-        clock = self.clock
         n_fast = 0
         n_hits = 0
-        # The line the loop's last access hit in L1 (-1: none since the
-        # last fill or fallback).  Only loads run in between, so another
-        # load of it is an L1 hit again: not buffered, its owner
-        # transfer already paid, and its policy touch a repeat, which
-        # the idempotent policies fused loops require make a no-op.
-        hit_line = -1
 
         while offset < size:
             if not (clock < strict_limit and clock <= loose_limit):
@@ -715,6 +739,13 @@ class Core:
                     hit_line = line
                     clock += l1_latency + transfer
                     offset += stride
+                    if bulk and offset < size:
+                        run, clock = hit_run(
+                            addr + offset, size - offset, stride, clock, strict_limit, loose_limit
+                        )
+                        if run:
+                            offset += run * stride
+                            hit_line = (addr + offset - stride) // line_size
                     continue
                 # Cold: matches _do_read for a single non-forwarded
                 # line: the fill, the (background) device read,
@@ -768,6 +799,99 @@ class Core:
             event.size = size - offset
             return event
         return None
+
+    def _l1_hit_run(
+        self,
+        a: int,
+        left: int,
+        stride: int,
+        clock: float,
+        strict_limit: float,
+        loose_limit: float,
+    ) -> Tuple[int, float]:
+        """Resolve the L1 hits that lead a fused load run, in one step.
+
+        ``a`` is the next access's address and ``left`` the run's bytes
+        from there; no access may straddle a line.  The hits are the
+        longest prefix of accesses whose lines are L1-resident, not in
+        the store buffer and not owned by another core: exactly the
+        accesses :meth:`_stream_read_fast` would serve as plain L1 hits.
+        Each adds the L1 latency to the clock in order, under the same
+        scheduler bounds, and each distinct line is touched once, in
+        order, by :meth:`ReplacementPolicy.touch_slots` (a repeated
+        touch of the line just touched is a no-op under the idempotent
+        policies the fused loops require).  Lines are probed in doubling
+        batches, and a first line that is no such hit returns at once.
+        Counts the accesses in the core and L1 statistics and returns
+        their number and the clock after them.
+        """
+        line_size = self._line_size
+        l1_get = self._l1_index.get
+        pending = self._pending
+        line_owner = self._line_owner
+        cid = self.stats.core_id
+        first = a // line_size
+        if l1_get(first) is None or first in pending:
+            return 0, clock
+        owner = line_owner.get(first)
+        if owner is not None and owner != cid:
+            return 0, clock
+        lat = self._l1_hit_latency
+        n = -(-left // stride)
+        limit = strict_limit if strict_limit < loose_limit else loose_limit
+        if limit < math.inf and lat > 0.0:
+            # No more accesses than this can start below the bound.
+            fit = int((limit - clock) / lat) + 2
+            if fit < n:
+                if fit <= 0:
+                    return 0, clock
+                n = fit
+        if stride <= line_size:
+            # Every line from the first to the last access's is visited.
+            lines = range(first, (a + (n - 1) * stride) // line_size + 1)
+        else:
+            lines = range(a, a + n * stride, stride)  # one line per access
+        total = len(lines)
+        slots: list = []
+        h = 0  # leading hit lines found
+        batch = 64
+        while h < total:
+            part = lines[h : h + batch]
+            if stride > line_size:
+                part = list(map(line_size.__rfloordiv__, part))
+            got = list(map(l1_get, part))
+            k = got.index(None) if None in got else len(got)
+            ahead = part[:k]
+            if pending and not pending.keys().isdisjoint(ahead):
+                k = next(i for i, line in enumerate(ahead) if line in pending)
+                ahead = ahead[:k]
+            if not line_owner.keys().isdisjoint(ahead):
+                owners = list(map(line_owner.get, ahead))
+                if owners.count(None) + owners.count(cid) != k:
+                    k = next(i for i, o in enumerate(owners) if o is not None and o != cid)
+            slots += got[:k]
+            h += k
+            if k < len(got):
+                break
+            batch += batch
+        if stride > line_size:
+            n = h
+        elif h < total:
+            # The accesses below the first line that is no hit.
+            n = -(-((first + h) * line_size - a) // stride)
+        clocks = list(accumulate(repeat(lat, n), initial=clock))
+        n = bisect_right(clocks, loose_limit, 0, bisect_left(clocks, strict_limit, 0, n))
+        if n:
+            if stride <= line_size:
+                h = (a + (n - 1) * stride) // line_size - first + 1
+            else:
+                h = n
+            self._l1_touch_slots(self._l1_pstate, slots[:h], self._l1._ways)
+            stats = self.stats
+            stats.instructions += n
+            stats.reads += n
+            self._l1_stats.hits += n
+        return n, clocks[n]
 
     def _stream_nt_fast(
         self,
@@ -931,7 +1055,13 @@ class Core:
         addr = event.addr
         l1_index = self._l1_index
         for line in range(addr // line_size, (addr + event.size - 1) // line_size + 1):
-            if line in l1_index or any(line in idx for idx in self._other_indexes):
+            cached = line in l1_index
+            if not cached:
+                for idx in self._other_indexes:
+                    if line in idx:
+                        cached = True
+                        break
+            if cached:
                 # The line is already cache-resident: this store dirties it
                 # now (a previous clean pre-store must not hide the new
                 # modification).  Store latency itself is pipelined away.
@@ -942,7 +1072,7 @@ class Core:
                 # writeback is lost here: a known model defect, kept so
                 # recorded results stay bit-identical (DESIGN.md §15).
                 machine.hierarchy.access_line(line, is_write=True)
-                machine.line_owner[line] = self.core_id
+                machine.line_owner[line] = self.stats.core_id
             stall = self.store_buffer.write(line, self.clock, self._visibility_latency)
             if stall > 0:
                 self.clock += stall

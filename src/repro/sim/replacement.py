@@ -80,6 +80,19 @@ class ReplacementPolicy(ABC):
         self.on_insert(state, way)
         return way
 
+    def touch_slots(self, states: List[Any], slots: List[int], ways: int) -> None:
+        """Touch the ways at flat ``slots`` (``set * ways + way``), in order.
+
+        Exactly equivalent to ``on_access(states[slot // ways], slot %
+        ways)`` for each slot in turn.  The simulator's fused load loop
+        resolves runs of L1 hits in bulk and touches their lines through
+        this one call; ``TrueLRU`` and the intel-like and arm-like
+        policies override it with inlined loops.
+        """
+        on_access = self.on_access
+        for slot in slots:
+            on_access(states[slot // ways], slot % ways)
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__}>"
 
@@ -112,6 +125,13 @@ class TrueLRU(ReplacementPolicy):
         way = state.pop(0)  # victim = LRU; insert makes it MRU
         state.append(way)
         return way
+
+    def touch_slots(self, states: List[Any], slots: List[int], ways: int) -> None:
+        for slot in slots:
+            state = states[slot // ways]
+            way = slot % ways
+            state.remove(way)
+            state.append(way)
 
 
 class FIFO(ReplacementPolicy):
@@ -364,6 +384,16 @@ class IntelLikePolicy(ReplacementPolicy):
 
     on_insert = on_access
 
+    def touch_slots(self, states: List[Any], slots: List[int], ways: int) -> None:
+        if ways > _PLRU_LUT_MAX_WAYS:
+            super().touch_slots(states, slots, ways)
+            return
+        and_masks, or_masks, _ = _plru_lut(ways)
+        for slot in slots:
+            state = states[slot // ways]
+            way = slot % ways
+            state[0] = (state[0] & and_masks[way]) | or_masks[way]
+
     def victim(self, state: Any) -> int:
         if type(state) is list:
             if self._rand() < self.random_prob:
@@ -471,6 +501,13 @@ class ArmLikePolicy(ReplacementPolicy):
         lru_state = state[1]
         lru_state.remove(way)
         lru_state.append(way)
+
+    def touch_slots(self, states: List[Any], slots: List[int], ways: int) -> None:
+        for slot in slots:
+            lru_state = states[slot // ways][1]
+            way = slot % ways
+            lru_state.remove(way)
+            lru_state.append(way)
 
     def victim(self, state: Any) -> int:
         draw = self._rand()

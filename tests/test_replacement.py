@@ -1,5 +1,7 @@
 """Unit and property tests for replacement policies."""
 
+import copy
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -137,3 +139,30 @@ def test_policy_victims_always_valid(name, ways_exp, accesses):
         victim = policy.victim(state)
         assert 0 <= victim < ways
         policy.on_insert(state, victim)
+
+
+@given(
+    name=st.sampled_from(ALL_POLICY_NAMES),
+    ways_exp=st.integers(min_value=1, max_value=5),
+    inserts=st.lists(st.integers(min_value=0, max_value=127), max_size=40),
+    slots=st.lists(st.integers(min_value=0, max_value=127), max_size=40),
+)
+@settings(max_examples=100, deadline=None)
+def test_touch_slots_matches_on_access(name, ways_exp, inserts, slots):
+    """``touch_slots`` leaves every set as one ``on_access`` per slot does.
+
+    Four sets, scrambled by inserts first; 32 ways takes the intel-like
+    policy's wide-set (non-LUT) state.
+    """
+    ways = 2 ** ways_exp
+    policy = make_policy(name, seed=5)
+    states = [policy.new_set(ways) for _ in range(4)]
+    for slot in inserts:
+        slot %= 4 * ways
+        policy.on_insert(states[slot // ways], slot % ways)
+    expected = copy.deepcopy(states)
+    slots = [slot % (4 * ways) for slot in slots]
+    policy.touch_slots(states, slots, ways)
+    for slot in slots:
+        policy.on_access(expected[slot // ways], slot % ways)
+    assert states == expected
