@@ -102,9 +102,16 @@ examples-smoke:
 
 # Crash-consistency self-check: seeded crash/fault matrix on machine A
 # and B-slow, asserting protocol durability, baseline vulnerability,
-# determinism, and the empty-plan bit-identity (CI's faults job).
+# determinism, and the empty-plan bit-identity (CI's faults job).  Then
+# one crashed run with an obs collector, whose Perfetto trace must carry
+# the crash as a fault.crash instant marker.
 faults:
+	mkdir -p build
 	$(PYTHON) -m repro.faults matrix
+	$(PYTHON) -m repro.faults run --crash-frac 0.5 --trace build/faults.trace.json > /dev/null
+	$(PYTHON) -c "import json; d = json.load(open('build/faults.trace.json')); \
+		marks = [e for e in d['traceEvents'] if e['name'] == 'fault.crash' and e['ph'] == 'i']; \
+		assert len(marks) == 1, marks; print('crash marker OK at cycle', marks[0]['ts'])"
 
 # Static crash-consistency verification self-check: protocol
 # classification expectations plus the static<->dynamic differential

@@ -151,9 +151,13 @@ class PatchConfig:
         return cls()
 
     @classmethod
-    def uniform(cls, mode: PrestoreMode) -> "PatchConfig":
-        """Apply ``mode`` at every patch site (the common one-knob case)."""
-        return cls(default=mode)
+    def uniform(cls, mode: PrestoreMode, sites: Iterable[PatchSite]) -> "PatchConfig":
+        """Apply ``mode`` at each of ``sites`` (a workload's ``patch_sites()``).
+
+        Every site is set explicitly, so :meth:`enabled_sites` — and with
+        it a run's patch summary and a cell's cache key — names them all.
+        """
+        return cls({site.name: mode for site in sites})
 
     def set_mode(self, site: str, mode: PrestoreMode) -> None:
         """Set the mode for one site (by :attr:`PatchSite.name`)."""

@@ -17,7 +17,6 @@ from repro.crashcheck.verify import (
     CrashCheckReport,
     check_workload,
     classify,
-    patches_for,
 )
 
 __all__ = [
@@ -31,5 +30,4 @@ __all__ = [
     "classify",
     "cross_validate",
     "extract_ir",
-    "patches_for",
 ]

@@ -18,24 +18,25 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Callable, Dict, List, Optional
 
-from repro.core.prestore import PrestoreMode
+from repro.core.prestore import PatchConfig, PrestoreMode
 from repro.crashcheck.crossval import cross_validate
-from repro.crashcheck.verify import GUARANTEED, POSSIBLY_LOST, check_workload, patches_for
-from repro.faults.workloads import KVPersistWorkload, LogAppendWorkload
+from repro.crashcheck.verify import GUARANTEED, POSSIBLY_LOST, check_workload
+from repro.faults.workloads import (
+    WORKLOADS,
+    KVPersistWorkload,
+    LogAppendWorkload,
+    build_workload,
+)
 from repro.sanitize.report import render_report
 from repro.sim.machine import PRESETS
 from repro.workloads.base import Workload
 
 __all__ = ["main", "run_self_check"]
-
-WORKLOADS: Dict[str, Callable[[], Workload]] = {
-    "kvpersist": KVPersistWorkload,
-    "logappend": LogAppendWorkload,
-}
 
 #: Shrunk instances for the self-check matrix: enough operations to
 #: exercise rewrites and combiner churn, small enough to stay fast.
@@ -45,21 +46,14 @@ _SMALL_WORKLOADS: Dict[str, Callable[[], Workload]] = {
 }
 
 
-def _build_workload(name: str) -> Workload:
-    try:
-        return WORKLOADS[name]()
-    except KeyError:
-        raise SystemExit(f"unknown workload {name!r} (expected one of {sorted(WORKLOADS)})")
-
-
 def _cmd_report(args: argparse.Namespace) -> int:
-    workload = _build_workload(args.workload)
+    workload = build_workload(args.workload)
     spec = PRESETS[args.machine]()
     mode = PrestoreMode(args.mode)
     report = check_workload(
         workload,
         spec,
-        patches=patches_for(workload, mode),
+        patches=PatchConfig.uniform(mode, workload.patch_sites()),
         adr=not args.no_adr,
         seed=args.seed,
     )
@@ -93,11 +87,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
 def _cmd_crossval(args: argparse.Namespace) -> int:
     spec = PRESETS[args.machine]()
     mode = PrestoreMode(args.mode)
-    factory = WORKLOADS[args.workload] if args.workload in WORKLOADS else None
-    if factory is None:
-        raise SystemExit(f"unknown workload {args.workload!r} (expected one of {sorted(WORKLOADS)})")
     result = cross_validate(
-        factory,
+        functools.partial(build_workload, args.workload),
         spec,
         mode=mode,
         adr=not args.no_adr,
@@ -172,9 +163,7 @@ def run_self_check(fast: bool = False, seed: int = 1234) -> int:
         print(f"{workload_name} on {machine_key} (mode={mode.value}, {domain}):")
 
         # Static expectations: the protocol's known classification.
-        static = check_workload(
-            factory(), spec, patches=patches_for(factory(), mode), adr=adr, seed=seed
-        )
+        static = check_workload(factory(), spec, mode=mode, adr=adr, seed=seed)
         counts = static.counts()
         expected = _EXPECTED_STATUS[mode] if adr else POSSIBLY_LOST
         check(

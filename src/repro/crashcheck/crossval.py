@@ -31,8 +31,8 @@ from __future__ import annotations
 import json
 from typing import Dict, List, Optional, Sequence
 
-from repro.core.prestore import PrestoreMode
-from repro.crashcheck.verify import GUARANTEED, POSSIBLY_LOST, check_workload, patches_for
+from repro.core.prestore import PatchConfig, PrestoreMode
+from repro.crashcheck.verify import GUARANTEED, POSSIBLY_LOST, check_workload
 from repro.faults.harness import run_with_faults
 from repro.faults.image import PersistentImage
 from repro.faults.plan import FaultPlan
@@ -83,7 +83,7 @@ def cross_validate(
     ``result["ok"]`` is True iff no direction found a mismatch.
     """
     probe_workload = make_workload()
-    patches = patches_for(probe_workload, mode)
+    patches = PatchConfig.uniform(mode, probe_workload.patch_sites())
     static = check_workload(
         probe_workload, spec, patches=patches, adr=adr, seed=seed, streams=streams
     )
@@ -97,9 +97,7 @@ def cross_validate(
         nonlocal dynamic_runs
         workload = make_workload()
         plan = FaultPlan.crash_at(crash_instruction, combiner_persistent=adr)
-        report = run_with_faults(
-            workload, spec, plan, patches=patches_for(workload, mode), seed=seed, streams=streams
-        )
+        report = run_with_faults(workload, spec, plan, patches=patches, seed=seed, streams=streams)
         dynamic_runs += 1
         if not report.crashed:
             mismatches.append(f"{context}: planned crash at {crash_instruction} never fired")

@@ -364,14 +364,6 @@ def _build_diagnostics(
     return out
 
 
-def patches_for(workload: Workload, mode: PrestoreMode) -> PatchConfig:
-    """Uniform patch config: ``mode`` at every one of the workload's sites."""
-    config = PatchConfig.baseline()
-    for site in workload.patch_sites():
-        config.set_mode(site.name, mode)
-    return config
-
-
 def check_workload(
     workload: Workload,
     spec: MachineSpec,
@@ -389,7 +381,7 @@ def check_workload(
     harness does.
     """
     if patches is None and mode is not None:
-        patches = patches_for(workload, mode)
+        patches = PatchConfig.uniform(mode, workload.patch_sites())
     ir = extract_ir(workload, spec, patches=patches, seed=seed, streams=streams)
     acks, model = classify(ir, adr=adr)
     diagnostics = _build_diagnostics(ir, acks, model)

@@ -15,7 +15,6 @@ __all__ = [
     "Results",
     "MACHINES_B",
     "by_config",
-    "patch_all_sites",
     "endorsed_patches",
     "safe_ratio",
     "MANUAL_MISUSE_SITES",
@@ -46,25 +45,14 @@ MACHINES_B = (("B-fast", machine_b_fast), ("B-slow", machine_b_slow))
 MANUAL_MISUSE_SITES = ("ft.fftz2", "is.rank", "listing3.hot_line")
 
 
-def patch_all_sites(workload: Workload, mode: PrestoreMode) -> PatchConfig:
-    """Apply ``mode`` at every declared patch site of ``workload``."""
-    config = PatchConfig()
-    for site in workload.patch_sites():
-        config.set_mode(site.name, mode)
-    return config
-
-
 def endorsed_patches(workload: Workload, mode: PrestoreMode) -> PatchConfig:
     """Apply ``mode`` at DirtBuster-endorsed sites only.
 
     The manual-misuse sites (the hot fftz2 scratch, IS's random buckets,
     Listing 3's hot line) stay unpatched, as DirtBuster recommends.
     """
-    config = PatchConfig()
-    for site in workload.patch_sites():
-        if site.name not in MANUAL_MISUSE_SITES:
-            config.set_mode(site.name, mode)
-    return config
+    sites = workload.patch_sites()
+    return PatchConfig.uniform(mode, [s for s in sites if s.name not in MANUAL_MISUSE_SITES])
 
 
 def by_config(results: Results) -> Dict[Tuple, Dict[PrestoreMode, RunResult]]:

@@ -21,34 +21,21 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Callable, Dict, List, Optional
+from typing import List, Optional
 
 from repro.core.prestore import PatchConfig, PrestoreMode
 from repro.faults.harness import run_with_faults
 from repro.faults.plan import CrashPoint, FaultPlan
-from repro.faults.workloads import KVPersistWorkload, LogAppendWorkload
+from repro.faults.workloads import (
+    WORKLOADS,
+    KVPersistWorkload,
+    LogAppendWorkload,
+    build_workload,
+)
+from repro.obs.collector import ObsCollector
 from repro.obs.log import basic_config
-from repro.sim.machine import PRESETS
+from repro.sim.machine import PRESETS, Tracer
 from repro.workloads.base import Workload
-
-WORKLOADS: Dict[str, Callable[[], Workload]] = {
-    "kvpersist": KVPersistWorkload,
-    "logappend": LogAppendWorkload,
-}
-
-
-def _build_workload(name: str) -> Workload:
-    try:
-        return WORKLOADS[name]()
-    except KeyError:
-        raise SystemExit(f"unknown workload {name!r} (expected one of {sorted(WORKLOADS)})")
-
-
-def _patches_for(workload: Workload, mode: PrestoreMode) -> PatchConfig:
-    config = PatchConfig.baseline()
-    for site in workload.patch_sites():
-        config.set_mode(site.name, mode)
-    return config
 
 
 def _crash_instruction(
@@ -78,20 +65,19 @@ def _run_one(
     crash_instruction: Optional[int],
     adr: bool,
     seed: int,
-    obs: "bool | object" = False,
+    tracer: Optional[Tracer] = None,
 ):
-    workload = _build_workload(workload_name)
+    workload = build_workload(workload_name)
     spec = PRESETS[machine_key]()
     crash = None if crash_instruction is None else CrashPoint(at_instruction=crash_instruction)
     plan = FaultPlan(crash=crash, combiner_persistent=adr)
-    return run_with_faults(
-        workload, spec, plan, patches=_patches_for(workload, mode), seed=seed, obs=obs
-    )
+    patches = PatchConfig.uniform(mode, workload.patch_sites())
+    return run_with_faults(workload, spec, plan, patches=patches, seed=seed, tracer=tracer)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
     mode = PrestoreMode(args.mode)
-    workload = _build_workload(args.workload)
+    workload = build_workload(args.workload)
     if args.crash_at_instr is not None:
         crash_instruction: Optional[int] = args.crash_at_instr
     elif args.crash_frac is not None:
@@ -100,11 +86,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         )
     else:
         crash_instruction = None
-    collector = None
-    if args.trace:
-        from repro.obs.collector import ObsCollector
-
-        collector = ObsCollector()
+    collector = ObsCollector() if args.trace else None
     report = _run_one(
         args.workload,
         args.machine,
@@ -112,7 +94,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         crash_instruction,
         adr=not args.no_adr,
         seed=args.seed,
-        obs=collector if collector is not None else False,
+        tracer=collector,
     )
     doc = report.to_dict(include_image=args.full_image)
     print(json.dumps(doc, indent=2, sort_keys=True))
@@ -142,7 +124,7 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
 
     for machine_key in machines:
         for workload_name in sorted(WORKLOADS):
-            workload = _build_workload(workload_name)
+            workload = build_workload(workload_name)
             crash_at = _crash_instruction(workload, 0.5, PRESETS[machine_key]().line_size)
             print(f"{workload_name} on {machine_key} (crash at instr {crash_at}):")
 
@@ -172,10 +154,10 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
             check("deterministic report JSON", again.to_json() == report.to_json())
 
             # 4. Empty plan is the identity: harness result == plain run.
-            plain_workload = _build_workload(workload_name)
+            plain_workload = build_workload(workload_name)
             plain = plain_workload.run(
                 PRESETS[machine_key](),
-                _patches_for(plain_workload, PrestoreMode.CLEAN),
+                PatchConfig.uniform(PrestoreMode.CLEAN, plain_workload.patch_sites()),
                 seed=args.seed,
             ).run
             empty = _run_one(workload_name, machine_key, PrestoreMode.CLEAN, None, True, args.seed)

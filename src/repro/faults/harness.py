@@ -30,8 +30,9 @@ from repro.faults.image import PersistentImage
 from repro.faults.injector import CrashSignal, FaultDevice, FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.faults.recovery import check_durability
+from repro.obs.collector import ObsCollector
 from repro.obs.log import get_logger
-from repro.sim.machine import Machine, MachineSpec
+from repro.sim.machine import Machine, MachineSpec, Tracer
 from repro.sim.stats import RunResult
 from repro.workloads.base import Workload
 from repro.workloads.memapi import Program
@@ -132,8 +133,7 @@ def run_with_faults(
     plan: FaultPlan,
     patches: Optional[PatchConfig] = None,
     seed: int = 1234,
-    sanitize: bool = False,
-    obs: "bool | object" = False,
+    tracer: Optional[Tracer] = None,
     streams: Optional[bool] = None,
 ) -> FaultRunReport:
     """Run ``workload`` on ``spec`` under ``plan``; returns the report.
@@ -141,10 +141,13 @@ def run_with_faults(
     Deterministic: the same (workload parameters, spec, plan, seed)
     produce bit-identical report JSON in any process.  With an empty
     plan the computation — and its ``RunResult`` JSON — is exactly the
-    plain :meth:`Workload.run` one.
+    plain :meth:`Workload.run` one.  ``tracer`` observes the run as in
+    :meth:`Workload.run`, up to the crash; an
+    :class:`~repro.obs.collector.ObsCollector` also gets the plan's
+    fault and crash events as ``fault.*`` instants in its trace.
     """
     patches = patches or PatchConfig.baseline()
-    program = Program(spec, seed=seed, sanitize=sanitize, obs=obs, streams=streams)
+    program = Program(spec, tracer=tracer, seed=seed, streams=streams)
     machine = program.machine
     device: Optional[FaultDevice] = None
     injector: Optional[FaultInjector] = None
@@ -161,10 +164,6 @@ def run_with_faults(
         crash = signal
         result = machine.abort()
         result.work_items = program.work_items
-        if program.sanitizer is not None:
-            diagnostics = getattr(program.sanitizer, "diagnostics", None)
-            if diagnostics is not None:
-                result.diagnostics = list(diagnostics())
     result.extra.update(workload.result_extras())
     image: Optional[PersistentImage] = None
     recovery: Optional[Dict[str, object]] = None
@@ -184,7 +183,7 @@ def run_with_faults(
             recovery = check_durability(
                 kind, getattr(workload, "durability_log", None), image
             )
-        _publish_obs(program, device, crash)
+        _publish_obs(tracer, device)
     enabled = patches.enabled_sites()
     summary = ", ".join(f"{k}={v}" for k, v in sorted(enabled.items())) or "baseline"
     report = FaultRunReport(
@@ -216,14 +215,11 @@ def run_with_faults(
     return report
 
 
-def _publish_obs(program: Program, device: FaultDevice, crash: Optional[CrashSignal]) -> None:
-    """Mirror fault/crash events into the attached obs collector's trace."""
-    collector = program.obs
-    if collector is None:
+def _publish_obs(tracer: Optional[Tracer], device: FaultDevice) -> None:
+    """Mirror fault/crash events into an obs collector's trace."""
+    if not isinstance(tracer, ObsCollector) or tracer.trace is None:
         return
-    trace = getattr(collector, "trace", None)
-    if trace is None:
-        return
+    trace = tracer.trace
     for cycle, kind, detail in device.fault_events:
         trace.instant(f"fault.{kind}", cycle, args={"detail": detail})
         _log.info("fault event @%.0f %s: %s", cycle, kind, detail)

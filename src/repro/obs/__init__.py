@@ -8,16 +8,13 @@ sampler producing :class:`~repro.obs.timeline.Timeline` objects
 profiling (:mod:`repro.obs.log`), and the :class:`ObsCollector` facade
 gluing them to the simulator's observer list.
 
-Opt in per run, mirroring the ``sanitize=`` pattern::
-
-    result = workload.run(spec, obs=True)
-    result.run.timeline.summary()
-
-or keep the collector for trace export::
+Opt in per run by passing a collector as the run's observer, the same
+``tracer=`` every observer (DirtBuster tracers, the sanitizer) takes::
 
     from repro.obs import ObsCollector
     collector = ObsCollector(profile=True)
-    workload.run(spec, obs=collector)
+    result = workload.run(spec, tracer=collector)
+    result.run.timeline.summary()
     collector.write_trace("out.trace.json")
 
 ``python -m repro.obs run --workload listing1 --trace out.trace.json``
@@ -37,7 +34,6 @@ from repro.obs.log import (
     basic_config,
     get_logger,
     run_context,
-    span,
 )
 
 __all__ = [
@@ -52,7 +48,6 @@ __all__ = [
     "basic_config",
     "get_logger",
     "run_context",
-    "span",
     "ObsCollector",
     "TimelineSampler",
     "TraceBuilder",

@@ -94,18 +94,14 @@ def _run(args: argparse.Namespace) -> int:
     workload = make_workload(args.workload)
     spec = PRESETS[args.machine](seed=args.seed)
     mode = PrestoreMode(args.mode)
-    patches = PatchConfig.baseline()
-    if mode is not PrestoreMode.NONE:
-        patches = PatchConfig()
-        for site in workload.patch_sites():
-            patches.set_mode(site.name, mode)
+    patches = PatchConfig.uniform(mode, workload.patch_sites())
     collector = ObsCollector(
         interval=args.interval, trace=args.trace is not None, profile=args.profile
     )
     run_id = f"{workload.name}/{spec.name}/{mode.value}/s{args.seed}"
     _log.info("running %s on %s", run_id, spec.name)
     with run_context(run_id=run_id):
-        result = workload.run(spec, patches, seed=args.seed, obs=collector).run
+        result = workload.run(spec, patches, tracer=collector, seed=args.seed).run
 
     print(result.summary())
     print()
@@ -150,14 +146,14 @@ def self_check(verbose: bool = True) -> List[str]:
     def seeded_run(with_obs: bool):
         workload = make_workload("listing1")
         workload.iterations = 300
-        collector = ObsCollector(interval=250.0) if with_obs else False
-        result = workload.run(machine_a(), seed=7, obs=collector).run
+        collector = ObsCollector(interval=250.0) if with_obs else None
+        result = workload.run(machine_a(), tracer=collector, seed=7).run
         return result, collector
 
     result, collector = seeded_run(with_obs=True)
     timeline = result.timeline
     check(timeline is not None and len(timeline) > 1, "obs run produced a timeline")
-    assert timeline is not None and collector
+    assert timeline is not None and collector is not None
     ts = [s.t for s in timeline]
     check(all(a < b for a, b in zip(ts, ts[1:])), "timestamps strictly increasing")
     integrated = MediaCounters.from_timeline(timeline)

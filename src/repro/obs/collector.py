@@ -1,10 +1,10 @@
 """The obs facade: one observer bundling sampler, trace, profile, metrics.
 
-:class:`ObsCollector` follows the same opt-in pattern as
-:class:`repro.sanitize.Sanitizer`: attach it with
-``Program(..., obs=True)``, ``Workload.run(..., obs=True)`` or
-``Machine(..., observers=[ObsCollector()])`` and it observes the run
-without touching simulated time.  Off (the default) is genuinely free —
+:class:`ObsCollector` is an observer like
+:class:`repro.sanitize.Sanitizer`: pass it as a run's ``tracer=``
+(``Program``, ``Workload.run``, ``run_with_faults``) or through
+``machine.attach_observer`` and it observes the run without touching
+simulated time.  Off (the default) is genuinely free —
 the machine then iterates an empty observer tuple, which is a single
 falsy check per event.
 

@@ -39,8 +39,6 @@ __all__ = [
     "basic_config",
     "SpanStats",
     "SpanProfiler",
-    "span",
-    "default_profiler",
 ]
 
 _LOG_ROOT = "repro.obs"
@@ -224,12 +222,3 @@ class SpanProfiler:
                 f"{s.name:32s} {s.count:9d} {1e3 * s.total_s:10.2f} {1e3 * s.self_s:10.2f}"
             )
         return "\n".join(lines)
-
-
-#: Shared profiler for ad-hoc :func:`span` use in workloads/experiments.
-default_profiler = SpanProfiler()
-
-
-def span(name: str):
-    """``with span("phase"):`` — times against :data:`default_profiler`."""
-    return default_profiler.span(name)

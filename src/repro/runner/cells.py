@@ -81,11 +81,12 @@ def _derive_config(cell: Cell, workload: Workload) -> PatchConfig:
         return cell.patches
     if cell.mode is None or cell.mode is PrestoreMode.NONE:
         return PatchConfig.baseline()
+    if not cell.endorsed_only:
+        return PatchConfig.uniform(cell.mode, workload.patch_sites())
     # Deferred import: experiments.common itself builds Cells.
-    from repro.experiments.common import endorsed_patches, patch_all_sites
+    from repro.experiments.common import endorsed_patches
 
-    patch = endorsed_patches if cell.endorsed_only else patch_all_sites
-    return patch(workload, cell.mode)
+    return endorsed_patches(workload, cell.mode)
 
 
 def cell_run_id(cell: Cell, workload_name: str) -> str:

@@ -16,9 +16,11 @@ Diagnostic` vocabulary and one report format:
   source: dropped events, missing ``yield from``, stores outside
   ``with t.function(...)`` provenance, raw address arithmetic.
 
-Attach dynamically with ``Program(..., sanitize=True)`` /
-``Workload.run(..., sanitize=True)``, orchestrate everything with
-:func:`sanitize`, or run ``python -m repro.sanitize`` from the shell.
+Attach the dynamic passes by passing a :class:`Sanitizer` as a run's
+observer — ``Program(spec, tracer=Sanitizer())`` /
+``Workload.run(spec, tracer=Sanitizer())`` — and read the findings on
+``RunResult.diagnostics``; orchestrate everything with :func:`sanitize`,
+or run ``python -m repro.sanitize`` from the shell.
 """
 
 from repro.errors import Diagnostic, SanitizerError

@@ -1,9 +1,11 @@
 """The sanitizer facade: one subscriber fanning out to every dynamic pass.
 
-:class:`Sanitizer` is a :class:`~repro.sim.machine.Tracer` — attach it via
-``Program(..., sanitize=True)``, ``Workload.run(..., sanitize=True)`` or
-``Machine(..., sanitizer=Sanitizer())`` and it observes the run at zero
+:class:`Sanitizer` is a :class:`~repro.sim.machine.Tracer` — pass it as
+a run's ``tracer=`` (``Program``, ``Workload.run``, ``run_with_faults``)
+or through ``machine.attach_observer`` and it observes the run at zero
 cost to the simulation's timing (observers never touch core clocks).
+Its ``finish`` hook publishes the findings on ``RunResult.diagnostics``,
+after a crash as after a clean run.
 
 :func:`sanitize` is the everything-in-one-call entry point the CLI
 uses: static-lint source paths, run a workload or program
@@ -23,6 +25,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.dirtbuster.recommend import Thresholds
     from repro.sim.event import Event
     from repro.sim.machine import Machine, MachineSpec
+    from repro.sim.stats import RunResult
 
 __all__ = ["Sanitizer", "sanitize"]
 
@@ -73,6 +76,10 @@ class Sanitizer:
         for pass_ in self._passes:
             pass_.record(core_id, event, instr_index, cycles)
 
+    def finish(self, machine: "Machine", result: "RunResult") -> None:
+        """Publish the findings on the run's result (after an abort too)."""
+        result.diagnostics = self.diagnostics()
+
     # -- results ---------------------------------------------------------------
 
     def diagnostics(self) -> List[Diagnostic]:
@@ -103,7 +110,7 @@ def sanitize(
     """Run every applicable sanitizer pass and return the diagnostics.
 
     ``workload`` may be a :class:`~repro.workloads.base.Workload` instance
-    (run via its ``run(..., sanitize=...)`` hook) or a program factory — a
+    (run with the sanitizer as its ``tracer``) or a program factory — a
     callable taking a :class:`MachineSpec` and returning an un-run
     :class:`~repro.workloads.memapi.Program` (the shape example scripts
     expose as ``build_program``).  ``spec`` defaults to the weak-model
@@ -129,13 +136,13 @@ def sanitize(
             spec = machine_b_fast()
         sanitizer = Sanitizer(thresholds=thresholds)
         if isinstance(workload, Workload):
-            workload.run(spec, patches=patches, seed=seed, sanitize=sanitizer)
-            diagnostics.extend(sanitizer.diagnostics())
+            diagnostics.extend(
+                workload.run(spec, patches=patches, tracer=sanitizer, seed=seed).run.diagnostics
+            )
         elif callable(workload):
             program = workload(spec)
-            program.machine.attach_sanitizer(sanitizer)
-            program.run()
-            diagnostics.extend(sanitizer.diagnostics())
+            program.machine.attach_observer(sanitizer)
+            diagnostics.extend(program.run().diagnostics)
         else:
             raise TypeError(
                 f"workload must be a Workload or a program factory, got {type(workload)!r}"

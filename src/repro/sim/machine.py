@@ -87,13 +87,23 @@ def _pick(live: List[List]) -> Tuple[List, float, float]:
 
 
 class Tracer:
-    """Observer interface for DirtBuster.
+    """Every observer's interface: DirtBuster tracers, sanitizer, obs.
+
+    A run takes one observer as ``tracer=`` (``Program``,
+    ``Workload.run``, ``run_with_faults``); more attach through
+    :meth:`Machine.attach_observer`.  Observers watch a run and never
+    change its timing.
 
     The machine calls :meth:`record` for every executed event with the
     executing core's retired-instruction index — the per-thread counter
     DirtBuster distances are measured in (Section 6.2.3; PIN counts
     instructions per thread) — and the cycles the event consumed, which
-    timer-based samplers (perf) weight their samples by.
+    timer-based samplers (perf) weight their samples by.  Two optional
+    hooks: ``attach(machine)``, called when the observer is attached,
+    and ``finish(machine, result)``, called once the run's statistics
+    are snapshotted (after a clean finish and after a crash's abort
+    alike) — where the sanitizer publishes ``result.diagnostics`` and
+    the obs collector ``result.timeline``.
 
     An observer that also defines ``record_stream(core_id, kind, addr,
     size, chunk, stride, nontemporal, index, clocks, site, callchain)``
@@ -192,13 +202,7 @@ class MachineSpec:
 class Machine:
     """A live simulated platform: caches + device + cores + scheduler."""
 
-    def __init__(
-        self,
-        spec: MachineSpec,
-        tracer: Optional[Tracer] = None,
-        sanitizer: Optional[Tracer] = None,
-        observers: Sequence[Tracer] = (),
-    ) -> None:
+    def __init__(self, spec: MachineSpec) -> None:
         spec.validate()
         self.spec = spec
         self.line_size = spec.line_size
@@ -237,14 +241,6 @@ class Machine:
         self._unrolled = 0
         #: The stream horizon, if any (see :class:`StreamHorizon`).
         self.horizon: Optional[StreamHorizon] = None
-        self._tracer: Optional[Tracer] = None
-        self._sanitizer: Optional[Tracer] = None
-        if tracer is not None:
-            self.tracer = tracer
-        if sanitizer is not None:
-            self.attach_sanitizer(sanitizer)
-        for observer in observers:
-            self.attach_observer(observer)
 
     # -- observers ------------------------------------------------------------
 
@@ -265,12 +261,6 @@ class Machine:
         self._observers.append(observer)
         self._update_dispatch()
 
-    def detach_observer(self, observer: Tracer) -> None:
-        """Unsubscribe a previously attached observer (no-op if absent)."""
-        if observer in self._observers:
-            self._observers.remove(observer)
-            self._update_dispatch()
-
     def _update_dispatch(self) -> None:
         self._dispatch = tuple(self._observers)
         recorders = tuple(getattr(o, "record_stream", None) for o in self._observers)
@@ -279,31 +269,6 @@ class Machine:
     @property
     def observers(self) -> Tuple[Tracer, ...]:
         return self._dispatch
-
-    @property
-    def tracer(self) -> Optional[Tracer]:
-        """The DirtBuster-style tracer slot (one per machine, replaceable)."""
-        return self._tracer
-
-    @tracer.setter
-    def tracer(self, tracer: Optional[Tracer]) -> None:
-        if self._tracer is not None:
-            self.detach_observer(self._tracer)
-        self._tracer = tracer
-        if tracer is not None:
-            self.attach_observer(tracer)
-
-    @property
-    def sanitizer(self) -> Optional[Tracer]:
-        """The sanitizer slot (kept for the ``sanitize=`` plumbing)."""
-        return self._sanitizer
-
-    def attach_sanitizer(self, sanitizer: Tracer) -> None:
-        """Subscribe a sanitizer before :meth:`run` (gives it machine access)."""
-        if self._sanitizer is not None:
-            self.detach_observer(self._sanitizer)
-        self._sanitizer = sanitizer
-        self.attach_observer(sanitizer)
 
     # -- running --------------------------------------------------------------
 
@@ -535,14 +500,7 @@ class Machine:
         for line in self.hierarchy.drain_dirty_lines():
             self.device.write_back(line * self.line_size, self.line_size, end)
         self.device.flush(end)
-        result = self._snapshot(end, self.device.quiesce_time(end))
-        # Post-run observer hook: samplers capture the drain tail and
-        # publish ``result.timeline``; trace builders emit counters.
-        for observer in self._dispatch:
-            finish = getattr(observer, "finish", None)
-            if finish is not None:
-                finish(self, result)
-        return result
+        return self._finish_observers(self._snapshot(end, self.device.quiesce_time(end)))
 
     def abort(self) -> RunResult:
         """Snapshot statistics *without* draining: crash semantics.
@@ -559,7 +517,15 @@ class Machine:
             raise SimulationError("abort() called on a finished machine")
         self._finished = True
         end = max((c.clock for c in self.cores), default=0.0)
-        result = self._snapshot(end, end)
+        return self._finish_observers(self._snapshot(end, end))
+
+    def _finish_observers(self, result: RunResult) -> RunResult:
+        """Run every observer's post-run ``finish(machine, result)`` hook.
+
+        Samplers capture the drain tail and publish ``result.timeline``,
+        trace builders emit counters, the sanitizer publishes
+        ``result.diagnostics``.
+        """
         for observer in self._dispatch:
             finish = getattr(observer, "finish", None)
             if finish is not None:

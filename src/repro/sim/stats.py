@@ -86,11 +86,11 @@ class RunResult:
     work_items: int = 0
     #: Free-form extra metrics workloads want to expose.
     extra: Dict[str, float] = field(default_factory=dict)
-    #: Sanitizer findings for this run (empty unless a sanitizer was
-    #: attached via the ``sanitize=`` hooks; see :mod:`repro.sanitize`).
+    #: Sanitizer findings for this run (empty unless a sanitizer
+    #: observed it; see :mod:`repro.sanitize`).
     diagnostics: List["Diagnostic"] = field(default_factory=list)
-    #: Sampled time-series telemetry (None unless an obs collector was
-    #: attached via the ``obs=`` hooks; see :mod:`repro.obs`).
+    #: Sampled time-series telemetry (None unless an obs collector
+    #: observed the run; see :mod:`repro.obs`).
     timeline: Optional[Timeline] = None
 
     @property

@@ -82,23 +82,16 @@ class Workload(ABC):
         patches: Optional[PatchConfig] = None,
         tracer: Optional[Tracer] = None,
         seed: int = 1234,
-        sanitize: "bool | Tracer" = False,
-        obs: "bool | Tracer" = False,
         streams: Optional[bool] = None,
     ) -> WorkloadResult:
         """Build a fresh program on ``spec`` and run to completion.
 
-        ``sanitize`` opts into the :mod:`repro.sanitize` passes; findings
-        appear in ``result.run.diagnostics``.  ``obs`` opts into
-        :mod:`repro.obs` telemetry; the sampled timeline appears on
-        ``result.run.timeline``.  ``streams`` picks the event vocabulary
-        (see :class:`~repro.workloads.memapi.Program`); results are
-        identical either way.
+        ``tracer`` is the run's observer and ``streams`` picks the event
+        vocabulary (both as in :class:`~repro.workloads.memapi.Program`);
+        results are identical either way.
         """
         patches = patches or PatchConfig.baseline()
-        program = Program(
-            spec, tracer=tracer, seed=seed, sanitize=sanitize, obs=obs, streams=streams
-        )
+        program = Program(spec, tracer=tracer, seed=seed, streams=streams)
         self.spawn(program, patches)
         result = program.run()
         result.extra.update(self.result_extras())

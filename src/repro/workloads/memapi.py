@@ -383,14 +383,13 @@ class Program:
     ``REPRO_SIM_REFERENCE`` environment variable.  Results are
     bit-identical either way (DESIGN.md §11).
 
-    ``sanitize`` opts into the :mod:`repro.sanitize` dynamic passes:
-    ``True`` attaches a default :class:`~repro.sanitize.Sanitizer`, or
-    pass a configured instance.  ``obs`` opts into :mod:`repro.obs`
-    telemetry the same way: ``True`` attaches a default
-    :class:`~repro.obs.ObsCollector` (timeline + trace), or pass a
-    configured collector; the sampled timeline lands on
-    ``RunResult.timeline``.  Both are off by default and then cost
-    nothing — the machine dispatches to an empty observer tuple.
+    ``tracer`` is the run's observer (:class:`~repro.sim.machine.Tracer`):
+    a DirtBuster tracer, a :class:`~repro.sanitize.Sanitizer` (findings
+    land on ``RunResult.diagnostics``) or an
+    :class:`~repro.obs.ObsCollector` (the sampled timeline lands on
+    ``RunResult.timeline``); more attach through
+    ``program.machine.attach_observer``.  Without one the run costs
+    nothing extra — the machine dispatches to an empty observer tuple.
     """
 
     def __init__(
@@ -398,33 +397,11 @@ class Program:
         spec: MachineSpec,
         tracer: Optional[Tracer] = None,
         seed: int = 1234,
-        sanitize: "bool | Tracer" = False,
-        obs: "bool | Tracer" = False,
         streams: Optional[bool] = None,
     ) -> None:
-        sanitizer: Optional[Tracer] = None
-        if sanitize:
-            if sanitize is True:
-                # Imported lazily: repro.sanitize depends on this module's
-                # package via the dirtbuster distance machinery.
-                from repro.sanitize.runner import Sanitizer
-
-                sanitizer = Sanitizer()
-            else:
-                sanitizer = sanitize
-        collector: Optional[Tracer] = None
-        if obs:
-            if obs is True:
-                from repro.obs.collector import ObsCollector
-
-                collector = ObsCollector()
-            else:
-                collector = obs
-        self.machine = Machine(spec, tracer=tracer, sanitizer=sanitizer)
-        if collector is not None:
-            self.machine.attach_observer(collector)
-        self.obs = collector
-        self.sanitizer = sanitizer
+        self.machine = Machine(spec)
+        if tracer is not None:
+            self.machine.attach_observer(tracer)
         self.allocator = Allocator(spec.line_size)
         #: The run seed, public so workloads can derive deterministic
         #: auxiliary state (arrival schedules, client streams) from it.
@@ -467,17 +444,9 @@ class Program:
         self.work_items += items
 
     def run(self) -> RunResult:
-        """Run all spawned threads; returns the machine's statistics.
-
-        When a sanitizer is attached its findings land in
-        :attr:`RunResult.diagnostics` (the run itself never raises).
-        """
+        """Run all spawned threads; returns the machine's statistics."""
         if not self._bodies:
             raise WorkloadError("spawn at least one thread before run()")
         result = self.machine.run(self._bodies)
         result.work_items = self.work_items
-        if self.sanitizer is not None:
-            diagnostics = getattr(self.sanitizer, "diagnostics", None)
-            if diagnostics is not None:
-                result.diagnostics = list(diagnostics())
         return result

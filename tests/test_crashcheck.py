@@ -15,7 +15,7 @@ from typing import Iterator, Sequence
 import pytest
 
 from repro.core.prestore import PatchConfig, PatchSite, PrestoreMode, PrestoreOp
-from repro.crashcheck import check_workload, extract_ir, patches_for
+from repro.crashcheck import check_workload, extract_ir
 from repro.crashcheck.verify import GUARANTEED, ORDERING, POSSIBLY_LOST
 from repro.errors import Diagnostic
 from repro.faults.harness import run_with_faults
@@ -86,9 +86,8 @@ def test_ack_boundaries_match_dynamic_log(tiny_machine_a) -> None:
     target = static.acks[len(static.acks) // 2]
     workload = _small_kv()
     plan = FaultPlan.crash_at(target.boundary)
-    report = run_with_faults(
-        workload, tiny_machine_a, plan, patches=patches_for(workload, PrestoreMode.CLEAN)
-    )
+    patches = PatchConfig.uniform(PrestoreMode.CLEAN, workload.patch_sites())
+    report = run_with_faults(workload, tiny_machine_a, plan, patches=patches)
     assert report.crashed
     records = workload.durability_log.records
     expected = [a for a in static.acks if a.boundary <= (report.crash_instruction or 0)]
@@ -100,10 +99,11 @@ def test_extracted_versions_match_injector(tiny_machine_a) -> None:
     """Static acks pin the same per-line store versions a faulted run's
     FaultDevice records."""
     workload = _small_kv()
-    ir = extract_ir(workload, tiny_machine_a, patches=patches_for(workload, PrestoreMode.NONE))
+    patches = PatchConfig.uniform(PrestoreMode.NONE, workload.patch_sites())
+    ir = extract_ir(workload, tiny_machine_a, patches=patches)
     dynamic = _small_kv()
     plan = FaultPlan.crash_at(ir.instr_total + 1)  # never fires: full run
-    run_with_faults(dynamic, tiny_machine_a, plan, patches=patches_for(dynamic, PrestoreMode.NONE))
+    run_with_faults(dynamic, tiny_machine_a, plan, patches=patches)
     static_records = [a.record for a in ir.acks]
     dynamic_records = dynamic.durability_log.records
     assert len(static_records) == len(dynamic_records)

@@ -20,6 +20,8 @@ from repro.dirtbuster.trace import FullTracer
 from repro.faults import run_with_faults
 from repro.faults.plan import BandwidthPhase, CrashPoint, FaultPlan, ReadFault
 from repro.faults.workloads import KVPersistWorkload, LogAppendWorkload
+from repro.obs.collector import ObsCollector
+from repro.sanitize import Sanitizer
 from repro.sim.machine import machine_a, machine_b_slow
 
 _WORKLOADS = {
@@ -32,17 +34,14 @@ _MODES = [PrestoreMode.NONE, PrestoreMode.CLEAN, PrestoreMode.SKIP]
 
 
 def _patches(workload, mode):
-    config = PatchConfig.baseline()
-    for site in workload.patch_sites():
-        config.set_mode(site.name, mode)
-    return config
+    return PatchConfig.uniform(mode, workload.patch_sites())
 
 
-def _run(workload, preset, plan, mode, streams, **kw):
+def _run(workload, preset, plan, mode, streams, tracer=None):
     make = _WORKLOADS[workload]()
     return run_with_faults(
-        make, _PRESETS[preset](), plan, patches=_patches(make, mode), seed=3, streams=streams,
-        **kw,
+        make, _PRESETS[preset](), plan, patches=_patches(make, mode), seed=3, tracer=tracer,
+        streams=streams,
     )
 
 
@@ -52,9 +51,9 @@ def _result_json(report):
     return re.sub(r"ip=0x[0-9a-f]+", "ip=?", text)
 
 
-def _assert_identical(workload, preset, plan, mode, **kw):
-    fast = _run(workload, preset, plan, mode, True, **kw)
-    reference = _run(workload, preset, plan, mode, False, **kw)
+def _assert_identical(workload, preset, plan, mode, make_tracer=lambda: None):
+    fast = _run(workload, preset, plan, mode, True, make_tracer())
+    reference = _run(workload, preset, plan, mode, False, make_tracer())
     assert fast.to_json(include_image=True) == reference.to_json(include_image=True)
     assert _result_json(fast) == _result_json(reference)
     assert reference.path_counts["fused"] == 0
@@ -126,14 +125,14 @@ def test_observed_fault_runs_match_unrolled():
     )
     # The obs collector and the sanitizer take per-access records, so
     # their streams unroll through ``step``.
-    for kw in ({"obs": True}, {"sanitize": True}):
-        fast = _assert_identical("kvpersist", "a", plan, PrestoreMode.CLEAN, **kw)
+    for make_tracer in (ObsCollector, Sanitizer):
+        fast = _assert_identical("kvpersist", "a", plan, PrestoreMode.CLEAN, make_tracer)
         assert fast.crashed and fast.path_counts["fused"] == 0
     # A FullTracer takes fused runs in bulk: the horizon's version bumps
     # and the tracer's clocks share the per-access hook.
     tracers = {streams: FullTracer() for streams in (True, False)}
     reports = {
-        streams: _run("kvpersist", "b-slow", plan, PrestoreMode.SKIP, streams, obs=tracer)
+        streams: _run("kvpersist", "b-slow", plan, PrestoreMode.SKIP, streams, tracer)
         for streams, tracer in tracers.items()
     }
     assert reports[True].to_json(include_image=True) == reports[False].to_json(
@@ -141,6 +140,8 @@ def test_observed_fault_runs_match_unrolled():
     )
     assert reports[True].result.to_json() == reports[False].result.to_json()
     assert reports[True].path_counts["unrolled"] == 0 < reports[True].path_counts["fused"]
+    # Both tracers really observed the run, up to the crash.
+    assert len(tracers[True]) == len(tracers[False]) > 0
 
     def key(record):
         return record.instr_index, record.core_id, record.kind, record.addr, record.size

@@ -1,9 +1,11 @@
-"""The Machine observer list (generalised from the single tracer slot)."""
+"""The Machine observer list, and the one ``tracer=`` slot a run takes."""
 
 import pytest
 
 from repro.core.prestore import PatchConfig
+from repro.dirtbuster.trace import FullTracer, SamplingTracer
 from repro.errors import SimulationError
+from repro.sanitize import Sanitizer
 from repro.workloads.memapi import Program
 from repro.workloads.microbench import Listing1
 
@@ -25,7 +27,7 @@ class RecordingObserver:
 
 
 class BareTracer:
-    """Only ``record`` — the original Tracer protocol keeps working."""
+    """Only ``record``: the two other hooks are optional."""
 
     def __init__(self):
         self.calls = 0
@@ -69,34 +71,28 @@ class TestObserverList:
         program.run()
         assert bare.calls > 0
 
-    def test_legacy_tracer_kwarg_still_works(self, tiny_machine_a):
+    def test_program_tracer_is_the_first_observer(self, tiny_machine_a):
         bare = BareTracer()
         program = self._program(tiny_machine_a, tracer=bare)
-        assert program.machine.tracer is bare
-        assert bare in program.machine.observers
-        program.run()
-        assert bare.calls > 0
-
-    def test_tracer_setter_replaces_slot_not_others(self, tiny_machine_a):
-        program = self._program(tiny_machine_a)
-        machine = program.machine
         extra = RecordingObserver()
-        machine.attach_observer(extra)
-        first, second = BareTracer(), BareTracer()
-        machine.tracer = first
-        machine.tracer = second
-        assert machine.tracer is second
-        assert first not in machine.observers
-        assert extra in machine.observers
-
-    def test_detach_observer(self, tiny_machine_a):
-        program = self._program(tiny_machine_a)
-        observer = RecordingObserver()
-        program.machine.attach_observer(observer)
-        program.machine.detach_observer(observer)
-        assert observer not in program.machine.observers
+        program.machine.attach_observer(extra)
+        assert program.machine.observers == (bare, extra)
         program.run()
-        assert observer.events == []
+        assert bare.calls == len(extra.events) > 0
+
+    @pytest.mark.parametrize("make", [FullTracer, SamplingTracer], ids=["full", "sampling"])
+    def test_empty_tracer_is_still_attached(self, tiny_machine_a, make):
+        # A DirtBuster tracer that has recorded nothing has length 0
+        # (falsy): the slot tests ``is not None``, so it is attached.
+        tracer = make()
+        assert not tracer
+        program = self._program(tiny_machine_a, tracer=tracer)
+        assert program.machine.observers == (tracer,)
+
+    def test_sanitizer_publishes_diagnostics_on_finish(self, tiny_machine_a):
+        sanitizer = Sanitizer()
+        result = self._program(tiny_machine_a, tracer=sanitizer).run()
+        assert result.diagnostics == sanitizer.diagnostics()
 
     def test_attach_after_finish_is_an_error(self, tiny_machine_a):
         program = self._program(tiny_machine_a)

@@ -62,7 +62,7 @@ class TestSelfCheck:
 class TestRenderTimeline:
     def test_renders_one_row_per_signal(self, tiny_machine_a):
         collector = ObsCollector(interval=200.0, trace=False)
-        Listing1(iterations=200).run(tiny_machine_a, seed=3, obs=collector)
+        Listing1(iterations=200).run(tiny_machine_a, seed=3, tracer=collector)
         art = render_timeline(collector.timeline, width=40)
         assert "write bandwidth" in art
         assert "running WA" in art

@@ -11,7 +11,6 @@ from repro.obs.log import (
     current_context,
     get_logger,
     run_context,
-    span,
 )
 
 
@@ -131,10 +130,3 @@ class TestSpanProfiler:
         report = profiler.report()
         assert "alpha" in report
         assert "calls" in report
-
-    def test_module_level_span_helper(self):
-        with span("free-span"):
-            pass
-        from repro.obs.log import default_profiler
-
-        assert "free-span" in default_profiler.stats()

@@ -72,7 +72,7 @@ class TestSamplerOnRuns:
     def obs_run(self, tiny_machine_a_module):
         collector = ObsCollector(interval=200.0, trace=False)
         result = Listing1(iterations=400).run(
-            tiny_machine_a_module, seed=3, obs=collector
+            tiny_machine_a_module, seed=3, tracer=collector
         ).run
         return result, collector
 
@@ -99,7 +99,7 @@ class TestSamplerOnRuns:
     def test_seeded_runs_sample_deterministically(self, tiny_machine_a):
         def one():
             collector = ObsCollector(interval=200.0, trace=False)
-            Listing1(iterations=300).run(tiny_machine_a, seed=11, obs=collector)
+            Listing1(iterations=300).run(tiny_machine_a, seed=11, tracer=collector)
             return [s.to_dict() for s in collector.timeline]
 
         assert one() == one()
@@ -119,13 +119,13 @@ class TestSamplerOnRuns:
 
     def test_cross_check_x9(self, tiny_machine_b):
         collector = ObsCollector(interval=500.0, trace=False)
-        result = X9Workload(messages=200).run(tiny_machine_b, seed=5, obs=collector).run
+        result = X9Workload(messages=200).run(tiny_machine_b, seed=5, tracer=collector).run
         assert len(result.timeline) > 1
         assert MediaCounters.from_timeline(result.timeline) == read_media_counters(result)
 
     def test_cross_check_survives_ring_eviction(self, tiny_machine_a):
         collector = ObsCollector(interval=100.0, capacity=8, trace=False)
-        result = Listing1(iterations=400).run(tiny_machine_a, seed=3, obs=collector).run
+        result = Listing1(iterations=400).run(tiny_machine_a, seed=3, tracer=collector).run
         assert collector.timeline.dropped > 0
         assert MediaCounters.from_timeline(result.timeline) == read_media_counters(result)
 
@@ -139,9 +139,9 @@ class TestSamplerOnRuns:
 
     def test_sampler_is_single_use(self, tiny_machine_a):
         sampler = TimelineSampler(interval=100.0)
-        Listing1(iterations=50).run(tiny_machine_a, seed=3, obs=sampler)
+        Listing1(iterations=50).run(tiny_machine_a, seed=3, tracer=sampler)
         with pytest.raises(Exception):
-            Listing1(iterations=50).run(tiny_machine_a, seed=3, obs=sampler)
+            Listing1(iterations=50).run(tiny_machine_a, seed=3, tracer=sampler)
 
 
 @pytest.fixture(scope="class")

@@ -13,7 +13,7 @@ from repro.workloads.x9 import X9Workload
 @pytest.fixture(scope="module")
 def x9_trace(tiny_machine_b_module):
     collector = ObsCollector(interval=500.0, trace=True)
-    X9Workload(messages=120).run(tiny_machine_b_module, seed=5, obs=collector)
+    X9Workload(messages=120).run(tiny_machine_b_module, seed=5, tracer=collector)
     return json.loads(collector.trace.to_json())
 
 
@@ -78,7 +78,7 @@ class TestTraceFormat:
 
     def test_file_write_round_trips(self, tmp_path, tiny_machine_a):
         collector = ObsCollector(interval=300.0, trace=True)
-        Listing1(iterations=100).run(tiny_machine_a, seed=3, obs=collector)
+        Listing1(iterations=100).run(tiny_machine_a, seed=3, tracer=collector)
         path = tmp_path / "run.trace.json"
         collector.write_trace(str(path))
         loaded = json.loads(path.read_text())
@@ -88,7 +88,7 @@ class TestTraceFormat:
 class TestTraceBuilderLimits:
     def test_event_cap_drops_not_raises(self, tiny_machine_a):
         builder = TraceBuilder(max_events=50)
-        Listing1(iterations=200).run(tiny_machine_a, seed=3, obs=builder)
+        Listing1(iterations=200).run(tiny_machine_a, seed=3, tracer=builder)
         doc = builder.to_dict()
         slices = [e for e in doc["traceEvents"] if e["ph"] == "X"]
         assert len(slices) <= 50

@@ -35,8 +35,11 @@ class TestPatchConfig:
         assert config.enabled_sites() == {}
 
     def test_uniform(self):
-        config = PatchConfig.uniform(PrestoreMode.CLEAN)
-        assert config.mode("any.site") is PrestoreMode.CLEAN
+        sites = [PatchSite(name="a.site", function="a"), PatchSite(name="b.site", function="b")]
+        config = PatchConfig.uniform(PrestoreMode.CLEAN, sites)
+        assert config.mode("a.site") is PrestoreMode.CLEAN
+        assert config.enabled_sites() == {s.name: PrestoreMode.CLEAN for s in sites}
+        assert config.mode("undeclared.site") is PrestoreMode.NONE
 
     def test_per_site_override(self):
         config = PatchConfig({"a": PrestoreMode.CLEAN, "b": PrestoreMode.NONE})

@@ -1,7 +1,7 @@
 """Pre-store misuse detector tests: the four lint rules."""
 
 from repro.core.prestore import PatchConfig, PrestoreMode, PrestoreOp
-from repro.sanitize import sanitize
+from repro.sanitize import Sanitizer, sanitize
 from repro.sim.machine import machine_a
 from repro.workloads.memapi import Program
 from repro.workloads.microbench import Listing1, Listing3
@@ -12,7 +12,7 @@ def _prestore_rules(diagnostics):
 
 
 def _run_body(spec, body):
-    program = Program(spec, sanitize=True)
+    program = Program(spec, tracer=Sanitizer())
     program.spawn(body)
     return program.run().diagnostics
 

@@ -3,6 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.sanitize import Sanitizer
 from repro.sim.event import Mailbox
 from repro.sim.machine import machine_a, machine_b_fast
 from repro.workloads.memapi import Program
@@ -11,7 +12,7 @@ from repro.workloads.memapi import Program
 def _run_shared(spec, *body_factories, size=32 * 64):
     """Allocate one shared region up front, spawn each factory's body on
     it, and return the sanitizer diagnostics."""
-    program = Program(spec, sanitize=True)
+    program = Program(spec, tracer=Sanitizer())
     region = program.allocator.alloc(size, label="shared")
     for factory in body_factories:
         program.spawn(factory(region))

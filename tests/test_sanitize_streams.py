@@ -40,14 +40,14 @@ def _normal(diagnostics) -> List[dict]:
 
 def _run(make_pass, bodies, streams, spec=machine_a):
     """Run one thread per body with a fresh pass; (findings, result, paths)."""
-    program = Program(spec(), sanitize=make_pass(), streams=streams)
+    observer = make_pass()
+    program = Program(spec(), tracer=observer, streams=streams)
     shared = program.allocator.alloc(16 * LINE, label="shared")
     for body in bodies:
         program.spawn(body, shared)
     result = program.run()
-    diagnostics = result.diagnostics
     result.diagnostics = []
-    return _normal(diagnostics), result.to_json(), program.machine.path_counts()
+    return _normal(observer.diagnostics()), result.to_json(), program.machine.path_counts()
 
 
 def _both(make_pass, bodies, spec=machine_a):
@@ -153,7 +153,7 @@ def test_strided_listing2_sanitized_streams_equal_unrolled() -> None:
     def run(streams):
         workload = Listing2(reads_before_fence=130, iterations=40)
         patches = endorsed_patches(workload, PrestoreMode.DEMOTE)
-        program = Program(machine_b_fast(), sanitize=True, streams=streams)
+        program = Program(machine_b_fast(), tracer=Sanitizer(), streams=streams)
         workload.spawn(program, patches)
         result = program.run()
         diagnostics = _normal(result.diagnostics)

@@ -97,7 +97,9 @@ class TestAutoTunerGate:
         assert fast.kept
         assert fast.speedup >= MIN_SPEEDUP
         assert fast.baseline.diagnostics == fast.patched.diagnostics == []
-        rerun = listing1().run(machine_a(), patches=fast.patches, sanitize=True)
+        rerun = listing1().run(
+            machine_a(), patches=fast.patches, tracer=repro.sanitize.Sanitizer()
+        )
         assert rerun.run.diagnostics == []
 
         # Cleaning Listing 3's hot line is the sanitizer's hot-rewrite case:
@@ -107,5 +109,7 @@ class TestAutoTunerGate:
         assert slow.patched.diagnostics == []
         advice = tuner.dirtbuster.analyze(Listing3(iterations=1500), machine_a())
         candidate = tuner.patches_for(Listing3(iterations=1500), advice)
-        flagged = Listing3(iterations=1500).run(machine_a(), patches=candidate, sanitize=True)
+        flagged = Listing3(iterations=1500).run(
+            machine_a(), patches=candidate, tracer=repro.sanitize.Sanitizer()
+        )
         assert "prestore.hot-rewrite" in {d.rule for d in flagged.run.diagnostics}

@@ -402,12 +402,13 @@ class _Counter:
 
 
 def _profiled_run(make, profile, spec):
-    program = Program(spec, streams=True, obs=ObsCollector(profile=profile))
+    collector = ObsCollector(profile=profile)
+    program = Program(spec, tracer=collector, streams=True)
     counter = _Counter()
     program.machine.attach_observer(counter)
     make().spawn(program, PatchConfig.baseline())
     result = program.run()
-    return result, counter.stepped, program.obs, program.machine.path_counts()
+    return result, counter.stepped, collector, program.machine.path_counts()
 
 
 @pytest.mark.parametrize(

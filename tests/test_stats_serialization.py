@@ -4,11 +4,14 @@ import math
 
 from repro.core.prestore import PatchConfig, PrestoreMode
 from repro.errors import Diagnostic
+from repro.obs.collector import ObsCollector
 from repro.obs.timeline import TimelineSample
+from repro.sanitize import Sanitizer
 from repro.sim.cache import CacheStats
 from repro.sim.event import CodeSite
 from repro.sim.machine import machine_a
 from repro.sim.stats import CoreStats, RunResult
+from repro.workloads.memapi import Program
 from repro.workloads.microbench import Listing3
 
 
@@ -123,14 +126,15 @@ class TestRunResultSerialization:
         assert restored == result
 
     def test_real_run_round_trip_with_diagnostics_and_timeline(self):
-        # Listing 3 patched clean under sanitize+obs exercises every
-        # optional field at once: diagnostics with CodeSites (the
-        # hot-rewrite lint fires) and a populated timeline.
+        # Listing 3 patched clean under a sanitizer and an obs collector
+        # exercises every optional field at once: diagnostics with
+        # CodeSites (the hot-rewrite lint fires) and a populated timeline.
         patches = PatchConfig()
         patches.set_mode(Listing3.SITE.name, PrestoreMode.CLEAN)
-        result = Listing3(iterations=2000).run(
-            machine_a(num_cores=2), patches, seed=3, sanitize=True, obs=True
-        ).run
+        program = Program(machine_a(num_cores=2), tracer=Sanitizer(), seed=3)
+        program.machine.attach_observer(ObsCollector())
+        Listing3(iterations=2000).spawn(program, patches)
+        result = program.run()
         assert result.diagnostics
         assert result.timeline is not None
         restored = RunResult.from_json(result.to_json())

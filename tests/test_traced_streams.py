@@ -258,7 +258,7 @@ def test_dirtbuster_simulates_a_skipped_application_once(monkeypatch):
 
 def test_obs_run_reports_unrolled_accesses():
     collector = ObsCollector(trace=False)
-    observed = Program(machine_a(), streams=True, obs=collector)
+    observed = Program(machine_a(), tracer=collector, streams=True)
     _mg().spawn(observed, PatchConfig.baseline())
     observed.run()
     plain = Program(machine_a(), streams=True)

@@ -4,8 +4,9 @@ import pytest
 
 from repro.core.prestore import PatchConfig, PrestoreMode
 from repro.errors import WorkloadError
-from repro.experiments.common import MANUAL_MISUSE_SITES, endorsed_patches, patch_all_sites
+from repro.experiments.common import MANUAL_MISUSE_SITES, endorsed_patches
 from repro.runner import Cell, execute_cells
+from repro.runner.cells import cache_key
 from repro.workloads.microbench import Listing1
 from repro.workloads.nas import FTWorkload
 
@@ -46,9 +47,22 @@ class TestWorkloadContract:
 class TestExperimentPatching:
     def test_patch_all_sites(self):
         workload = FTWorkload()
-        config = patch_all_sites(workload, PrestoreMode.CLEAN)
+        config = PatchConfig.uniform(PrestoreMode.CLEAN, workload.patch_sites())
         assert config.mode("ft.cffts1") is PrestoreMode.CLEAN
         assert config.mode("ft.fftz2") is PrestoreMode.CLEAN
+
+    def test_uniform_patches_are_not_the_baseline(self, tiny_machine_a):
+        # Every site is set explicitly, so a run names them in its patch
+        # summary and a cell carrying the config gets its own cache key.
+        (site,) = Listing1().patch_sites()
+        patches = PatchConfig.uniform(PrestoreMode.CLEAN, [site])
+        run = Listing1(iterations=20).run(tiny_machine_a, patches, seed=3)
+        assert run.patch_summary == f"{site.name}=clean"
+
+        def key(config):
+            return cache_key(Cell(Listing1, tiny_machine_a, mode=None, patches=config))
+
+        assert key(patches) != key(PatchConfig.baseline())
 
     def test_endorsed_patches_skip_misuse_sites(self):
         workload = FTWorkload()
