@@ -80,15 +80,18 @@ experiments-smoke:
 # and 3) stops the target there; ci/shape_ratchet.py then compares the ids whose
 # section says SHAPE CHECK FAILED with the committed list for the mode,
 # exactly.  A new failure fails the target, and so does a listed
-# failure that now passes.  About 1 and 2.5 minutes on two cores.
+# failure that now passes.  Each run's stdout (per-experiment seconds,
+# path counts and peak RSS) goes to build/all-{fast,full}.log through a
+# plain redirect: a pipe would hide the CLI's exit status from the
+# check.  About 1 and 2.5 minutes on two cores.
 experiments-ratchet:
 	@mkdir -p build
-	rm -f build/all-fast.md build/all-full.md
+	rm -f build/all-fast.md build/all-full.md build/all-fast.log build/all-full.log
 	$(PYTHON) -m repro.experiments.cli --all --workers 2 --markdown build/all-fast.md \
-		|| [ $$? -eq 3 ]
+		> build/all-fast.log || [ $$? -eq 3 ]
 	$(PYTHON) ci/shape_ratchet.py build/all-fast.md ci/shape-failures-fast.txt
 	$(PYTHON) -m repro.experiments.cli --all --full --workers 2 --markdown build/all-full.md \
-		|| [ $$? -eq 3 ]
+		> build/all-full.log || [ $$? -eq 3 ]
 	$(PYTHON) ci/shape_ratchet.py build/all-full.md ci/shape-failures-full.txt
 
 # Examples smoke: run every examples/*.py script and fail on the first

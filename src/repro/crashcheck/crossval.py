@@ -28,7 +28,6 @@ warning exists precisely because real hardware could.
 
 from __future__ import annotations
 
-import json
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.prestore import PatchConfig, PrestoreMode
@@ -197,7 +196,3 @@ def cross_validate(
         "mismatches": mismatches,
         "ok": not mismatches,
     }
-
-
-def cross_validate_json(*args, **kwargs) -> str:
-    return json.dumps(cross_validate(*args, **kwargs), indent=2, sort_keys=True)

@@ -158,10 +158,6 @@ class DistanceTracker:
         """Distance statistics for lines written by ``function``."""
         return self._functions.get(function, DistanceStats(function=function))
 
-    def context_stats(self, context: object) -> DistanceStats:
-        """Distance statistics for lines last written under ``context``."""
-        return self._contexts.get(id(context), DistanceStats(function="<context>"))
-
     def merged_context_stats(self, contexts: "list") -> DistanceStats:
         """Merge per-context stats (one size bucket's distance figures)."""
         merged = DistanceStats(function="<bucket>")
@@ -174,7 +170,3 @@ class DistanceTracker:
             merged.reread_samples += stats.reread_samples
             merged.reread_sum += stats.reread_sum
         return merged
-
-    @property
-    def tracked_lines(self) -> int:
-        return len(self._lines)

@@ -53,11 +53,6 @@ class FunctionProfile:
     def samples(self) -> int:
         return self.loads + self.stores + self.atomics
 
-    @property
-    def store_fraction(self) -> float:
-        """Stores as a fraction of this function's samples."""
-        return self.stores / self.samples if self.samples else 0.0
-
     def top_callchains(self, n: int = 3) -> List[Tuple[Tuple[str, ...], int]]:
         """The ``n`` most common call paths into this function."""
         return self.callchains.most_common(n)

@@ -70,10 +70,6 @@ class AccessRecord(NamedTuple):
         return self.kind in (EventKind.WRITE, EventKind.ATOMIC)
 
     @property
-    def is_load(self) -> bool:
-        return self.kind is EventKind.READ
-
-    @property
     def has_fence_semantics(self) -> bool:
         return self.kind in (EventKind.FENCE, EventKind.ATOMIC)
 

@@ -20,6 +20,7 @@ only the cells the kill lost and prints the same results.
 from __future__ import annotations
 
 import argparse
+import resource
 import sys
 import time
 from typing import Iterable, List, Optional
@@ -29,6 +30,16 @@ from repro.experiments.registry import ExperimentResult
 
 #: Exit status when the run completed but a shape check failed.
 EXIT_SHAPE_FAILED = 3
+
+
+def _peak_rss_mib() -> float:
+    """This process's peak resident set size in MiB.
+
+    ``ru_maxrss`` is in KiB on Linux and in bytes on macOS.  Pool
+    workers are other processes and are not counted.
+    """
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (1024 * 1024 if sys.platform == "darwin" else 1024)
 
 
 def _markdown(results: Iterable[ExperimentResult]) -> str:
@@ -100,7 +111,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         paths = " ".join(f"{path}={count}" for path, count in result.path_counts.items())
         print(f"{eid}: {result.wall_s:.2f} s  accesses {paths}")
         print()
-    print(f"total: {total:.2f} s")
+    print(f"total: {total:.2f} s  peak RSS {_peak_rss_mib():.1f} MiB")
 
     if args.markdown:
         with open(args.markdown, "w") as fh:

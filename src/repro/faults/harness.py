@@ -161,7 +161,9 @@ def run_with_faults(
     try:
         result = program.run()
     except CrashSignal as signal:
-        crash = signal
+        # Without its traceback: the frames would hold this one's locals,
+        # ``crash`` among them, in a reference cycle.
+        crash = signal.with_traceback(None)
         result = machine.abort()
         result.work_items = program.work_items
     result.extra.update(workload.result_extras())

@@ -33,6 +33,7 @@ bit-identical to a plain run.
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.faults.plan import BandwidthPhase, FaultPlan
@@ -62,6 +63,18 @@ class CrashSignal(Exception):
         self.instruction = instruction
 
 
+def _promote_block(
+    pending_blocks: Dict[int, Dict[int, int]], media: Dict[int, int], block: int
+) -> None:
+    """A combiner entry closed: its pending bytes are media-durable."""
+    pending = pending_blocks.pop(block, None)
+    if not pending:
+        return
+    for line, version in pending.items():
+        if media.get(line, 0) < version:
+            media[line] = version
+
+
 class FaultDevice(MemoryDevice):
     """A :class:`MemoryDevice` that tracks durability and injects faults."""
 
@@ -77,7 +90,9 @@ class FaultDevice(MemoryDevice):
         self.media_versions: Dict[int, int] = {}
         #: open combiner entries: block -> {line: accepted version}.
         self.pending_blocks: Dict[int, Dict[int, int]] = {}
-        self.combiner.on_close = self._promote_block
+        # Bound to the two tables, not to the device: a bound method
+        # would make device -> combiner -> device a reference cycle.
+        self.combiner.on_close = partial(_promote_block, self.pending_blocks, self.media_versions)
         self._read_index = 0
         self._read_faults = {f.at_read: f for f in plan.read_faults}
         self._phases: Tuple[BandwidthPhase, ...] = plan.bandwidth_phases
@@ -94,16 +109,6 @@ class FaultDevice(MemoryDevice):
         versions = self.line_versions
         for line in lines:
             versions[line] = versions.get(line, 0) + 1
-
-    def _promote_block(self, block: int) -> None:
-        """A combiner entry closed: its pending bytes are media-durable."""
-        pending = self.pending_blocks.pop(block, None)
-        if not pending:
-            return
-        media = self.media_versions
-        for line, version in pending.items():
-            if media.get(line, 0) < version:
-                media[line] = version
 
     # -- faulty/tracked device operations ------------------------------------
 
@@ -181,7 +186,11 @@ class FaultInjector(StreamHorizon):
         self._orig_step = None
 
     def install(self, machine: Machine) -> None:
-        """Attach to ``machine``: stream horizon + shadowed ``step``."""
+        """Attach to ``machine``: stream horizon + shadowed ``step``.
+
+        Both point back at this injector; the machine drops them at the
+        end of its run, so the pair forms no lasting reference cycle.
+        """
         self.machine = machine
         machine.horizon = self
         self._orig_step = machine.step

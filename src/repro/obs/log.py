@@ -199,13 +199,21 @@ class SpanProfiler:
                 return bound(*args, **kwargs)
 
         timed.__wrapped__ = bound  # type: ignore[attr-defined]
+        self._wrapped.append((obj, attr, vars(obj).get(attr)))
         setattr(obj, attr, timed)
-        self._wrapped.append((obj, attr, bound))
 
     def unwrap_all(self) -> None:
-        """Restore every method instrumented via :meth:`wrap`."""
+        """Restore every method instrumented via :meth:`wrap`.
+
+        A method the instance did not override before goes back to its
+        class: pinning the bound method on the instance would make the
+        object refer to itself.
+        """
         for obj, attr, original in reversed(self._wrapped):
-            setattr(obj, attr, original)
+            if original is None:
+                delattr(obj, attr)
+            else:
+                setattr(obj, attr, original)
         self._wrapped.clear()
 
     def stats(self) -> Dict[str, SpanStats]:

@@ -427,7 +427,10 @@ def _build_fill_all(levels: Sequence["CacheLevel"], start: int):
         if i == 0:
             src.append(E + "return vslot")
     exec(compile("\n".join(src), "<fused-fill>", "exec"), ns)
-    return ns[f"fill_{start}"]
+    # Popped, not looked up: the namespace is the kernel's globals, so
+    # a namespace that kept the kernel would be a reference cycle
+    # holding every bound column until a full collection.
+    return ns.pop(f"fill_{start}")
 
 
 @dataclass

@@ -60,7 +60,13 @@ class Core:
     """One simulated CPU core."""
 
     def __init__(self, core_id: int, machine: "Machine") -> None:
-        self.machine = machine
+        # The machine's shared state, held directly: a core keeps no
+        # reference back to its Machine, so a run forms no reference
+        # cycle (DESIGN.md §4, "Run lifetime").  ``device`` follows the
+        # machine's (the fault harness swaps one in before the run).
+        self.spec = machine.spec
+        self.hierarchy = machine.hierarchy
+        self.device = machine.device
         self.clock = 0.0
         self.stats = CoreStats(core_id=core_id)
         self.store_buffer = StoreBuffer(
@@ -124,11 +130,10 @@ class Core:
         point of unification, which is exactly what removes this cost for
         consumers (the X9 case).
         """
-        machine = self.machine
-        owner = machine.line_owner.get(line)
+        owner = self._line_owner.get(line)
         if owner is None or owner == self.core_id:
             return 0
-        return machine.device.directory_latency or machine.visibility.sram_directory_latency
+        return self._dir_latency
 
     def _visibility_latency(self, line: int) -> int:
         """Start a visibility round trip for a buffered store to ``line``.
@@ -138,7 +143,6 @@ class Core:
         cache-resident modification.  Fill/eviction traffic triggered here
         is charged like any other fill.
         """
-        machine = self.machine
         if line in self._l1_index:
             latency = self._vis_cached
         else:
@@ -147,13 +151,13 @@ class Core:
                 if line in idx:
                     latency = self._vis_cached
                     break
-        result = machine.hierarchy.access_line(line, is_write=True)
+        result = self.hierarchy.access_line(line, is_write=True)
         if result.memory_access:
             # The read-for-ownership really fetches the line from the
             # device: it occupies media bandwidth (in the background, so
             # no core stall here) — the traffic non-temporal stores avoid.
-            machine.device.read(line * machine.line_size, machine.line_size, self.clock)
-        machine.line_owner[line] = self.stats.core_id
+            self.device.read(line * self._line_size, self._line_size, self.clock)
+        self._line_owner[line] = self.stats.core_id
         self._emit_writebacks(result.writebacks)
         return latency
 
@@ -166,9 +170,8 @@ class Core:
         *store* (see :meth:`_apply_backpressure`), which is also where
         perf attributes the time — "time issuing store instructions".
         """
-        machine = self.machine
         for line in lines:
-            machine.device.write_back(line * machine.line_size, machine.line_size, self.clock)
+            self.device.write_back(line * self._line_size, self._line_size, self.clock)
             self.store_buffer.evict_line(line)
 
     def _apply_backpressure(self) -> None:
@@ -178,9 +181,8 @@ class Core:
         media writes queue up, the backlog crosses the threshold, and the
         writer core waits (Figure 3's multi-thread regime).
         """
-        machine = self.machine
-        backlog = machine.device.backlog(self.clock)
-        excess = backlog - machine.spec.backlog_limit_cycles
+        backlog = self.device.backlog(self.clock)
+        excess = backlog - self.spec.backlog_limit_cycles
         if excess > 0:
             self.clock += excess
             self.stats.backpressure_stall_cycles += excess
@@ -205,7 +207,7 @@ class Core:
                 self._do_write(event)
         elif kind is COMPUTE:
             self.stats.instructions += event.size
-            self.clock += event.size * self.machine.spec.cycles_per_compute
+            self.clock += event.size * self.spec.cycles_per_compute
         elif kind is FENCE:
             self.stats.instructions += 1
             self._do_fence(event)
@@ -317,16 +319,15 @@ class Core:
         the store becomes visible, already clamped to the in-order
         pipeline ``tail``.
         """
-        machine = self.machine
         wb = self._wb_scratch
         del wb[:]
-        machine.hierarchy.fill(line, True, wb)
-        line_size = machine.line_size
-        machine.device.read(line * line_size, line_size, now)
-        machine.line_owner[line] = self.core_id
+        self.hierarchy.fill(line, True, wb)
+        line_size = self._line_size
+        self.device.read(line * line_size, line_size, now)
+        self._line_owner[line] = self.core_id
         if wb:
             pending = self.store_buffer._pending
-            write_back = machine.device.write_back
+            write_back = self.device.write_back
             pop = pending.pop
             for w in wb:
                 write_back(w * line_size, line_size, now)
@@ -358,8 +359,7 @@ class Core:
         line-increment branch needs an aligned ``stride == chunk ==
         line_size`` run.
         """
-        machine = self.machine
-        line_size = machine.line_size
+        line_size = self._line_size
         l1 = self._l1
         l1_index = l1._index
         l1_ways = l1._ways
@@ -372,7 +372,7 @@ class Core:
         else:
             l1_and = l1_or = None  # type: ignore[assignment]
         other_indexes = self._other_indexes
-        hierarchy = machine.hierarchy
+        hierarchy = self.hierarchy
         fill = hierarchy.fill
         fill_all = hierarchy._fill_all
         level_stats = hierarchy._level_stats
@@ -386,12 +386,12 @@ class Core:
         vis_cached = self._vis_cached
         # The device methods' completion times are unused here:
         # visibility is the hoisted ``vis_uncached`` constant.
-        device = machine.device
+        device = self.device
         device_read = device.read
         device_write_back = device.write_back
         device_backlog = device.backlog
-        backlog_limit = machine.spec.backlog_limit_cycles
-        line_owner = machine.line_owner
+        backlog_limit = self.spec.backlog_limit_cycles
+        line_owner = self._line_owner
         cid = self.stats.core_id
         stats = self.stats
         visibility = self._visibility_latency
@@ -668,7 +668,6 @@ class Core:
                     return None
                 hit_line = (addr + offset - stride) // line_size
 
-        machine = self.machine
         l1 = self._l1
         l1_index = l1._index
         l1_ways = l1._ways
@@ -681,14 +680,14 @@ class Core:
             l1_and = l1_or = None  # type: ignore[assignment]
         l1_latency = self._l1_hit_latency
         dir_latency = self._dir_latency
-        fill = machine.hierarchy.fill
-        fill_latency = machine.hierarchy.fill_latency
+        fill = self.hierarchy.fill
+        fill_latency = self.hierarchy.fill_latency
         memory = len(fill_latency) - 1
         wb = self._wb_scratch
-        device_read = machine.device.read
-        device_write_back = machine.device.write_back
+        device_read = self.device.read
+        device_write_back = self.device.write_back
         pending = self.store_buffer._pending
-        line_owner = machine.line_owner
+        line_owner = self._line_owner
         cid = self.stats.core_id
         stats = self.stats
         relaxed, site, chain = event.relaxed, event.site, event.callchain
@@ -916,10 +915,10 @@ class Core:
         invalidators = self._invalidators
         line_owner = self._line_owner
         pending = self._pending
-        device = self.machine.device
+        device = self.device
         device_write_back = device.write_back
         device_backlog = device.backlog
-        backlog_limit = self.machine.spec.backlog_limit_cycles
+        backlog_limit = self.spec.backlog_limit_cycles
 
         addr, size, chunk, stride = event.addr, event.size, event.chunk, event.stride
         offset = 0
@@ -1018,11 +1017,10 @@ class Core:
                     latency = self._l1_hit_latency + transfer
                 else:
                     if fill is None:
-                        machine = self.machine
-                        fill = machine.hierarchy.fill
-                        fill_latency = machine.hierarchy.fill_latency
+                        fill = self.hierarchy.fill
+                        fill_latency = self.hierarchy.fill_latency
                         memory = len(fill_latency) - 1
-                        device = machine.device
+                        device = self.device
                         wb = self._wb_scratch
                     level = fill(line, False, wb)
                     latency = fill_latency[level] + transfer
@@ -1048,7 +1046,6 @@ class Core:
     # -- stores ----------------------------------------------------------------
 
     def _do_write(self, event: Event) -> None:
-        machine = self.machine
         self.stats.writes += 1
         self.clock += STORE_ISSUE_COST
         line_size = self._line_size
@@ -1071,8 +1068,8 @@ class Core:
                 # victim that L2 no longer holds goes to memory, and that
                 # writeback is lost here: a known model defect, kept so
                 # recorded results stay bit-identical (DESIGN.md §15).
-                machine.hierarchy.access_line(line, is_write=True)
-                machine.line_owner[line] = self.stats.core_id
+                self.hierarchy.access_line(line, is_write=True)
+                self._line_owner[line] = self.stats.core_id
             stall = self.store_buffer.write(line, self.clock, self._visibility_latency)
             if stall > 0:
                 self.clock += stall
@@ -1088,15 +1085,14 @@ class Core:
         later read of this data pays a full device round trip — the
         re-read penalty the paper observes when skipping re-used data.
         """
-        machine = self.machine
         self.stats.writes += 1
         self.stats.nontemporal_writes += 1
         self.clock += STORE_ISSUE_COST
-        for line in event.lines(machine.line_size):
-            machine.hierarchy.invalidate_line(line)
-            machine.line_owner.pop(line, None)
+        for line in event.lines(self._line_size):
+            self.hierarchy.invalidate_line(line)
+            self._line_owner.pop(line, None)
             self.store_buffer.evict_line(line)
-        machine.device.write_back(event.addr, event.size, self.clock)
+        self.device.write_back(event.addr, event.size, self.clock)
         self._apply_backpressure()
 
     # -- ordering ----------------------------------------------------------------
@@ -1122,7 +1118,7 @@ class Core:
         """
         stall = visible_at - self.clock
         if stall > 0:
-            stall *= self.machine.spec.fence_stall_multiplier
+            stall *= self.spec.fence_stall_multiplier
             self.clock += stall
             self.stats.fence_stall_cycles += stall
 
@@ -1136,33 +1132,31 @@ class Core:
         critical path (Section 7.3.1's "reducing the time spent in the
         atomic instructions of the lock by 74%").
         """
-        machine = self.machine
         self.stats.atomics += 1
         # All prior stores must be visible before the RMW completes.
         done = self.store_buffer.drain(self.clock, self._visibility_latency)
-        drain_stall = max(0.0, done - self.clock) * machine.spec.fence_stall_multiplier
+        drain_stall = max(0.0, done - self.clock) * self.spec.fence_stall_multiplier
         # Acquire the target line exclusively (concurrently).
-        line = machine.hierarchy.line_of(event.addr)
+        line = self.hierarchy.line_of(event.addr)
         transfer = self._transfer_cost(line)
-        result = machine.hierarchy.access_line(line, is_write=True)
-        machine.line_owner[line] = self.core_id
+        result = self.hierarchy.access_line(line, is_write=True)
+        self._line_owner[line] = self.core_id
         acquire = float(result.latency) + transfer
         if result.memory_access:
-            read_done = machine.device.read(line * machine.line_size, machine.line_size, self.clock)
+            read_done = self.device.read(line * self._line_size, self._line_size, self.clock)
             acquire += read_done - self.clock
         self._emit_writebacks(result.writebacks)
         wait = max(drain_stall, acquire)
         if drain_stall > acquire:
             self.stats.fence_stall_cycles += drain_stall - acquire
-        self.clock += wait + machine.spec.atomic_base_cost
+        self.clock += wait + self.spec.atomic_base_cost
 
     # -- pre-stores ----------------------------------------------------------------
 
     def _do_prestore(self, event: Event) -> None:
-        machine = self.machine
         self.stats.prestores += 1
         if event.op is PrestoreOp.DEMOTE:
-            for line in event.lines(machine.line_size):
+            for line in event.lines(self._line_size):
                 self.clock += CYCLES_PER_PRESTORE
                 started = self.store_buffer.demote(line, self.clock, self._visibility_latency)
                 if not started:
@@ -1172,25 +1166,23 @@ class Core:
                     # LLC eviction's.
                     wbs = self._wb_scratch
                     del wbs[:]
-                    machine.hierarchy.demote_line(line, wbs)
+                    self.hierarchy.demote_line(line, wbs)
                     if wbs:
                         self._emit_writebacks(wbs)
                         del wbs[:]
                 # Demotion pushes the line to the point of unification:
                 # other cores can now pull it without a transfer.
-                machine.line_owner.pop(line, None)
+                self._line_owner.pop(line, None)
         elif event.op is PrestoreOp.CLEAN:
             wrote = False
-            for line in event.lines(machine.line_size):
+            for line in event.lines(self._line_size):
                 self.clock += CYCLES_PER_PRESTORE
                 # A parked private store must become cache-resident before
                 # its line can be cleaned to memory.
                 self.store_buffer.demote(line, self.clock, self._visibility_latency)
-                machine.line_owner.pop(line, None)
-                if machine.hierarchy.clean_line(line):
-                    machine.device.write_back(
-                        line * machine.line_size, machine.line_size, self.clock
-                    )
+                self._line_owner.pop(line, None)
+                if self.hierarchy.clean_line(line):
+                    self.device.write_back(line * self._line_size, self._line_size, self.clock)
                     wrote = True
             if wrote:
                 self._apply_backpressure()

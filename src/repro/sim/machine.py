@@ -138,11 +138,11 @@ def _both(
 class StreamHorizon:
     """A bound on fused stream runs, with a hook before each access.
 
-    A machine holds at most one, in :attr:`Machine.horizon` (the fault
-    injector is one; DESIGN.md §18, "Horizons").  Before each fused run
-    the machine asks :meth:`limits` how far the run may go, and calls
-    the hook :meth:`before_accesses` returns with each access's start
-    clock before the access executes.  When the run stops at the
+    A machine holds at most one, in :attr:`Machine.horizon`, until its
+    run ends (the fault injector is one; DESIGN.md §18, "Horizons").
+    Before each fused run the machine asks :meth:`limits` how far the
+    run may go, and calls the hook :meth:`before_accesses` returns with
+    each access's start clock before the access executes.  When the run stops at the
     horizon while the scheduler would still pick its core, the machine
     unrolls the rest of the run through ``step`` at once, as the
     unrolled path would, so a ``step`` wrapper sees the next access
@@ -200,13 +200,18 @@ class MachineSpec:
 
 
 class Machine:
-    """A live simulated platform: caches + device + cores + scheduler."""
+    """A live simulated platform: caches + device + cores + scheduler.
+
+    Single-use: one :meth:`run` (or a direct :meth:`finish` or
+    :meth:`abort`), after which the machine has let go of its observers,
+    horizon and ``step`` wrapper and can only be read.
+    """
 
     def __init__(self, spec: MachineSpec) -> None:
         spec.validate()
         self.spec = spec
         self.line_size = spec.line_size
-        self.device = MemoryDevice(spec.device)
+        self._device = MemoryDevice(spec.device)
         levels = [
             CacheLevel(
                 ls,
@@ -241,6 +246,18 @@ class Machine:
         self._unrolled = 0
         #: The stream horizon, if any (see :class:`StreamHorizon`).
         self.horizon: Optional[StreamHorizon] = None
+
+    @property
+    def device(self) -> MemoryDevice:
+        return self._device
+
+    @device.setter
+    def device(self, device: MemoryDevice) -> None:
+        """Swap the device before the run (the fault harness's
+        :class:`~repro.faults.injector.FaultDevice`); the cores follow."""
+        self._device = device
+        for core in self.cores:
+            core.device = device
 
     # -- observers ------------------------------------------------------------
 
@@ -500,7 +517,7 @@ class Machine:
         for line in self.hierarchy.drain_dirty_lines():
             self.device.write_back(line * self.line_size, self.line_size, end)
         self.device.flush(end)
-        return self._finish_observers(self._snapshot(end, self.device.quiesce_time(end)))
+        return self._end_run(self._snapshot(end, self.device.quiesce_time(end)))
 
     def abort(self) -> RunResult:
         """Snapshot statistics *without* draining: crash semantics.
@@ -517,19 +534,31 @@ class Machine:
             raise SimulationError("abort() called on a finished machine")
         self._finished = True
         end = max((c.clock for c in self.cores), default=0.0)
-        return self._finish_observers(self._snapshot(end, end))
+        return self._end_run(self._snapshot(end, end))
 
-    def _finish_observers(self, result: RunResult) -> RunResult:
-        """Run every observer's post-run ``finish(machine, result)`` hook.
+    def _end_run(self, result: RunResult) -> RunResult:
+        """Run every observer's post-run ``finish(machine, result)`` hook,
+        then let go of everything that held the machine during the run.
 
         Samplers capture the drain tail and publish ``result.timeline``,
         trace builders emit counters, the sanitizer publishes
-        ``result.diagnostics``.
+        ``result.diagnostics``.  Observers, the :attr:`horizon` and an
+        instance-level ``step`` wrapper (the fault injector's) may keep
+        this machine while it runs; dropping the machine's side of those
+        links here, on the one end-of-run path :meth:`finish` and
+        :meth:`abort` share, leaves a finished run no reference cycle,
+        so reference counting frees it as soon as its caller lets go
+        (DESIGN.md §4, "Run lifetime").
         """
         for observer in self._dispatch:
             finish = getattr(observer, "finish", None)
             if finish is not None:
                 finish(self, result)
+        self._observers.clear()
+        self._dispatch = ()
+        self._stream_recorders = ()
+        self.horizon = None
+        vars(self).pop("step", None)
         return result
 
     def _snapshot(self, cycles: float, cycles_with_drain: float) -> RunResult:

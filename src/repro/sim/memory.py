@@ -22,7 +22,7 @@ internal write of the full granularity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, Optional
 
 from repro.errors import ConfigurationError
 
@@ -200,10 +200,6 @@ class WriteCombiner:
             self._close_entry(block)
         self._open.clear()
         return closed
-
-    def open_blocks(self) -> List[int]:
-        """Block numbers currently open, oldest first."""
-        return list(self._open)
 
     @property
     def open_entries(self) -> int:

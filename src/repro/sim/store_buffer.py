@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional
 
 from repro.errors import ConfigurationError
 
@@ -106,20 +106,6 @@ class StoreBuffer:
         if visible is None:
             return math.inf
         return visible
-
-    def parked_lines(self) -> List[int]:
-        """Lines whose buffered store has not started its round trip."""
-        return [line for line, visible in self._pending.items() if visible is None]
-
-    def peek_oldest(self) -> Optional[Tuple[int, Optional[float]]]:
-        """The front (oldest) ``(line, visible_time)``, or None when empty.
-
-        Slots free in FIFO order, so this is the entry an overflow will
-        force visible next.
-        """
-        if not self._pending:
-            return None
-        return next(iter(self._pending.items()))
 
     # -- the write path ------------------------------------------------------
 

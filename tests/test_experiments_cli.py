@@ -2,6 +2,7 @@
 
 import importlib.util
 import os
+import re
 import sys
 
 import pytest
@@ -140,7 +141,11 @@ class TestMarkdown:
         out = capsys.readouterr().out
         assert "== stub-pass: stub ==" in out
         assert "stub-pass: 0.00 s  accesses fused=0 unrolled=0 single=0" in out
-        assert out.rstrip().splitlines()[-1].startswith("total: ")
+        last = out.rstrip().splitlines()[-1]
+        assert last.startswith("total: ")
+        # The process's peak RSS rides on the total line, in MiB.
+        assert re.fullmatch(r"total: \d+\.\d\d s  peak RSS \d+\.\d MiB", last)
+        assert float(last.split()[-2]) > 0
 
 
 def test_warm_cache_rerun_stores_nothing_and_prints_the_same(tmp_path, capsys):

@@ -9,6 +9,7 @@ match.
 """
 
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -228,3 +229,24 @@ def test_full_size_drain_matches_object_walk(preset):
     assert [lvl.stats.cleans for lvl in kernels.levels] == [
         lvl.stats.cleans for lvl in walk.levels
     ]
+
+
+@pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
+def test_kernel_namespace_does_not_keep_the_kernel(geometry):
+    # The exec namespace is the kernel's globals; holding the kernel too
+    # would make a cycle that keeps every bound column alive until a
+    # full collection (DESIGN.md §15).
+    kernels = _hierarchy(geometry)._fill_kernels
+    assert len(kernels) == len(GEOMETRIES[geometry][0])
+    for kernel in kernels:
+        assert all(value is not kernel for value in kernel.__globals__.values())
+
+
+@pytest.mark.parametrize("preset", [machine_a, machine_b_fast], ids=["machine-a", "machine-b"])
+def test_never_run_machine_is_freed_on_del(preset):
+    # Reference counting alone frees it: no cycle runs through the
+    # cores, the hierarchy or its kernels (DESIGN.md §4, "Run lifetime").
+    machine = Machine(preset())
+    ref = weakref.ref(machine)
+    del machine
+    assert ref() is None

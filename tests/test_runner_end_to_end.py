@@ -127,7 +127,8 @@ class TestCLIs:
             assert main(["table1", "listing3", "--markdown", str(md)]) == 0
             out = capsys.readouterr().out
             timings = re.findall(
-                r"^(\w+): (\d+\.\d\d) s(?:  accesses fused=(\d+) unrolled=(\d+) single=(\d+))?$",
+                r"^(\w+): (\d+\.\d\d) s"
+                r"(?:  accesses fused=(\d+) unrolled=(\d+) single=(\d+)|  peak RSS (\d+\.\d) MiB)$",
                 out,
                 re.MULTILINE,
             )
@@ -138,10 +139,11 @@ class TestCLIs:
             assert seconds[0] + seconds[1] <= seconds[2] + 0.02
             # Each experiment line carries its cells' path counts: table1
             # simulates nothing, listing3's stores are single events.
-            paths = [tuple(int(n) for n in t[2:]) for t in timings[:2]]
+            paths = [tuple(int(n) for n in t[2:5]) for t in timings[:2]]
             assert paths[0] == (0, 0, 0)
             assert paths[1][:2] == (0, 0) and paths[1][2] > 0
-            assert timings[2][2:] == ("", "", "")
+            # The total line carries the process's peak RSS instead.
+            assert timings[2][2:5] == ("", "", "") and float(timings[2][5]) > 0
             markdowns.append(md.read_text())
         # Timings stay out of the markdown, which is byte-identical.
         assert markdowns[0] == markdowns[1]
