@@ -101,7 +101,9 @@ def capture_image(
 
     Call *after* the run ended (``finish()`` for clean termination —
     its drain/flush legitimately promotes bytes — or ``abort()`` after a
-    crash, which promotes nothing).
+    crash, which promotes nothing).  The image takes over the device's
+    version tables rather than copying them: nothing writes them once
+    the run has ended.
     """
     store_buffer_lines = [sorted(core.store_buffer.pending_lines()) for core in machine.cores]
     dirty: set = set()
@@ -116,9 +118,9 @@ def capture_image(
         crashed=crashed,
         crash_cycle=crash_cycle,
         crash_instruction=crash_instruction,
-        line_versions=dict(device.line_versions),
-        accepted_versions=dict(device.accepted_versions),
-        media_versions=dict(device.media_versions),
+        line_versions=device.line_versions,
+        accepted_versions=device.accepted_versions,
+        media_versions=device.media_versions,
         store_buffer_lines=store_buffer_lines,
         dirty_cache_lines=sorted(dirty),
         combiner_pending={
@@ -147,15 +149,18 @@ def run_with_faults(
     fault and crash events as ``fault.*`` instants in its trace.
     """
     patches = patches or PatchConfig.baseline()
-    program = Program(spec, tracer=tracer, seed=seed, streams=streams)
+    program = Program(spec, seed=seed, streams=streams)
     machine = program.machine
     device: Optional[FaultDevice] = None
-    injector: Optional[FaultInjector] = None
     if not plan.is_empty():
+        # The device goes in before the tracer attaches, so an observer
+        # that wraps the device (a profiling ObsCollector) wraps this one.
         device = FaultDevice(spec.device, plan, line_size=spec.line_size)
         machine.device = device
-        injector = FaultInjector(plan, device)
-        injector.install(machine)
+    if tracer is not None:
+        machine.attach_observer(tracer)
+    if device is not None:
+        FaultInjector(plan, device).install(machine)
     workload.spawn(program, patches)
     crash: Optional[CrashSignal] = None
     try:

@@ -46,7 +46,9 @@ class TimelineSampler:
         capacity: int = DEFAULT_CAPACITY,
     ) -> None:
         self.timeline = Timeline(interval=interval, capacity=capacity)
+        #: The observed machine, from ``attach`` until ``finish``.
         self._machine: Optional["Machine"] = None
+        self._attached = False
         #: Machine time: max core clock observed so far.
         self._now = 0.0
         #: End of the last emitted sample's interval.
@@ -65,8 +67,9 @@ class TimelineSampler:
     # -- observer interface -------------------------------------------------
 
     def attach(self, machine: "Machine") -> None:
-        if self._machine is not None:
+        if self._attached:
             raise RuntimeError("TimelineSampler instances observe a single run")
+        self._attached = True
         self._machine = machine
 
     def record(self, core_id: int, event: "Event", instr_index: int, cycles: float) -> None:
@@ -87,6 +90,7 @@ class TimelineSampler:
             # degenerate zero-length runs.
             self._take_sample(end if end > self._last_t else self._last_t + 1e-9)
         result.timeline = self.timeline
+        self._machine = None
 
     # -- sampling -----------------------------------------------------------
 

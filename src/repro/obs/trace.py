@@ -60,7 +60,9 @@ class TraceBuilder:
         self.max_events = max_events
         self.max_flows = max_flows
         self._events: List[dict] = []
+        #: The observed machine, from ``attach`` until ``finish``.
         self._machine: Optional["Machine"] = None
+        self._machine_name = "<detached>"
         self.dropped_events = 0
         self._flow_ids = 0
         #: Per-core list of flow ids started by stores, closed at the
@@ -73,6 +75,7 @@ class TraceBuilder:
 
     def attach(self, machine: "Machine") -> None:
         self._machine = machine
+        self._machine_name = machine.spec.name
         self._meta("process_name", CORES_PID, 0, name="cores")
         self._meta("process_name", DEVICE_PID, 0, name=f"device {machine.device.spec.name}")
         for core in machine.cores:
@@ -208,6 +211,7 @@ class TraceBuilder:
         timeline = result.timeline
         if timeline is not None:
             self.add_counter_tracks(timeline)
+        self._machine = None
 
     # -- counters from the timeline -----------------------------------------
 
@@ -257,13 +261,12 @@ class TraceBuilder:
     # -- serialisation ------------------------------------------------------
 
     def to_dict(self) -> dict:
-        machine = self._machine
         return {
             "traceEvents": list(self._events),
             "displayTimeUnit": "ms",
             "otherData": {
                 "generator": "repro.obs",
-                "machine": machine.spec.name if machine is not None else "<detached>",
+                "machine": self._machine_name,
                 "time_unit": "simulated cycles (written as us)",
                 "dropped_events": self.dropped_events,
             },

@@ -45,6 +45,7 @@ from repro.sim.event import CodeSite, Event, EventKind
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.machine import Machine
+    from repro.sim.stats import RunResult
 
 __all__ = ["RaceDetector"]
 
@@ -112,6 +113,7 @@ class RaceDetector:
     """
 
     def __init__(self) -> None:
+        #: The observed machine, from ``attach`` until ``finish``.
         self._machine: Optional["Machine"] = None
         self._vc: Dict[int, VectorClock] = {}
         #: (id(mailbox), key) -> joined clock of every POST so far.
@@ -133,6 +135,10 @@ class RaceDetector:
         """Bind to the machine whose store buffers we may introspect."""
         self._machine = machine
         self._line_size = machine.line_size
+
+    def finish(self, machine: "Machine", result: "RunResult") -> None:
+        """Let go of the finished machine; the findings stay."""
+        self._machine = None
 
     # -- vector-clock plumbing -------------------------------------------------
 

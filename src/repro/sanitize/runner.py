@@ -79,6 +79,8 @@ class Sanitizer:
     def finish(self, machine: "Machine", result: "RunResult") -> None:
         """Publish the findings on the run's result (after an abort too)."""
         result.diagnostics = self.diagnostics()
+        if self.race_detector is not None:
+            self.race_detector.finish(machine, result)
 
     # -- results ---------------------------------------------------------------
 

@@ -9,6 +9,7 @@ a full collection, which a sweep rarely reaches.
 """
 
 import gc
+import weakref
 from collections import Counter
 from functools import partial
 
@@ -26,6 +27,7 @@ from repro.sim.machine import machine_a, machine_b_fast
 from repro.traffic.arrivals import ArrivalSpec
 from repro.traffic.serving import ServingWorkload
 from repro.workloads.kv.ycsb import YCSBSpec
+from repro.workloads.memapi import Program
 from repro.workloads.microbench import Listing1
 from repro.workloads.nas import MGWorkload
 
@@ -111,6 +113,23 @@ def test_observed_run(make_observer):
         assert result.run.instructions > 0
 
     assert _cyclic_garbage(run) == Counter()
+
+
+@pytest.mark.parametrize("make_observer", [ObsCollector, Sanitizer], ids=["obs", "sanitizer"])
+def test_observer_lets_go_of_the_machine(make_observer):
+    # A caller keeps the observer to read its trace or findings; that
+    # must not keep the finished machine, caches and kernels, alive.
+    observer = make_observer()
+    program = Program(machine_a(), tracer=observer)
+    _mg().spawn(program, PatchConfig.baseline())
+    result = program.run()
+    machine = weakref.ref(program.machine)
+    del program
+    assert machine() is None
+    if isinstance(observer, ObsCollector):
+        assert observer.trace.to_dict()["otherData"]["machine"] == result.machine_name
+    else:
+        assert observer.diagnostics() == result.diagnostics
 
 
 def test_execute_cells_sweep():
