@@ -18,23 +18,18 @@ Examples::
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import sys
 from typing import Callable, Dict, List, Optional
 
-from repro.core.prestore import PatchConfig, PrestoreMode
+from repro.core.prestore import PrestoreMode
 from repro.crashcheck.crossval import cross_validate
 from repro.crashcheck.verify import GUARANTEED, POSSIBLY_LOST, check_workload
-from repro.faults.workloads import (
-    WORKLOADS,
-    KVPersistWorkload,
-    LogAppendWorkload,
-    build_workload,
-)
+from repro.faults.workloads import KVPersistWorkload, LogAppendWorkload
 from repro.sanitize.report import render_report
 from repro.sim.machine import PRESETS
 from repro.workloads.base import Workload
+from repro.workloads.registry import WORKLOAD_FACTORIES, add_run_options, build_run
 
 __all__ = ["main", "run_self_check"]
 
@@ -46,17 +41,9 @@ _SMALL_WORKLOADS: Dict[str, Callable[[], Workload]] = {
 }
 
 
-def _cmd_report(args: argparse.Namespace) -> int:
-    workload = build_workload(args.workload)
-    spec = PRESETS[args.machine]()
-    mode = PrestoreMode(args.mode)
-    report = check_workload(
-        workload,
-        spec,
-        patches=PatchConfig.uniform(mode, workload.patch_sites()),
-        adr=not args.no_adr,
-        seed=args.seed,
-    )
+def _cmd_report(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+    workload, spec, patches, seed = build_run(parser, args, logged=True)
+    report = check_workload(workload, spec, patches=patches, adr=not args.no_adr, seed=seed)
     if args.json:
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
         return 1 if report.has_errors() else 0
@@ -84,15 +71,14 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 1 if report.has_errors() else 0
 
 
-def _cmd_crossval(args: argparse.Namespace) -> int:
-    spec = PRESETS[args.machine]()
-    mode = PrestoreMode(args.mode)
+def _cmd_crossval(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+    _, spec, _, seed = build_run(parser, args, logged=True)
     result = cross_validate(
-        functools.partial(build_workload, args.workload),
+        WORKLOAD_FACTORIES[args.workload],
         spec,
-        mode=mode,
+        mode=PrestoreMode(args.mode),
         adr=not args.no_adr,
-        seed=args.seed,
+        seed=seed,
         max_probes=args.max_probes,
     )
     print(json.dumps(result, indent=2, sort_keys=True))
@@ -216,32 +202,22 @@ def main(argv: Optional[List[str]] = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     report = sub.add_parser("report", help="static verification report for one config")
-    report.add_argument("--workload", default="kvpersist", help=f"one of {sorted(WORKLOADS)}")
-    report.add_argument("--machine", default="a", choices=sorted(PRESETS))
-    report.add_argument("--mode", default="none", choices=[m.value for m in PrestoreMode])
+    add_run_options(report, "--workload", "--machine", "--mode", workload="kvpersist")
     report.add_argument("--no-adr", action="store_true", help="media-only persistence domain")
-    report.add_argument("--seed", type=int, default=1234)
     report.add_argument("--json", action="store_true", help="emit the full report as JSON")
 
     crossval = sub.add_parser("crossval", help="one static<->dynamic differential, JSON out")
-    crossval.add_argument("--workload", default="kvpersist", help=f"one of {sorted(WORKLOADS)}")
-    crossval.add_argument("--machine", default="a", choices=sorted(PRESETS))
-    crossval.add_argument("--mode", default="none", choices=[m.value for m in PrestoreMode])
+    add_run_options(crossval, "--workload", "--machine", "--mode", workload="kvpersist")
     crossval.add_argument("--no-adr", action="store_true")
-    crossval.add_argument("--seed", type=int, default=1234)
     crossval.add_argument("--max-probes", type=int, default=6)
 
     selfcheck = sub.add_parser("self", help="static + differential self-check (the CI job)")
-    selfcheck.add_argument("--seed", type=int, default=1234)
+    add_run_options(selfcheck)
     selfcheck.add_argument("--fast", action="store_true", help="single-machine subset")
 
     args = parser.parse_args(argv)
     if args.command == "report":
-        return _cmd_report(args)
+        return _cmd_report(report, args)
     if args.command == "crossval":
-        return _cmd_crossval(args)
+        return _cmd_crossval(crossval, args)
     return run_self_check(fast=args.fast, seed=args.seed)
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via __main__
-    sys.exit(main())

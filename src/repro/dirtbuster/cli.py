@@ -10,13 +10,10 @@ Examples (also ``python -m repro.dirtbuster ...``)::
 from __future__ import annotations
 
 import argparse
-import sys
 from typing import List, Optional
 
 from repro.dirtbuster.runner import DirtBuster, DirtBusterConfig
-from repro.sim.machine import PRESETS
-from repro.workloads.registry import WORKLOAD_FACTORIES, make_workload
-from repro.workloads.phoronix import PHORONIX_APPS
+from repro.workloads.registry import WORKLOAD_FACTORIES, add_run_options, build_run
 
 
 def _positive_int(text: str) -> int:
@@ -30,35 +27,27 @@ def _positive_int(text: str) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    known = sorted(WORKLOAD_FACTORIES) + sorted(name for name, _ in PHORONIX_APPS)
     parser = argparse.ArgumentParser(
         prog="dirtbuster",
         description="Find code locations that would benefit from pre-stores.",
     )
-    parser.add_argument("workload", nargs="?", help=f"one of: {', '.join(known)}")
     parser.add_argument("--list", action="store_true", help="list known workloads")
-    parser.add_argument("--machine", choices=sorted(PRESETS), default="a")
     parser.add_argument("--sampling-period", type=_positive_int, default=229)
-    parser.add_argument("--seed", type=int, default=1234)
+    add_run_options(parser, "workload", "--machine")
     args = parser.parse_args(argv)
 
     if args.list:
-        print("\n".join(known))
+        print("\n".join(sorted(WORKLOAD_FACTORIES)))
         return 0
     if not args.workload:
         parser.error("give a workload name or --list")
 
-    workload = make_workload(args.workload)
-    spec = PRESETS[args.machine]()
+    workload, spec, _, seed = build_run(parser, args)
     config = DirtBusterConfig(sampling_period=args.sampling_period)
-    report = DirtBuster(config).analyze(workload, spec, seed=args.seed)
+    report = DirtBuster(config).analyze(workload, spec, seed=seed)
     print(report.render())
     print()
     print("Table 2 row:")
     print(f"{'':20s} {'write':>6s} {'seq':>6s} {'fence':>6s}")
     print(report.classification.row())
     return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

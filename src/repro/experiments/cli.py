@@ -27,6 +27,7 @@ from typing import Iterable, List, Optional
 
 from repro.experiments import all_ids, get, run_all
 from repro.experiments.registry import ExperimentResult
+from repro.workloads.registry import add_run_options
 
 #: Exit status when the run completed but a shape check failed.
 EXIT_SHAPE_FAILED = 3
@@ -73,7 +74,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--full", action="store_true", help="full-size sweeps (slower; default is fast mode)"
     )
-    parser.add_argument("--seed", type=int, default=1234)
+    add_run_options(parser)
     parser.add_argument("--markdown", metavar="PATH", help="also write results as markdown")
     parser.add_argument(
         "--workers",

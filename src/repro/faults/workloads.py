@@ -29,7 +29,7 @@ Threads own disjoint key/log slices, so version snapshots never race.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Sequence
+from typing import Iterator, List, Sequence
 
 from repro.core.prestore import PatchConfig, PatchSite, PrestoreMode
 from repro.errors import WorkloadError
@@ -38,7 +38,7 @@ from repro.sim.event import Event
 from repro.workloads.base import Workload
 from repro.workloads.memapi import Program, ThreadCtx
 
-__all__ = ["KVPersistWorkload", "LogAppendWorkload", "WORKLOADS", "build_workload"]
+__all__ = ["KVPersistWorkload", "LogAppendWorkload"]
 
 
 def _lines_of(addr: int, size: int, line_size: int) -> List[int]:
@@ -164,6 +164,11 @@ class LogAppendWorkload(Workload):
         self.records = records
         self.durability_log = DurabilityLog()
 
+    @property
+    def operations(self) -> int:
+        """Appends, each one acked operation (what crash placement counts)."""
+        return self.records
+
     def patch_sites(self) -> Sequence[PatchSite]:
         return (self.SITE,)
 
@@ -196,18 +201,3 @@ class LogAppendWorkload(Workload):
                 log.ack(f"rec{i}", _lines_of(addr, self.record_size, line_size), device)
                 program.add_work(1)
 
-
-#: The crash-consistency workloads by command-line name, as
-#: ``python -m repro.faults`` and ``python -m repro.crashcheck`` take them.
-WORKLOADS: Dict[str, Callable[[], Workload]] = {
-    "kvpersist": KVPersistWorkload,
-    "logappend": LogAppendWorkload,
-}
-
-
-def build_workload(name: str) -> Workload:
-    """A fresh default instance of ``name``; an unknown name exits the CLI."""
-    try:
-        return WORKLOADS[name]()
-    except KeyError:
-        raise SystemExit(f"unknown workload {name!r} (expected one of {sorted(WORKLOADS)})")

@@ -1,7 +1,8 @@
-"""Entry point for ``python -m repro.obs``."""
+"""Entry point: ``python -m repro.obs``."""
 
 import sys
 
 from repro.obs.cli import main
 
-sys.exit(main())
+if __name__ == "__main__":
+    sys.exit(main())

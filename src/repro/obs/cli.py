@@ -4,6 +4,7 @@ Examples::
 
     python -m repro.obs run --workload listing1 --trace out.trace.json
     python -m repro.obs run --workload x9 --machine b-fast --mode demote --profile
+    python -m repro.obs run --workload kvpersist --mode clean
     python -m repro.obs run --workload listing1 --json result.json --width 100
     python -m repro.obs self-check
 
@@ -26,12 +27,11 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import sys
 from typing import List, Optional, Sequence
 
 from repro.obs.collector import ObsCollector
 from repro.obs.log import basic_config, get_logger, run_context
-from repro.sim.machine import PRESETS
+from repro.workloads.registry import add_run_options, build_run, make_workload
 
 __all__ = ["main", "render_timeline", "self_check"]
 
@@ -86,22 +86,17 @@ def render_timeline(timeline, width: int = 72) -> str:
     return "\n".join(lines)
 
 
-def _run(args: argparse.Namespace) -> int:
+def _run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     from repro.analysis.ipmctl import read_media_counters
-    from repro.core.prestore import PatchConfig, PrestoreMode
-    from repro.workloads.registry import make_workload
 
-    workload = make_workload(args.workload)
-    spec = PRESETS[args.machine](seed=args.seed)
-    mode = PrestoreMode(args.mode)
-    patches = PatchConfig.uniform(mode, workload.patch_sites())
+    workload, spec, patches, seed = build_run(parser, args)
     collector = ObsCollector(
         interval=args.interval, trace=args.trace is not None, profile=args.profile
     )
-    run_id = f"{workload.name}/{spec.name}/{mode.value}/s{args.seed}"
+    run_id = f"{workload.name}/{spec.name}/{args.mode}/s{seed}"
     _log.info("running %s on %s", run_id, spec.name)
     with run_context(run_id=run_id):
-        result = workload.run(spec, patches, tracer=collector, seed=args.seed).run
+        result = workload.run(spec, patches, tracer=collector, seed=seed).run
 
     print(result.summary())
     print()
@@ -133,7 +128,6 @@ def self_check(verbose: bool = True) -> List[str]:
     from repro.analysis.ipmctl import MediaCounters, read_media_counters
     from repro.sim.machine import machine_a
     from repro.sim.stats import RunResult
-    from repro.workloads.registry import make_workload
 
     failures: List[str] = []
 
@@ -214,11 +208,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     sub = parser.add_subparsers(dest="command")
 
     run_p = sub.add_parser("run", help="run one workload with telemetry attached")
-    run_p.add_argument("--workload", required=True, help="registry name (e.g. listing1, x9)")
-    run_p.add_argument("--machine", default="a", choices=sorted(PRESETS))
-    run_p.add_argument("--mode", default="none", choices=["none", "clean", "demote", "skip"],
-                       help="pre-store mode applied at every patch site")
-    run_p.add_argument("--seed", type=int, default=1234)
+    add_run_options(run_p, "--workload", "--machine", "--mode")
     run_p.add_argument("--interval", type=float, default=1000.0,
                        help="sampling interval in simulated cycles")
     run_p.add_argument("--width", type=int, default=72, help="ASCII timeline width")
@@ -234,10 +224,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.self_check or args.command == "self-check":
         return _self_check_cmd(args)
     if args.command == "run":
-        return _run(args)
+        return _run(run_p, args)
     parser.print_help()
     return 2
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

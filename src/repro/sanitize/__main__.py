@@ -1,4 +1,4 @@
-"""Entry point for ``python -m repro.sanitize``."""
+"""Entry point: ``python -m repro.sanitize``."""
 
 import sys
 

@@ -29,6 +29,7 @@ from repro.errors import Diagnostic
 from repro.sanitize.report import render_report
 from repro.sanitize.runner import sanitize
 from repro.sim.machine import PRESETS, MachineSpec
+from repro.workloads.registry import add_run_options
 
 __all__ = ["main"]
 
@@ -84,13 +85,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         action="store_true",
         help="lint this repository's workloads/examples (plus ruff/mypy when installed)",
     )
-    parser.add_argument(
-        "--machine",
-        choices=sorted(PRESETS),
-        default="b-fast",
-        help="machine preset for the dynamic passes (default: b-fast, the weak model)",
-    )
-    parser.add_argument("--seed", type=int, default=1234, help="simulation seed")
+    # The dynamic passes default to b-fast, the weak memory model.
+    add_run_options(parser, "--machine", machine="b-fast")
     parser.add_argument(
         "--static-only",
         action="store_true",
@@ -161,7 +157,3 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if any(d.severity == "error" for d in diagnostics):
         exit_code = max(exit_code, 1)
     return exit_code
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via __main__
-    sys.exit(main())

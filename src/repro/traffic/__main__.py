@@ -1,7 +1,8 @@
-"""Entry point for ``python -m repro.traffic``."""
+"""Entry point: ``python -m repro.traffic``."""
 
 import sys
 
 from repro.traffic.cli import main
 
-sys.exit(main())
+if __name__ == "__main__":
+    sys.exit(main())

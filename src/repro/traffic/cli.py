@@ -11,19 +11,16 @@ and that the fast path and reference vocabulary agree byte for byte.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import Optional
 
-from repro.core.prestore import PrestoreMode
 from repro.errors import ReproError
-from repro.experiments.common import endorsed_patches
 from repro.faults.harness import run_with_faults
 from repro.faults.plan import FaultPlan
-from repro.sim.machine import PRESETS
 from repro.traffic.arrivals import ArrivalSpec
 from repro.traffic.serving import ServingWorkload
 from repro.workloads.kv.ycsb import YCSBSpec
+from repro.workloads.registry import add_run_options, build_run
 
 __all__ = ["main"]
 
@@ -63,16 +60,12 @@ def _plan(args: argparse.Namespace, workload: ServingWorkload) -> FaultPlan:
     return FaultPlan()
 
 
-def _run_one(args: argparse.Namespace, streams: Optional[bool] = None) -> dict:
-    workload = _build(args)
-    mode = PrestoreMode(args.mode)
+def _run_one(
+    parser: argparse.ArgumentParser, args: argparse.Namespace, streams: Optional[bool] = None
+) -> dict:
+    workload, spec, patches, seed = build_run(parser, args, workload=_build(args))
     report = run_with_faults(
-        workload,
-        PRESETS[args.machine](),
-        _plan(args, workload),
-        patches=endorsed_patches(workload, mode),
-        seed=args.seed,
-        streams=streams,
+        workload, spec, _plan(args, workload), patches=patches, seed=seed, streams=streams
     )
     return {
         "serving": report.result.extra["serving"],
@@ -111,8 +104,8 @@ def _print_summary(doc: dict) -> None:
     print()
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
-    doc = _run_one(args)
+def _cmd_run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+    doc = _run_one(parser, args)
     _print_summary(doc)
     if args.json:
         with open(args.json, "w") as fh:
@@ -121,12 +114,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_smoke(args: argparse.Namespace) -> int:
+def _cmd_smoke(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     """CI smoke: crash phase under live traffic, field + identity checks."""
     args.crash_at = 0.6
     failures = []
-    fast = _run_one(args, streams=True)
-    reference = _run_one(args, streams=False)
+    fast = _run_one(parser, args, streams=True)
+    reference = _run_one(parser, args, streams=False)
     _print_summary(fast)
     if fast["result_json"] != reference["result_json"]:
         failures.append("fast-path RunResult JSON differs from reference")
@@ -170,11 +163,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--burst-off", type=float, default=0.0, metavar="KCYCLES")
     parser.add_argument("--burst-slowdown", type=float, default=4.0)
     parser.add_argument("--slo", type=float, default=10_000.0, help="SLO in cycles")
-    parser.add_argument(
-        "--mode", choices=[m.value for m in PrestoreMode], default="clean"
-    )
-    parser.add_argument("--machine", choices=sorted(PRESETS), default="a")
-    parser.add_argument("--seed", type=int, default=1234)
+    add_run_options(parser, "--machine", "--mode", mode="clean")
     parser.add_argument(
         "--crash-at",
         type=float,
@@ -207,11 +196,7 @@ def main(argv: Optional[list] = None) -> int:
     smoke_p.set_defaults(func=_cmd_smoke)
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(parser, args)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

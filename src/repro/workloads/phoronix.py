@@ -19,7 +19,7 @@ from repro.sim.event import Event
 from repro.workloads.base import Workload
 from repro.workloads.memapi import Program, ThreadCtx
 
-__all__ = ["ReadMostlyWorkload", "PHORONIX_APPS", "make_phoronix_suite"]
+__all__ = ["ReadMostlyWorkload", "PHORONIX_APPS"]
 
 #: (name, flavour) pairs for the paper's Table 2 "not write-intensive" rows.
 PHORONIX_APPS: Tuple[Tuple[str, str], ...] = (
@@ -93,8 +93,3 @@ class ReadMostlyWorkload(Workload):
                     if i % 32 == 0:
                         yield t.write(out.addr((i // 32 * 8) % out.size), 8)
             program.add_work(1)
-
-
-def make_phoronix_suite(scale: int = 400) -> Tuple[ReadMostlyWorkload, ...]:
-    """The ten Table 2 non-write-intensive applications."""
-    return tuple(ReadMostlyWorkload(name, flavour, scale) for name, flavour in PHORONIX_APPS)

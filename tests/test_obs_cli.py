@@ -40,9 +40,11 @@ class TestRunCommand:
         out = capsys.readouterr().out
         assert "sim.dispatch" in out  # profiler report reached stdout
 
-    def test_unknown_workload_errors(self):
-        with pytest.raises(Exception):
+    def test_unknown_workload_errors(self, capsys):
+        with pytest.raises(SystemExit) as exc:
             main(["run", "--workload", "no-such-workload"])
+        assert exc.value.code == 2
+        assert "error: unknown workload 'no-such-workload'" in capsys.readouterr().err
 
 
 class TestSelfCheck:

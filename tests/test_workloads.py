@@ -12,8 +12,8 @@ from repro.workloads.nas import (
     LUWorkload,
     MGWorkload,
 )
-from repro.workloads.phoronix import PHORONIX_APPS, ReadMostlyWorkload, make_phoronix_suite
-from repro.workloads.registry import default_workloads, make_workload
+from repro.workloads.phoronix import PHORONIX_APPS, ReadMostlyWorkload
+from repro.workloads.registry import WORKLOAD_FACTORIES, make_workload
 from repro.workloads.tensorflow_sim import TensorFlowWorkload
 from repro.workloads.x9 import X9Workload
 
@@ -114,7 +114,8 @@ class TestX9:
 
 class TestPhoronixAndRegistry:
     def test_suite_covers_table2_rows(self):
-        assert len(make_phoronix_suite()) == len(PHORONIX_APPS) == 10
+        assert len(PHORONIX_APPS) == 10
+        assert all(make_workload(name).flavour == flavour for name, flavour in PHORONIX_APPS)
 
     def test_flavour_validation(self):
         with pytest.raises(WorkloadError):
@@ -133,8 +134,9 @@ class TestPhoronixAndRegistry:
         with pytest.raises(WorkloadError):
             make_workload("doom")
 
-    def test_default_workloads_roster(self):
-        names = {w.name for w in default_workloads()}
-        # The full Table 2 roster: 16 named + 10 Phoronix apps.
-        assert "tensorflow" in names and "nas-mg" in names and "pytorch" in names
-        assert len(names) == 26
+    def test_registry_holds_table2_roster(self):
+        from repro.experiments.table2_classification import EXPECTED_TABLE2
+
+        # Every Table 2 application is registered, each under its own name.
+        assert set(EXPECTED_TABLE2) <= set(WORKLOAD_FACTORIES)
+        assert all(make_workload(name).name == name for name in WORKLOAD_FACTORIES)
