@@ -4,9 +4,9 @@
 
 Starts ``python -m repro.experiments.cli IDS --workers 2 --cache-dir
 CACHE_DIR`` on a fresh CACHE_DIR in a process group of its own and sends
-SIGKILL to the CLI alone as soon as the cache's ``manifest.jsonl`` holds
-an entry.  Its pool workers must then exit on their own: the group must
-be empty within ORPHAN_GRACE_S seconds.  Then it runs the same command
+SIGKILL to the CLI alone as soon as the cache holds a stored cell.  Its
+pool workers must then exit on their own: the group must be empty
+within ORPHAN_GRACE_S seconds.  Then it runs the same command
 to the end.  The cache stores every cell the moment it finishes, so the
 re-run must store exactly the cells the kill lost (cells in the sweep
 minus entries stored before the kill), and its markdown, written to
@@ -24,13 +24,11 @@ import signal
 import subprocess
 import sys
 import time
-from pathlib import Path
 from typing import List, Sequence, Set, Tuple
 
 from repro.experiments import get
 from repro.experiments.cli import EXIT_SHAPE_FAILED
 from repro.runner import ResultCache, cache_key
-from repro.runner.cache import MANIFEST_NAME
 
 #: Bound on each run, so a hung sweep fails the check instead of stalling it.
 TIMEOUT_S = 1800.0
@@ -51,13 +49,13 @@ def kill_and_resume(ids: Sequence[str], cache_dir: str, markdown: str) -> Tuple[
     shutil.rmtree(cache_dir, ignore_errors=True)
     command = [sys.executable, "-m", "repro.experiments.cli", *ids,
                "--workers", "2", "--cache-dir", cache_dir]
-    manifest = Path(cache_dir) / MANIFEST_NAME
+    cache = ResultCache(cache_dir)
     # Its own session, so the group holds the CLI and its pool workers only.
     first = subprocess.Popen(command, stdout=subprocess.DEVNULL, start_new_session=True)
     try:
         deadline = time.monotonic() + TIMEOUT_S
         while first.poll() is None and time.monotonic() < deadline:
-            if manifest.is_file() and manifest.stat().st_size:
+            if len(cache) > 0:
                 break
             time.sleep(0.005)
         if first.poll() is None:
@@ -69,13 +67,13 @@ def kill_and_resume(ids: Sequence[str], cache_dir: str, markdown: str) -> Tuple[
             os.killpg(first.pid, signal.SIGKILL)
         except ProcessLookupError:
             pass
-    stored = len(ResultCache(cache_dir))
+    stored = len(cache)
     rerun = subprocess.run(
         command + ["--markdown", markdown], stdout=subprocess.DEVNULL, timeout=TIMEOUT_S
     )
     if rerun.returncode not in (0, EXIT_SHAPE_FAILED):
         raise RuntimeError(f"re-run exited {rerun.returncode}")
-    return stored, len(ResultCache(cache_dir)) - stored, orphans
+    return stored, len(cache) - stored, orphans
 
 
 def _group_empties(pgid: int, within_s: float) -> bool:

@@ -68,7 +68,7 @@ from typing import (
 from repro.errors import CellExecutionError, RunnerError
 from repro.obs.log import get_logger
 from repro.runner.cache import ResultCache
-from repro.runner.cells import Cell, CellRun, cell_run_id, run_cell
+from repro.runner.cells import Cell, CellRun, cache_key, cell_run_id, run_cell
 from repro.sim.stats import RunResult
 
 if TYPE_CHECKING:
@@ -223,7 +223,7 @@ def execute_cells(
     :func:`runner_session` (serial and uncached when none is active).
     Cache hits skip simulation entirely — the workload factory is never
     called — and a stored payload that fails to parse is treated as a
-    miss and evicted, not an exception.  Cells whose factory cannot
+    miss and deleted, not an exception.  Cells whose factory cannot
     pickle (lambdas, closures) fall back to inline execution instead of
     failing; they produce identical results, just without the
     parallelism.
@@ -248,18 +248,18 @@ def execute_cells(
     jobs: List[_Job] = []
 
     for i, cell in enumerate(cells):
-        key = resolved_cache.key_for(cell) if resolved_cache is not None else None
-        if key is not None:
-            loaded = resolved_cache.load_result(key)
+        key = cache_key(cell) if resolved_cache is not None else None
+        if key is not None and resolved_cache is not None:
+            loaded = resolved_cache.load(key)
             if loaded is not None:
                 text, result = loaded
-                meta = resolved_cache.load_meta(key)
-                run_id = str(meta.get("run_id", key[:12]))
                 outcomes[i] = CellOutcome(
                     cell=cell,
                     result=result,
                     result_json=text,
-                    run_id=run_id,
+                    # The workload is never built for a hit, so its name
+                    # is unknown: the same rule a failed outcome uses.
+                    run_id=cell_run_id(cell, "?"),
                     worker="cache",
                     cached=True,
                     wall_s=0.0,
@@ -270,18 +270,7 @@ def execute_cells(
 
     def finish(job: _Job, run: CellRun) -> None:
         if job.key is not None and resolved_cache is not None:
-            resolved_cache.store(
-                job.key,
-                run.result_json,
-                meta={
-                    "run_id": run.run_id,
-                    "workload": run.workload,
-                    "machine": job.cell.spec.name,
-                    "seed": job.cell.seed,
-                    "worker": run.worker,
-                    "wall_s": run.wall_s,
-                },
-            )
+            resolved_cache.store(job.key, run.result_json)
         outcomes[job.index] = CellOutcome(
             cell=job.cell,
             result=RunResult.from_json(run.result_json),

@@ -12,7 +12,6 @@ from repro.experiments import registry
 from repro.experiments.cli import EXIT_SHAPE_FAILED, main
 from repro.experiments.registry import Experiment, SeriesRow
 from repro.runner import ResultCache
-from repro.runner.cache import MANIFEST_NAME
 
 _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 _spec = importlib.util.spec_from_file_location(
@@ -148,6 +147,14 @@ class TestMarkdown:
         assert float(last.split()[-2]) > 0
 
 
+def _snapshot(root):
+    """Every file under ``root``: name, size and modification time."""
+    return {
+        path.relative_to(root): (path.stat().st_size, path.stat().st_mtime_ns)
+        for path in root.rglob("*")
+    }
+
+
 def test_warm_cache_rerun_stores_nothing_and_prints_the_same(tmp_path, capsys):
     cache = tmp_path / "cache"
     first, second = tmp_path / "first.md", tmp_path / "second.md"
@@ -155,9 +162,9 @@ def test_warm_cache_rerun_stores_nothing_and_prints_the_same(tmp_path, capsys):
     assert main([*argv, "--markdown", str(first)]) == 0
     stored = len(ResultCache(cache))
     assert stored == len(kill_resume.sweep_keys(["listing3"])) > 0
-    manifest = (cache / MANIFEST_NAME).read_text()
+    before = _snapshot(cache)
     assert main([*argv, "--markdown", str(second)]) == 0
-    assert (cache / MANIFEST_NAME).read_text() == manifest
+    assert _snapshot(cache) == before
     assert second.read_text() == first.read_text()
 
 

@@ -16,7 +16,7 @@ import pytest
 
 from repro.core.prestore import PrestoreMode
 from repro.errors import CellExecutionError, RunnerError
-from repro.runner import Cell, ResultCache, execute_cells
+from repro.runner import Cell, ResultCache, cache_key, execute_cells
 from repro.sim.machine import machine_a
 from repro.workloads.microbench import Listing1
 
@@ -173,39 +173,36 @@ class TestOrphans:
 
 
 class TestCorruptCache:
-    def _store_one(self, cache):
+    def _store_one(self, tmp_path):
         cell = _cell()
-        (outcome,) = execute_cells([cell], workers=1, cache=cache)
-        key = cache.key_for(cell)
-        assert cache.load(key) is not None
-        return cell, key
+        (outcome,) = execute_cells([cell], workers=1, cache=tmp_path)
+        path = tmp_path / f"{cache_key(cell)}.json"
+        assert path.read_text() == outcome.result_json
+        return cell, path, outcome.result_json
+
+    def _damage_and_rerun(self, tmp_path, damage):
+        """Damage the stored payload; the re-run simulates and rewrites it."""
+        cell, path, stored = self._store_one(tmp_path)
+        damage(path)
+        (outcome,) = execute_cells([cell], workers=1, cache=tmp_path)
+        assert outcome.status == "ok" and not outcome.cached
+        assert path.read_text() == stored
 
     def test_truncated_payload_is_a_miss_not_a_crash(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        cell, key = self._store_one(cache)
-        path = cache._payload_path(key)
-        # Truncate mid-JSON: still parses as a str prefix? No — json.loads
-        # fails; and even a *valid-JSON* fragment must be rejected below.
-        path.write_text(path.read_text()[: len(path.read_text()) // 2])
-        (outcome,) = execute_cells([cell], workers=1, cache=cache)
-        assert outcome.status == "ok" and not outcome.cached
-        assert cache.corrupt == 1
-        # The corrupt entry was evicted and rewritten by the re-run.
-        assert cache.load_result(key) is not None
+        # Truncated mid-JSON, as a failing disk might leave it.
+        self._damage_and_rerun(
+            tmp_path, lambda path: path.write_text(path.read_text()[: path.stat().st_size // 2])
+        )
 
     def test_valid_json_wrong_shape_is_also_a_miss(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        cell, key = self._store_one(cache)
-        cache._payload_path(key).write_text('{"not": "a RunResult"}')
-        (outcome,) = execute_cells([cell], workers=1, cache=cache)
-        assert outcome.status == "ok" and not outcome.cached
-        assert cache.corrupt == 1
+        self._damage_and_rerun(tmp_path, lambda path: path.write_text('{"not": "a RunResult"}'))
 
-    def test_corrupt_counts_in_stats(self, tmp_path):
+    def test_payload_that_is_not_utf8_is_a_miss(self, tmp_path):
+        self._damage_and_rerun(tmp_path, lambda path: path.write_bytes(b"\xff\xfe garbage"))
+
+    def test_unparseable_payload_is_deleted_by_load(self, tmp_path):
+        cell, path, _ = self._store_one(tmp_path)
+        path.write_text("}{")
         cache = ResultCache(tmp_path)
-        cell, key = self._store_one(cache)
-        cache._payload_path(key).write_text("}{")
-        assert cache.load_result(key) is None
-        stats = cache.stats()
-        assert stats["corrupt"] == 1
-        assert stats["hits"] == 1  # the original store-then-load round trip
+        assert cache.load(cache_key(cell)) is None
+        assert not path.exists() and len(cache) == 0

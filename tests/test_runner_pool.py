@@ -112,12 +112,14 @@ class TestCache:
         desc = describe_factory(factory)
         assert "Listing1" in desc and "element_size=512" in desc
 
-    def test_cache_clear_and_stats(self, tmp_path):
+    def test_cache_holds_one_payload_per_cell(self, tmp_path):
         cache = ResultCache(tmp_path)
+        assert len(cache) == 0
         execute_cells(_cells(), workers=1, cache=cache)
         assert len(cache) == len(MODES)
-        assert cache.clear() == len(MODES)
-        assert len(cache) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            f"{cache_key(cell)}.json" for cell in _cells()
+        )
 
 
 class TestIntegration:

@@ -7,13 +7,13 @@ back as hits, only the rest simulate, and every result is the same
 bytes a fresh, uninterrupted run produces.
 """
 
-import json
+import shutil
 
 import pytest
 
 from repro.core.prestore import PrestoreMode
-from repro.runner import Cell, ResultCache, execute_cells
-from repro.runner.cache import MANIFEST_NAME
+from repro.runner import Cell, ResultCache, cache_key, execute_cells
+from repro.runner.cells import cell_run_id
 from repro.sim.machine import machine_a
 from repro.workloads.microbench import Listing1
 
@@ -37,9 +37,17 @@ def _sweep(seeds=(1, 2, 3)):
     ]
 
 
-def _manifest_adds(root):
-    lines = (root / MANIFEST_NAME).read_text().splitlines()
-    return [json.loads(line) for line in lines if '"op": "add"' in line]
+def _payloads(root):
+    """The names of the payload files the cache holds."""
+    return {path.name for path in root.glob("*.json")}
+
+
+def _snapshot(root):
+    """Every file under ``root``: name, size and modification time."""
+    return {
+        path.relative_to(root): (path.stat().st_size, path.stat().st_mtime_ns)
+        for path in root.rglob("*")
+    }
 
 
 @pytest.fixture(scope="module")
@@ -61,13 +69,12 @@ class TestResume:
         cells = _sweep()
         execute_cells(cells[:2], workers=1, cache=tmp_path)
         assert len(ResultCache(tmp_path)) == 2
-        before = _manifest_adds(tmp_path)
+        before = _payloads(tmp_path)
         execute_cells(cells, workers=1, cache=tmp_path)
         assert len(ResultCache(tmp_path)) == len(cells)
-        appended = _manifest_adds(tmp_path)[len(before):]
+        added = _payloads(tmp_path) - before
         # One new entry per cell the first run did not store, none for the rest.
-        assert len(appended) == len(cells) - 2
-        assert {op["key"] for op in before}.isdisjoint(op["key"] for op in appended)
+        assert added == {f"{cache_key(cell)}.json" for cell in cells[2:]}
 
     def test_resume_skips_the_workload_factory_for_stored_cells(self, tmp_path):
         cells = _sweep()
@@ -100,17 +107,25 @@ class TestResume:
             assert hit.status == "cached"
             assert hit.wall_s == 0.0
             assert hit.path_counts == {}
-            assert hit.run_id == first.run_id  # from the provenance sidecar
+            # The workload is never built for a hit: its name is unknown.
+            assert hit.run_id == cell_run_id(hit.cell, "?")
+            assert first.run_id == cell_run_id(first.cell, "listing1")
 
-    def test_stored_cells_carry_provenance(self, tmp_path):
+    def test_a_stored_cell_is_one_file_holding_its_result_bytes(self, tmp_path):
         (cell,) = _sweep(seeds=(5,))[:1]
         (outcome,) = execute_cells([cell], workers=1, cache=tmp_path)
-        cache = ResultCache(tmp_path)
-        meta = cache.load_meta(cache.key_for(cell))
-        assert meta["run_id"] == outcome.run_id
-        assert meta["seed"] == 5
-        assert meta["machine"] == cell.spec.name
-        assert meta["worker"] == outcome.worker
+        payload = tmp_path / f"{cache_key(cell)}.json"
+        assert [path.name for path in tmp_path.iterdir()] == [payload.name]
+        assert payload.read_text() == outcome.result_json
+
+    def test_a_warm_sweep_writes_nothing(self, tmp_path):
+        cells = _sweep()
+        execute_cells(cells, workers=1, cache=tmp_path)
+        before = _snapshot(tmp_path)
+        again = execute_cells(cells, workers=1, cache=tmp_path)
+        assert all(o.status == "cached" for o in again)
+        # No file created, rewritten or touched: a hit only reads.
+        assert _snapshot(tmp_path) == before
 
     def test_a_different_seed_is_a_different_cell(self, tmp_path):
         execute_cells(_sweep(seeds=(1,)), workers=1, cache=tmp_path)
@@ -120,19 +135,10 @@ class TestResume:
 
 
 class TestDamagedCacheStillResumes:
-    def test_torn_manifest_tail_is_tolerated(self, tmp_path, reference):
+    def test_a_killed_stores_temp_file_is_ignored(self, tmp_path, reference):
         cells = _sweep()
         execute_cells(cells[:3], workers=1, cache=tmp_path)
-        with open(tmp_path / MANIFEST_NAME, "a") as fh:
-            fh.write('{"op": "add", "key": "torn-by-a-ki')  # a kill mid-append
-        resumed = execute_cells(cells, workers=1, cache=tmp_path)
-        assert [o.status for o in resumed] == ["cached"] * 3 + ["ok"] * 3
-        assert [o.result_json for o in resumed] == reference
-
-    def test_lost_manifest_is_rebuilt_from_the_payloads(self, tmp_path, reference):
-        cells = _sweep()
-        execute_cells(cells[:3], workers=1, cache=tmp_path)
-        (tmp_path / MANIFEST_NAME).unlink()
+        (tmp_path / ".tmp-killed").write_text('{"cycles": 12')  # a kill mid-store
         resumed = execute_cells(cells, workers=1, cache=tmp_path)
         assert [o.status for o in resumed] == ["cached"] * 3 + ["ok"] * 3
         assert [o.result_json for o in resumed] == reference
@@ -141,10 +147,22 @@ class TestDamagedCacheStillResumes:
     def test_corrupt_payload_is_simulated_again(self, tmp_path, reference):
         cells = _sweep()
         execute_cells(cells, workers=1, cache=tmp_path)
-        cache = ResultCache(tmp_path)
-        path = cache._payload_path(cache.key_for(cells[0]))
+        path = tmp_path / f"{cache_key(cells[0])}.json"
         path.write_text(path.read_text()[:40])  # a torn payload
         resumed = execute_cells(cells, workers=1, cache=tmp_path)
         assert [o.status for o in resumed] == ["ok"] + ["cached"] * 5
         assert [o.result_json for o in resumed] == reference
         assert path.read_text() == reference[0]  # rewritten in place
+
+    def test_payload_files_alone_resume_in_a_new_directory(self, tmp_path, reference):
+        # The payloads are the whole cache: copied without anything else
+        # (say, restored from a backup), they resume the sweep.
+        cells = _sweep()
+        first, moved = tmp_path / "first", tmp_path / "moved"
+        execute_cells(cells[:3], workers=1, cache=first)
+        moved.mkdir()
+        for name in _payloads(first):
+            shutil.copyfile(first / name, moved / name)
+        resumed = execute_cells(cells, workers=1, cache=moved)
+        assert [o.status for o in resumed] == ["cached"] * 3 + ["ok"] * 3
+        assert [o.result_json for o in resumed] == reference
